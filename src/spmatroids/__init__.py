@@ -19,6 +19,7 @@ from .powerseries import (
     UnivariateSeries,
     build_F,
     count_coefficient,
+    egf_exp,
     lagrange_invert,
     series_exp,
     series_log,

@@ -56,10 +56,6 @@ def run_table(family: str, max_n: int, fmt: str, config: RunConfig) -> str:
     """Render one family's triangle in the requested format."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if max_n > config.truncation_order:
-        raise ValueError(
-            f"max_n {max_n} exceeds truncation order {config.truncation_order}"
-        )
     table = build_tables(max_n, family)
     if fmt == "csv":
         return render_csv(table)
@@ -178,10 +174,13 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return 0
         if args.command == "verify":
-            config = RunConfig(
-                truncation_order=args.order,
-                oracle_max_n=min(args.order, 6),
-            )
+            try:
+                config = RunConfig(
+                    truncation_order=args.order,
+                    oracle_max_n=min(args.order, 6),
+                )
+            except ValueError as exc:
+                raise ValueError(f"--order: {exc}") from exc
             report = run_verify(config)
             sys.stdout.write(report.render())
             return 0 if report.ok else 1

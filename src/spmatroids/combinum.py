@@ -28,9 +28,13 @@ __all__ = [
     "compositions",
 ]
 
-_STIRLING2_ROWS: dict[int, tuple[int, ...]] = {}
-_ASSOC_ROWS: dict[int, tuple[int, ...]] = {}
-_H_ROWS: dict[int, tuple[Fraction, ...]] = {}
+# Memo rows are appended in order from the seed rows below, so each memo
+# holds exactly rows 0 .. len - 1.  Growing them by iteration, never by
+# recursion, lets a cold call at a large index run without exhausting the
+# stack.
+_STIRLING2_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
+_ASSOC_ROWS: dict[int, tuple[int, ...]] = {0: (1,), 1: (0, 0)}
+_H_ROWS: dict[int, tuple[Fraction, ...]] = {0: (Fraction(1),)}
 
 
 def binomial(n: int, k: int) -> int:
@@ -55,18 +59,15 @@ def double_factorial(n: int) -> int:
 
 def _stirling2_row(n: int) -> tuple[int, ...]:
     # row[k] = S2(n, k) for 0 <= k <= n
-    row = _STIRLING2_ROWS.get(n)
-    if row is None:
-        if n == 0:
-            row = (1,)
-        else:
-            prev = _stirling2_row(n - 1)
-            row = tuple(
-                (prev[k - 1] if k >= 1 else 0) + k * (prev[k] if k < n else 0)
-                for k in range(n + 1)
-            )
-        _STIRLING2_ROWS[n] = row
-    return row
+    rows = _STIRLING2_ROWS
+    while len(rows) <= n:
+        m = len(rows)
+        prev = rows[m - 1]
+        rows[m] = tuple(
+            (prev[k - 1] if k >= 1 else 0) + k * (prev[k] if k < m else 0)
+            for k in range(m + 1)
+        )
+    return rows[n]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -78,22 +79,17 @@ def stirling2(n: int, k: int) -> int:
 
 def _assoc_row(n: int) -> tuple[int, ...]:
     # row[k] = number of derangements of [n] with exactly k cycles
-    row = _ASSOC_ROWS.get(n)
-    if row is None:
-        if n == 0:
-            row = (1,)
-        elif n == 1:
-            row = (0, 0)
-        else:
-            p1 = _assoc_row(n - 1)
-            p2 = _assoc_row(n - 2)
-            row = tuple(
-                (n - 1) * ((p2[k - 1] if 1 <= k <= n - 1 else 0)
-                           + (p1[k] if k <= n - 1 else 0))
-                for k in range(n + 1)
-            )
-        _ASSOC_ROWS[n] = row
-    return row
+    rows = _ASSOC_ROWS
+    while len(rows) <= n:
+        m = len(rows)
+        p1 = rows[m - 1]
+        p2 = rows[m - 2]
+        rows[m] = tuple(
+            (m - 1) * ((p2[k - 1] if 1 <= k <= m - 1 else 0)
+                       + (p1[k] if k <= m - 1 else 0))
+            for k in range(m + 1)
+        )
+    return rows[n]
 
 
 def assoc_stirling1(n: int, k: int) -> int:
@@ -111,20 +107,17 @@ def assoc_stirling1(n: int, k: int) -> int:
 def _h_row(m: int) -> tuple[Fraction, ...]:
     # row[k] = H(m, k) for 0 <= k <= m, where H(m, k) sums the reciprocals
     # 1 / ((j_1 + 1) ... (j_k + 1)) over compositions j_1 + ... + j_k = m.
-    row = _H_ROWS.get(m)
-    if row is None:
-        if m == 0:
-            row = (Fraction(1),)
-        else:
-            prev = _h_row(m - 1)
-            vals = [Fraction(0)]
-            for k in range(1, m + 1):
-                a = prev[k - 1] if k - 1 <= m - 1 else Fraction(0)
-                b = prev[k] if k <= m - 1 else Fraction(0)
-                vals.append((k * a + (m + k - 1) * b) / (m + k))
-            row = tuple(vals)
-        _H_ROWS[m] = row
-    return row
+    rows = _H_ROWS
+    while len(rows) <= m:
+        i = len(rows)
+        prev = rows[i - 1]
+        vals = [Fraction(0)]
+        for k in range(1, i + 1):
+            a = prev[k - 1] if k - 1 <= i - 1 else Fraction(0)
+            b = prev[k] if k <= i - 1 else Fraction(0)
+            vals.append((k * a + (i + k - 1) * b) / (i + k))
+        rows[i] = tuple(vals)
+    return rows[m]
 
 
 def h_value(m: int, k: int) -> Fraction:

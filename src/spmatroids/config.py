@@ -50,8 +50,6 @@ DEFAULT_SEQUENCE_MAP: dict[str, SequenceMapping] = {
     "A361353": SequenceMapping("A361353", "S", row_offset=0),
 }
 
-FAMILY_TO_SEQUENCE = {m.family: m.id for m in DEFAULT_SEQUENCE_MAP.values()}
-
 
 def default_fixtures_dir() -> Path:
     env = os.environ.get("SPM_FIXTURES")
@@ -71,6 +69,10 @@ class RunConfig:
     )
 
     def __post_init__(self):
+        if self.truncation_order < 1:
+            raise ValueError(
+                f"truncation_order must be at least 1, got {self.truncation_order}"
+            )
         if self.truncation_order < self.oracle_max_n:
             raise ValueError(
                 "truncation_order must be at least oracle_max_n "

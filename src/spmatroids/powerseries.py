@@ -1,10 +1,16 @@
-"""Truncated bivariate power series with exact rational coefficients.
+"""Truncated bivariate power series with exact coefficients.
 
 A series is a triangular table: row n holds the coefficients of
 y^0 .. y^n at x^n, since every series arising here has y-degree bounded by
-x-degree.  Coefficients are stored raw (the coefficient of y^k x^n, not the
-exponential-generating-function numerator); count extraction multiplies by
-n! at the boundary.
+x-degree.  BivariateSeries stores coefficients raw, as Fractions (the
+coefficient of y^k x^n, not the exponential-generating-function numerator);
+count extraction multiplies by n! at the boundary.
+
+Two routes compute exp.  egf_exp works on normalized integer rows
+n! [y^k x^n] and is the one the count tables use.  series_exp, like
+series_log, the compositions, series_reverse_x and lagrange_invert, works
+on Fraction series and is kept as the reference the verification suites
+check the integer route against.
 
 Series values are immutable and all operations are pure, so they are safe
 to share across threads.
@@ -13,7 +19,7 @@ to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .combinum import compositions
 
@@ -260,6 +266,40 @@ def series_exp(f: BivariateSeries) -> BivariateSeries:
                 acc = _padd(acc, _pscale(_pmul(fm, g[n - m]), m))
         g.append(_pscale(acc, Fraction(1, n)))
     return BivariateSeries(n_max, [_fit_row(row, n) for n, row in enumerate(g)])
+
+
+def egf_exp(rows) -> tuple[tuple[int, ...], ...]:
+    """exp on a normalized integer triangle, in exact integers.
+
+    rows[n][k] = n! [y^k x^n] f for n = 0 .. order, with rows[0] = (0,).
+    Returns the normalized rows of exp(f), computed by the labelled
+    exponential's binomial convolution
+
+        A_0 = 1,  A_n = sum_{m=1}^{n} C(n-1, m-1) F_m A_{n-m}
+
+    on y-polynomials (Flajolet & Sedgewick, Analytic Combinatorics, ch. II).
+    This is the table route; series_exp is the Fraction reference it is
+    checked against.
+    """
+    for n, row in enumerate(rows):
+        if len(row) != n + 1:
+            raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
+    if rows[0][0] != 0:
+        raise ValueError("egf_exp requires zero constant term")
+    out = [(1,)]
+    for n in range(1, len(rows)):
+        acc = [0] * (n + 1)
+        for m in range(1, n + 1):
+            weight = comb(n - 1, m - 1)
+            prev = out[n - m]
+            for i, fi in enumerate(rows[m]):
+                if fi:
+                    wi = weight * fi
+                    for j, aj in enumerate(prev):
+                        if aj:
+                            acc[i + j] += wi * aj
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def series_log(f: BivariateSeries) -> BivariateSeries:

@@ -12,17 +12,21 @@ and rank k:
 
 E and C come from closed-form alternating sums, A and S from the
 exponential identities A = exp(C) and S = exp(E), and G from its own
-closed form.
+closed form.  Tables are built in exact integers throughout: the closed
+forms sum over integer common denominators, and A and S apply
+powerseries.egf_exp to the integer rows of C and E.  The *_series builders
+wrap those rows as Fraction series (raw = count / n!) for the identity
+checks, which compare them with the Fraction reference series_exp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .combinum import assoc_stirling1, double_factorial, stirling2
-from .powerseries import BivariateSeries, count_coefficient, series_exp
+from .powerseries import BivariateSeries, egf_exp
 
 FAMILIES = ("E", "C", "A", "S", "G")
 
@@ -71,33 +75,44 @@ def e_closed(n: int, k: int) -> int:
         E(2k-r, k) = sum_{p=1}^{r} D(2k-p-1, k-p)
                      sum_{i=0}^{r-p} (-1)^(i+p+1) (2k-p-i)^(k-p-1) / (i! (r-p-i)!)
 
-    where D is assoc_stirling1.  Terms with a vanishing D factor are
-    skipped before the power is formed, so the only negative exponent ever
-    evaluated is 1^(-1) in the (n, k) = (1, 1) base case.  Returns 0 for
-    k = 0, k > n, or n >= 2k > 0.
+    where D is assoc_stirling1, in exact integers: each 1/(i! (r-p-i)!) is
+    written as binomial(r-p, i) (r-1)!/(r-p)! over the common denominator
+    (r-1)!, and the sum is divided by (r-1)! once at the end, raising if
+    the remainder is nonzero.  Terms with a vanishing D factor are skipped
+    before the power is formed, so the only negative exponent ever reached
+    is 1^(-1) in the (n, k) = (1, 1) base case.  Returns 0 for k = 0,
+    k > n, or n >= 2k > 0.
     """
     if n < 1 or k < 1 or k > n:
         return 0
     r = 2 * k - n
     if r < 1:
         return 0
-    total = Fraction(0)
+    denominator = factorial(r - 1)
+    total = 0
     for p in range(1, r + 1):
         d = assoc_stirling1(2 * k - p - 1, k - p)
         if d == 0:
             continue
-        inner = Fraction(0)
+        e = k - p - 1
+        inner = 0
         for i in range(r - p + 1):
-            power = Fraction(2 * k - p - i) ** (k - p - 1)
-            inner += (
-                Fraction((-1) ** (i + p + 1))
-                * power
-                / (factorial(i) * factorial(r - p - i))
-            )
-        total += d * inner
-    if total.denominator != 1:
-        raise ValueError(f"non-integral E value at (n, k) = ({n}, {k}): {total}")
-    return int(total)
+            base = 2 * k - p - i
+            if e >= 0:
+                power = base ** e
+            elif base == 1:
+                power = 1  # 1^(-1), reached only at (n, k) = (1, 1)
+            else:
+                raise ValueError(f"non-integral power {base}^({e}) at (n, k) = ({n}, {k})")
+            term = comb(r - p, i) * power
+            inner += -term if (i + p) % 2 == 0 else term
+        total += d * (denominator // factorial(r - p)) * inner
+    value, remainder = divmod(total, denominator)
+    if remainder:
+        raise ValueError(
+            f"non-integral E value at (n, k) = ({n}, {k}): {Fraction(total, denominator)}"
+        )
+    return value
 
 
 def c_closed(n: int, l: int) -> int:
@@ -205,39 +220,49 @@ def e_special(n: int, k: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# series builders (raw coefficients: count / n!)
+# count rows and series builders
 # ---------------------------------------------------------------------------
 
+# A = exp(C) and S = exp(E): the quasi families are exponentials of these
+_EXP_OF = {"A": "C", "S": "E"}
+
+
+def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
+    """Normalized rows n! [y^k x^n] of a family's series for n = 0 .. max_n."""
+    if family in _EXP_OF:
+        return egf_exp(_count_rows(_EXP_OF[family], max_n))
+    fn = {"E": e_closed, "C": c_closed, "G": g_closed}[family]
+    return ((0,),) + tuple(
+        tuple(fn(n, k) for k in range(n + 1)) for n in range(1, max_n + 1)
+    )
+
+
+def _series(rows) -> BivariateSeries:
+    # raw coefficients count / n!
+    return BivariateSeries(
+        len(rows) - 1,
+        [[Fraction(c, factorial(n)) for c in row] for n, row in enumerate(rows)],
+    )
+
+
 def e_series(order: int) -> BivariateSeries:
-    rows = [[Fraction(0)]] + [
-        [Fraction(e_closed(n, k), factorial(n)) for k in range(n + 1)]
-        for n in range(1, order + 1)
-    ]
-    return BivariateSeries(order, rows)
+    return _series(_count_rows("E", order))
 
 
 def c_series(order: int) -> BivariateSeries:
-    rows = [[Fraction(0)]] + [
-        [Fraction(c_closed(n, k), factorial(n)) for k in range(n + 1)]
-        for n in range(1, order + 1)
-    ]
-    return BivariateSeries(order, rows)
+    return _series(_count_rows("C", order))
 
 
 def g_series(order: int) -> BivariateSeries:
-    rows = [[Fraction(0)]] + [
-        [Fraction(g_closed(n, k), factorial(n)) for k in range(n + 1)]
-        for n in range(1, order + 1)
-    ]
-    return BivariateSeries(order, rows)
+    return _series(_count_rows("G", order))
 
 
 def s_series(order: int) -> BivariateSeries:
-    return series_exp(e_series(order))
+    return _series(_count_rows("S", order))
 
 
 def a_series(order: int) -> BivariateSeries:
-    return series_exp(c_series(order))
+    return _series(_count_rows("A", order))
 
 
 def build_tables(max_n: int, family: str) -> TriangularCountTable:
@@ -247,15 +272,4 @@ def build_tables(max_n: int, family: str) -> TriangularCountTable:
     if max_n < 1:
         raise ValueError("build_tables needs max_n >= 1")
     start = FAMILY_START_N[family]
-    if family in ("E", "C", "G"):
-        fn = {"E": e_closed, "C": c_closed, "G": g_closed}[family]
-        rows = tuple(
-            tuple(fn(n, k) for k in range(n + 1)) for n in range(1, max_n + 1)
-        )
-        return TriangularCountTable(family, start, rows)
-    series = s_series(max_n) if family == "S" else a_series(max_n)
-    rows = tuple(
-        tuple(count_coefficient(series, n, k) for k in range(n + 1))
-        for n in range(max_n + 1)
-    )
-    return TriangularCountTable(family, start, rows)
+    return TriangularCountTable(family, start, _count_rows(family, max_n)[start:])

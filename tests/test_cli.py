@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spmatroids.cli import main, run_oracle, run_table
+from spmatroids.cli import main, render_csv, run_oracle, run_table
 from spmatroids.config import RunConfig
 from spmatroids.oeis import parse_bfile
 from spmatroids.spcounts import build_tables
@@ -55,10 +55,17 @@ def test_table_unknown_family_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_table_max_n_above_order_is_config_error(capsys):
-    code, _, err = run_cli(capsys, "table", "--family", "C", "--max-n", "40")
+def test_table_max_n_above_order_succeeds(capsys):
+    # --max-n is not bounded by the series truncation order (12 by default)
+    code, out, _ = run_cli(capsys, "table", "--family", "S", "--max-n", "13")
+    assert code == 0
+    assert out == render_csv(build_tables(13, "S"))
+
+
+def test_table_max_n_zero_is_config_error(capsys):
+    code, _, err = run_cli(capsys, "table", "--family", "C", "--max-n", "0")
     assert code == 2
-    assert "truncation order" in err
+    assert "max_n >= 1" in err
 
 
 def test_formats_mutually_consistent():
@@ -123,6 +130,15 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "0 failed" in out
     assert "FLAG" in out
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_verify_order_below_one_is_config_error(capsys, order):
+    code, out, err = run_cli(capsys, "verify", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert "--order" in err and f"got {order}" in err
+    assert "series x" not in err
 
 
 def test_oeis_fixture_comparison(capsys):

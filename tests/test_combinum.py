@@ -5,12 +5,17 @@ for Stirling numbers, permutations filtered for derangement counts, and
 literal composition sums for the reciprocal numbers.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import spmatroids
 from spmatroids.combinum import (
     assoc_stirling1,
     bell_partial,
@@ -116,6 +121,28 @@ def test_assoc_stirling1_recursion_and_vanishing():
     for n in range(41):
         for k in range(n // 2 + 1, 41):
             assert assoc_stirling1(n, k) == 0
+
+
+def test_cold_rows_do_not_recurse():
+    # A fresh interpreter with a recursion limit far below the row index:
+    # the memo rows must be filled iteratively from the seed rows.
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from math import factorial\n"
+        "from spmatroids.combinum import assoc_stirling1, h_value, stirling2\n"
+        "sys.setrecursionlimit(60)\n"
+        "assert assoc_stirling1(300, 1) == factorial(299)\n"
+        "assert assoc_stirling1(300, 3) > 0\n"
+        "assert stirling2(300, 2) == 2 ** 299 - 1\n"
+        "assert h_value(300, 1) == Fraction(1, 301)\n"
+    )
+    src = str(Path(spmatroids.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_assoc_stirling1_closed_forms():

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from spmatroids.combinum import double_factorial, stirling2
-from spmatroids.powerseries import count_coefficient
+from spmatroids import spcounts
+from spmatroids.powerseries import count_coefficient, series_exp
 from spmatroids.spcounts import (
     TriangularCountTable,
     a_series,
     build_tables,
     c_closed,
+    c_series,
     e_closed,
     e_from_c,
     e_series,
@@ -141,6 +143,27 @@ def test_build_tables_rows():
     assert e.row(4) == (0, 0, 0, 1, 0)
     with pytest.raises(ValueError):
         build_tables(4, "X")
+
+
+@pytest.mark.parametrize("family, closed_series", [("A", c_series), ("S", e_series)])
+def test_quasi_tables_match_series_exp_route(family, closed_series):
+    # the integer binomial-convolution table against the Fraction reference
+    reference = series_exp(closed_series(20))
+    table = build_tables(20, family)
+    for n in range(21):
+        for k in range(n + 1):
+            assert table.value(n, k) == count_coefficient(reference, n, k), (n, k)
+
+
+def test_e_closed_raises_on_non_integral_sum(monkeypatch):
+    # Integer D factors always give an integral sum (the inner sums are
+    # finite differences), so a corrupted rational D factor stands in for
+    # an upstream error: the final exact division must refuse it.
+    monkeypatch.setattr(
+        spcounts, "assoc_stirling1", lambda n, k: Fraction(1, 3) if k > 0 else 0
+    )
+    with pytest.raises(ValueError, match="non-integral E value"):
+        e_closed(5, 3)
 
 
 def test_count_coefficient_on_family_series():
