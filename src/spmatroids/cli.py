@@ -175,10 +175,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             try:
-                config = RunConfig(
-                    truncation_order=args.order,
-                    oracle_max_n=min(args.order, 6),
-                )
+                config = RunConfig(truncation_order=args.order)
             except ValueError as exc:
                 raise ValueError(f"--order: {exc}") from exc
             report = run_verify(config)

@@ -1,4 +1,4 @@
-"""Run configuration: truncation orders, enumeration bounds, fixtures, and
+"""Run configuration: the truncation order, the fixtures directory, and
 the per-sequence index mapping used for OEIS b-file comparison."""
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ def default_fixtures_dir() -> Path:
 @dataclass(frozen=True)
 class RunConfig:
     truncation_order: int = 12
-    oracle_max_n: int = 6
-    output_format: str = "csv"
     fixtures_dir: Path = field(default_factory=default_fixtures_dir)
     sequence_map: dict[str, SequenceMapping] = field(
         default_factory=lambda: dict(DEFAULT_SEQUENCE_MAP)
@@ -73,10 +71,3 @@ class RunConfig:
             raise ValueError(
                 f"truncation_order must be at least 1, got {self.truncation_order}"
             )
-        if self.truncation_order < self.oracle_max_n:
-            raise ValueError(
-                "truncation_order must be at least oracle_max_n "
-                f"({self.truncation_order} < {self.oracle_max_n})"
-            )
-        if self.output_format not in ("csv", "json", "bfile"):
-            raise ValueError(f"unknown output format {self.output_format!r}")

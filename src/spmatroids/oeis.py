@@ -8,6 +8,7 @@ wrong row/column offset can never produce a false PASS.
 
 from __future__ import annotations
 
+import os
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,10 +178,29 @@ def bfile_path(config: RunConfig, sequence_id: str) -> Path:
 
 
 def fetch_bfile(sequence_id: str, dest: Path, timeout: float = 30.0) -> Path:
-    """Download a b-file from oeis.org and cache it at `dest`."""
+    """Download a b-file from oeis.org and cache it at `dest`.
+
+    The download is parsed before anything is written and then replaces
+    `dest` in one rename, so a malformed or empty payload never clobbers an
+    existing file.
+    """
     url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
     with urllib.request.urlopen(url, timeout=timeout) as resp:
         data = resp.read()
+    try:
+        entries = parse_bfile(data.decode("utf-8"))
+    except ValueError as exc:  # BFileParseError or UnicodeDecodeError
+        raise ValueError(f"downloaded b-file for {sequence_id} is malformed: {exc}") from None
+    if not entries:
+        raise ValueError(f"downloaded b-file for {sequence_id} has no entries")
     dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_bytes(data)
+    tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, dest)
+    finally:
+        tmp.unlink(missing_ok=True)
     return dest

@@ -1,10 +1,11 @@
-"""Brute-force ground truth by exhaustive graph generation.
+"""Brute-force ground truth by exhaustive basis-set generation.
 
-Edge-labeled series-parallel graphs are grown from 2-cycles by series and
-parallel extensions over every label subset, their matroids are
-canonicalized by basis sets, and counts per (ground size, rank) are read
-off the resulting catalog.  Everything here is independent of the closed
-formulas, which is the point: the two routes validate each other.
+Series-parallel matroids on labeled ground sets are grown from U_{1,2} by
+series and parallel extensions applied to their basis sets (Oxley, *Matroid
+Theory*, 2nd ed., section 5.4), over every label subset.  A matroid is its
+set of basis masks, so the catalog holds each one exactly once, and counts
+per (ground size, rank) are read off it.  Everything here is independent of
+the closed formulas, which is the point: the two routes validate each other.
 """
 
 from __future__ import annotations
@@ -17,21 +18,6 @@ from typing import Iterator
 
 HARD_CAP = 8
 DEFAULT_MAX_N = 6
-
-
-@dataclass(frozen=True)
-class LabeledMultigraph:
-    """A multigraph on vertices 0..vertex_count-1 with distinctly labeled edges.
-
-    Loops are permitted only in the one-edge base case; every graph with at
-    least two edges produced here is 2-connected.
-    """
-
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, label)
-
-    def labels(self) -> frozenset[int]:
-        return frozenset(lab for _, _, lab in self.edges)
 
 
 @dataclass(frozen=True)
@@ -53,97 +39,46 @@ class CatalogEntry:
     simple: bool
 
 
-def single_edge(label: int) -> LabeledMultigraph:
-    return LabeledMultigraph(2, ((0, 1, label),))
+def parallel_extension(bases: frozenset[int], e: int, f: int) -> frozenset[int]:
+    """Add label f parallel to element e: the bases B and B - e + f for e in B."""
+    eb, fb = 1 << (e - 1), 1 << (f - 1)
+    return bases | {(b ^ eb) | fb for b in bases if b & eb}
 
 
-def single_loop(label: int) -> LabeledMultigraph:
-    return LabeledMultigraph(1, ((0, 0, label),))
+def series_extension(bases: frozenset[int], e: int, f: int) -> frozenset[int]:
+    """Add label f in series with element e: the bases B + f, and B + e for e
+    not in B."""
+    eb, fb = 1 << (e - 1), 1 << (f - 1)
+    return frozenset([b | fb for b in bases] + [b | eb for b in bases if not b & eb])
 
 
-def two_cycle(label_a: int, label_b: int) -> LabeledMultigraph:
-    return LabeledMultigraph(2, ((0, 1, label_a), (0, 1, label_b)))
+def _ground(bases: frozenset[int]) -> int:
+    # The union of the bases: the ground set of a matroid without loops.
+    ground = 0
+    for b in bases:
+        ground |= b
+    return ground
 
 
-def extend(g: LabeledMultigraph, new_label: int) -> list[LabeledMultigraph]:
-    """All one-step series and parallel extensions of g using new_label.
+def extensions(bases: frozenset[int], label: int) -> list[frozenset[int]]:
+    """All one-step parallel and series extensions by `label`, at each element.
 
-    Parallel: duplicate each edge with the new label.  Series: subdivide
-    each edge, with both assignments of the old and new label to the two
-    halves.  One-edge graphs are terminal and yield nothing.
+    The ground set is read as the union of the bases, which is exact for the
+    loopless matroids grown here.  Matroids with fewer than two elements are
+    terminal and yield nothing: the closure starts from U_{1,2}, and a lone
+    loop or coloop is a separate base case.
     """
-    if new_label in g.labels():
-        raise ValueError(f"label {new_label} already used")
-    if len(g.edges) < 2:
+    ground = _ground(bases)
+    if ground >> (label - 1) & 1:
+        raise ValueError(f"label {label} already used")
+    if ground.bit_count() < 2:
         return []
     out = []
-    for u, v, _lab in g.edges:
-        out.append(LabeledMultigraph(g.vertex_count, g.edges + ((u, v, new_label),)))
-    for idx, (u, v, lab) in enumerate(g.edges):
-        w = g.vertex_count
-        rest = g.edges[:idx] + g.edges[idx + 1:]
-        for first, second in ((lab, new_label), (new_label, lab)):
-            out.append(
-                LabeledMultigraph(w + 1, rest + ((u, w, first), (w, v, second)))
-            )
+    for e in range(1, ground.bit_length() + 1):
+        if ground >> (e - 1) & 1:
+            out.append(parallel_extension(bases, e, label))
+            out.append(series_extension(bases, e, label))
     return out
-
-
-def _spanning_tree_masks(g: LabeledMultigraph, positions: dict[int, int]) -> list[int]:
-    # Masks (over normalized element positions) of all spanning trees of g.
-    nv = g.vertex_count
-    size = nv - 1
-    masks = []
-    for subset in combinations(range(len(g.edges)), size):
-        parent = list(range(nv))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        acyclic = True
-        for ei in subset:
-            u, v, _ = g.edges[ei]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if acyclic:
-            mask = 0
-            for ei in subset:
-                mask |= 1 << positions[g.edges[ei][2]]
-            masks.append(mask)
-    return masks
-
-
-def _is_connected(g: LabeledMultigraph) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(g.vertex_count)}
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
-
-
-def signature(g: LabeledMultigraph) -> MatroidSignature:
-    """Matroid of a connected graph: bases are its spanning-tree label sets."""
-    if not _is_connected(g):
-        raise ValueError("signature expects a connected graph")
-    labels = sorted(g.labels())
-    positions = {lab: i for i, lab in enumerate(labels)}
-    masks = _spanning_tree_masks(g, positions)
-    return MatroidSignature(len(labels), g.vertex_count - 1, tuple(sorted(masks)))
 
 
 def rank_of_subset(m: MatroidSignature, subset_mask: int) -> int:
@@ -163,38 +98,23 @@ def is_simple(m: MatroidSignature) -> bool:
     return True
 
 
-def _closure_final_sigs(n: int, dedup_levels: bool) -> set[MatroidSignature]:
-    # Breadth-first closure over label subsets: level m holds graphs whose
-    # label set is some m-subset of [n]; each level is generated from the
-    # previous one by extending with every absent label.
-    all_labels = range(1, n + 1)
-    if dedup_levels:
-        level: dict = {}
-        for a, b in combinations(all_labels, 2):
-            g = two_cycle(a, b)
-            level[(g.labels(), signature(g))] = g
-        for _size in range(2, n):
-            nxt: dict = {}
-            for g in level.values():
-                used = g.labels()
-                for lab in all_labels:
-                    if lab not in used:
-                        for h in extend(g, lab):
-                            key = (h.labels(), signature(h))
-                            if key not in nxt:
-                                nxt[key] = h
-            level = nxt
-        return {sig for (_labels, sig) in level.keys()}
-    graphs = [two_cycle(a, b) for a, b in combinations(all_labels, 2)]
+def _grow(level, n: int) -> Iterator[frozenset[int]]:
+    # Every extension of every matroid in `level` by every absent label of [n].
+    for bases in level:
+        ground = _ground(bases)
+        for label in range(1, n + 1):
+            if not ground >> (label - 1) & 1:
+                yield from extensions(bases, label)
+
+
+def _closure(n: int, dedup_levels: bool) -> set[frozenset[int]]:
+    # Breadth-first closure over label subsets: level m holds the basis sets
+    # of matroids whose ground set is some m-subset of [n], starting from
+    # U_{1,2} on every label pair.
+    level = [frozenset((1 << a, 1 << b)) for a, b in combinations(range(n), 2)]
     for _size in range(2, n):
-        nxt_list = []
-        for g in graphs:
-            used = g.labels()
-            for lab in all_labels:
-                if lab not in used:
-                    nxt_list.extend(extend(g, lab))
-        graphs = nxt_list
-    return {signature(g) for g in graphs}
+        level = set(_grow(level, n)) if dedup_levels else list(_grow(level, n))
+    return set(level)
 
 
 _CATALOG: dict[int, tuple[CatalogEntry, ...]] = {}
@@ -203,11 +123,13 @@ _CATALOG: dict[int, tuple[CatalogEntry, ...]] = {}
 def enumerate_connected(n: int, *, dedup_levels: bool = True) -> tuple[CatalogEntry, ...]:
     """Catalog of all series-parallel matroids on ground set {1..n}.
 
-    With dedup_levels=True (the default) graphs are deduplicated by matroid
-    signature at every level, which is sound because both extension moves
-    act on the matroid at a chosen element; dedup_levels=False keeps every
-    generated graph and deduplicates only at the end, as a much slower
-    certification of that optimization.
+    For n >= 2 these are grown from U_{1,2} on every label pair by parallel
+    and series extensions of basis sets at every element, with every absent
+    label.  With dedup_levels=True (the default) each level is deduplicated
+    by basis set, which is sound because both moves act on the matroid, not
+    on one presentation of it; dedup_levels=False expands every extension
+    sequence and deduplicates only at the end, as a slower certification of
+    that optimization.
     """
     if n < 1:
         raise ValueError("enumerate_connected needs n >= 1")
@@ -221,7 +143,10 @@ def enumerate_connected(n: int, *, dedup_levels: bool = True) -> tuple[CatalogEn
             MatroidSignature(1, 1, (1,)),  # single coloop
         }
     else:
-        sigs = _closure_final_sigs(n, dedup_levels)
+        sigs = [
+            MatroidSignature(n, next(iter(bases)).bit_count(), tuple(sorted(bases)))
+            for bases in _closure(n, dedup_levels)
+        ]
     entries = tuple(
         CatalogEntry(sig, is_simple(sig))
         for sig in sorted(sigs, key=lambda s: (s.rank, s.bases))
@@ -321,9 +246,12 @@ def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
 # ---------------------------------------------------------------------------
 
 def _k4_signature() -> MatroidSignature:
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    g = LabeledMultigraph(4, tuple((u, v, i + 1) for i, (u, v) in enumerate(edges)))
-    return signature(g)
+    # M(K4) with edges 1=01, 2=02, 3=03, 4=12, 5=13, 6=23: its bases are the
+    # 20 triples of edges except the four triangles 124, 135, 236 and 456.
+    return MatroidSignature(6, 3, (
+        0b000111, 0b001101, 0b001110, 0b010011, 0b010110, 0b011001, 0b011010, 0b011100,
+        0b100011, 0b100101, 0b101001, 0b101010, 0b101100, 0b110001, 0b110010, 0b110100,
+    ))
 
 
 def _canonical_bases(bases: tuple[int, ...], size: int) -> tuple[int, ...]:
@@ -353,49 +281,64 @@ def _mk4_canon() -> tuple[int, ...]:
     return _MK4_CANON
 
 
-def _has_u24_minor(m: MatroidSignature) -> bool:
+def _rank_table(m: MatroidSignature) -> list[int]:
+    """Rank of every subset, indexed by mask.
+
+    A subset is independent iff it lies inside some basis; its rank is then
+    its size, and a dependent subset has the largest rank of its one-smaller
+    subsets.
+    """
+    independent = set()
+    for b in m.bases:
+        sub = b
+        while True:
+            independent.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & b
     n = m.ground_size
+    rank = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        if s in independent:
+            rank[s] = s.bit_count()
+        else:
+            rank[s] = max(rank[s & ~(1 << e)] for e in range(n) if s >> e & 1)
+    return rank
+
+
+def _has_u24_minor(n: int, rk: list[int]) -> bool:
     if n < 4:
         return False
-
-    def rk(mask: int) -> int:
-        return rank_of_subset(m, mask)
-
     for quad in combinations(range(n), 4):
         tmask = sum(1 << i for i in quad)
         rest = [i for i in range(n) if not tmask >> i & 1]
         pair_masks = [(1 << a) | (1 << b) for a, b in combinations(quad, 2)]
         for bits in range(1 << len(rest)):
             kmask = sum(1 << rest[i] for i in range(len(rest)) if bits >> i & 1)
-            rk_k = rk(kmask)
-            if rk(tmask | kmask) - rk_k != 2:
+            rk_k = rk[kmask]
+            if rk[tmask | kmask] - rk_k != 2:
                 continue
-            if all(rk(p | kmask) - rk_k == 2 for p in pair_masks):
+            if all(rk[p | kmask] - rk_k == 2 for p in pair_masks):
                 return True
     return False
 
 
-def _has_mk4_minor(m: MatroidSignature) -> bool:
-    n = m.ground_size
+def _has_mk4_minor(n: int, rk: list[int]) -> bool:
     if n < 6:
         return False
-
-    def rk(mask: int) -> int:
-        return rank_of_subset(m, mask)
-
     target = _mk4_canon()
     for six in combinations(range(n), 6):
         tmask = sum(1 << i for i in six)
         rest = [i for i in range(n) if not tmask >> i & 1]
         for bits in range(1 << len(rest)):
             kmask = sum(1 << rest[i] for i in range(len(rest)) if bits >> i & 1)
-            rk_k = rk(kmask)
-            if rk(tmask | kmask) - rk_k != 3:
+            rk_k = rk[kmask]
+            if rk[tmask | kmask] - rk_k != 3:
                 continue
             minor_bases = []
             for triple in combinations(six, 3):
                 bmask = sum(1 << i for i in triple)
-                if rk(bmask | kmask) - rk_k == 3:
+                if rk[bmask | kmask] - rk_k == 3:
                     minor_bases.append(bmask)
             if len(minor_bases) != 16:
                 continue
@@ -418,7 +361,9 @@ def minor_check(m: MatroidSignature) -> bool:
     must pass."""
     if m.ground_size > HARD_CAP:
         raise ValueError(f"minor_check capped at ground size {HARD_CAP}")
-    return not _has_u24_minor(m) and not _has_mk4_minor(m)
+    n = m.ground_size
+    rk = _rank_table(m)
+    return not _has_u24_minor(n, rk) and not _has_mk4_minor(n, rk)
 
 
 def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 40) -> bool:

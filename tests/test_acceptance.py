@@ -48,19 +48,19 @@ def _report(num: int, text: str) -> None:
 
 
 def test_criterion_1_oracle_formula_agreement():
-    tables = {fam: build_tables(6, fam) for fam in ("C", "E", "A", "S")}
-    for n in range(1, 7):
+    tables = {fam: build_tables(7, fam) for fam in ("C", "E", "A", "S")}
+    for n in range(1, 8):
         c_row, e_row = oracle.connected_counts(n)
         assert list(tables["C"].row(n)) == c_row, f"C row {n}"
         assert list(tables["E"].row(n)) == e_row, f"E row {n}"
-    for n in range(7):
+    for n in range(8):
         a_row, s_row = oracle.quasi_counts(n)
         assert list(tables["A"].row(n)) == a_row, f"A row {n}"
         assert list(tables["S"].row(n)) == s_row, f"S row {n}"
     assert list(tables["C"].row(4)) == [0, 1, 6, 1, 0]
     assert list(tables["E"].row(4)) == [0, 0, 0, 1, 0]
     assert list(tables["A"].row(2)) == [1, 3, 1]
-    _report(1, "brute-force counts equal formula counts, all four families, n <= 6")
+    _report(1, "brute-force counts equal formula counts, all four families, n <= 7")
 
 
 def test_criterion_2_special_cases():

@@ -162,3 +162,29 @@ def test_oeis_parse_error_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "line 2" in err
+
+
+def test_oeis_fetch_malformed_payload_leaves_fixture(tmp_path, monkeypatch, capsys):
+    import io
+    import shutil
+    import urllib.request
+
+    from spmatroids.config import default_fixtures_dir
+
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(default_fixtures_dir(), fixtures)
+    monkeypatch.setenv("SPM_FIXTURES", str(fixtures))
+    target = fixtures / "b140945.txt"
+    before = target.read_bytes()
+    monkeypatch.setattr(
+        urllib.request, "urlopen",
+        lambda url, timeout: io.BytesIO(b"1 1\n<html>Too many requests</html>\n"),
+    )
+    code, out, err = run_cli(capsys, "oeis", "--id", "A140945", "--fetch")
+    assert code == 2
+    assert out == ""
+    assert "A140945" in err and "line 2" in err
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in fixtures.iterdir()) == sorted(
+        p.name for p in default_fixtures_dir().iterdir()
+    )

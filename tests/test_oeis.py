@@ -7,6 +7,7 @@ from spmatroids.oeis import (
     BFileParseError,
     bfile_path,
     compare_with_bfile,
+    fetch_bfile,
     parse_bfile,
     render_bfile,
 )
@@ -103,3 +104,26 @@ def test_fixtures_dir_env_override(tmp_path, monkeypatch):
     assert default_fixtures_dir() == tmp_path
     monkeypatch.delenv("SPM_FIXTURES")
     assert default_fixtures_dir().name == "fixtures"
+
+
+def test_fetch_bfile_writes_only_parsed_payloads(tmp_path, monkeypatch):
+    import io
+    import urllib.request
+
+    payload = {"data": b"# comment\n1 1\n2 0\n"}
+    monkeypatch.setattr(
+        urllib.request, "urlopen", lambda url, timeout: io.BytesIO(payload["data"])
+    )
+    dest = tmp_path / "b140945.txt"
+    dest.write_bytes(b"1 5\n")
+    assert fetch_bfile("A140945", dest) == dest
+    assert dest.read_bytes() == payload["data"]
+    assert [p.name for p in tmp_path.iterdir()] == ["b140945.txt"]
+    payload["data"] = b"# comments only\n"
+    with pytest.raises(ValueError, match="A140945 has no entries"):
+        fetch_bfile("A140945", dest)
+    payload["data"] = b"\xff\xfe"
+    with pytest.raises(ValueError, match="A140945 is malformed"):
+        fetch_bfile("A140945", dest)
+    assert dest.read_bytes() == b"# comment\n1 1\n2 0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["b140945.txt"]

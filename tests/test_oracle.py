@@ -1,27 +1,27 @@
 """Tests for the brute-force enumeration oracle."""
 
 import random
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmatroids import oracle
 from spmatroids.oracle import (
-    LabeledMultigraph,
     MatroidSignature,
     check_basis_exchange,
     connected_counts,
     direct_sum,
     dump_catalog,
     enumerate_connected,
-    extend,
+    extensions,
     is_simple,
     minor_check,
+    parallel_extension,
     quasi_counts,
     rank_of_subset,
-    signature,
-    single_edge,
-    single_loop,
-    two_cycle,
+    series_extension,
 )
 
 U23 = MatroidSignature(3, 2, (3, 5, 6))  # all 2-subsets of {1,2,3}
@@ -29,58 +29,106 @@ U12 = MatroidSignature(2, 1, (1, 2))
 U24 = MatroidSignature(
     4, 2, tuple(sorted((1 << a) | (1 << b) for a in range(4) for b in range(a + 1, 4)))
 )
+U13_BASES = frozenset((1, 2, 4))  # three parallel elements
 
 
 def test_signature_base_cases():
-    assert signature(two_cycle(1, 2)) == U12
-    assert signature(single_loop(1)) == MatroidSignature(1, 0, (0,))
-    assert signature(single_edge(1)) == MatroidSignature(1, 1, (1,))
-    triangle = LabeledMultigraph(3, ((0, 1, 1), (1, 2, 2), (2, 0, 3)))
-    assert signature(triangle) == U23
+    # U12 seeds the closure; the loop and the coloop are the n = 1 catalog
+    assert [e.sig for e in enumerate_connected(2)] == [U12]
+    assert [e.sig for e in enumerate_connected(1)] == [
+        MatroidSignature(1, 0, (0,)),
+        MatroidSignature(1, 1, (1,)),
+    ]
+    # the triangle: a third element in series with U12
+    assert series_extension(frozenset(U12.bases), 2, 3) == frozenset(U23.bases)
 
 
 def test_four_cycle_labelings_all_give_uniform():
-    # Any labeling of the 4-cycle induces the uniform rank-3 matroid.
-    from itertools import permutations
-
-    all_triples = tuple(sorted(0b1111 & ~(1 << i) for i in range(4)))
-    for perm in permutations((1, 2, 3, 4)):
-        g = LabeledMultigraph(
-            4,
-            tuple((i, (i + 1) % 4, perm[i]) for i in range(4)),
-        )
-        sig = signature(g)
-        assert sig == MatroidSignature(4, 3, all_triples)
+    # Any labeling of the 4-cycle, built by two series moves from U12 at any
+    # element, induces the uniform rank-3 matroid.
+    all_triples = frozenset(0b1111 & ~(1 << i) for i in range(4))
+    for a, b, c, d in permutations((1, 2, 3, 4)):
+        triangle = series_extension(frozenset((1 << (a - 1), 1 << (b - 1))), b, c)
+        for e in (a, b, c):
+            assert series_extension(triangle, e, d) == all_triples
 
 
 def test_extend_two_cycle():
-    out = extend(two_cycle(1, 2), 3)
-    assert len(out) == 6  # 2 parallel + 2 edges x 2 series label assignments
-    sigs = {signature(g) for g in out}
+    u12 = frozenset(U12.bases)
+    out = extensions(u12, 3)
+    assert len(out) == 4  # a parallel and a series move at each of 2 elements
     # parallel extensions all give the triple edge, series all give triangles
-    assert sigs == {MatroidSignature(3, 1, (1, 2, 4)), U23}
+    assert [parallel_extension(u12, e, 3) for e in (1, 2)] == [U13_BASES] * 2
+    assert [series_extension(u12, e, 3) for e in (1, 2)] == [frozenset(U23.bases)] * 2
+    assert set(out) == {U13_BASES, frozenset(U23.bases)}
 
 
 def test_extend_label_reuse_rejected():
     with pytest.raises(ValueError):
-        extend(two_cycle(1, 2), 2)
+        extensions(frozenset(U12.bases), 2)
 
 
 def test_extend_single_edge_terminal():
-    assert extend(single_edge(1), 2) == []
-    assert extend(single_loop(1), 2) == []
+    assert extensions(frozenset((1,)), 2) == []  # a coloop
+    assert extensions(frozenset((0,)), 2) == []  # a loop
 
 
 def test_subdivided_triple_edge_bases():
-    # triple edge {1,2,3}, subdivide edge 3 into (3, 4): bases 13,14,23,24,34
-    g = LabeledMultigraph(
-        3, ((0, 1, 1), (0, 1, 2), (0, 2, 3), (2, 1, 4))
-    )
-    sig = signature(g)
+    # triple edge {1,2,3}, element 4 in series with 3: bases 13,14,23,24,34
+    bases = series_extension(U13_BASES, 3, 4)
     want = {0b0101, 0b1001, 0b0110, 0b1010, 0b1100}
-    assert set(sig.bases) == want
+    assert bases == want
+    sig = MatroidSignature(4, 2, tuple(sorted(bases)))
     assert rank_of_subset(sig, 0b0011) == 1  # {1, 2} is a parallel class
     assert not is_simple(sig)
+
+
+def _dual(bases: frozenset[int], ground: int) -> frozenset[int]:
+    return frozenset(ground ^ b for b in bases)
+
+
+SMALL_CATALOG = [e.sig for n in range(1, 6) for e in enumerate_connected(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_series_is_dual_of_parallel(data):
+    m = data.draw(st.sampled_from(SMALL_CATALOG))
+    e = data.draw(st.integers(1, m.ground_size))
+    f = data.draw(st.integers(m.ground_size + 1, 8))
+    ground = (1 << m.ground_size) - 1
+    bases = frozenset(m.bases)
+    via_dual = _dual(parallel_extension(_dual(bases, ground), e, f), ground | 1 << (f - 1))
+    assert series_extension(bases, e, f) == via_dual
+
+
+def test_rank_table_matches_rank_of_subset():
+    for m in SMALL_CATALOG + [U24, oracle._k4_signature()]:
+        table = oracle._rank_table(m)
+        assert len(table) == 1 << m.ground_size
+        for mask, r in enumerate(table):
+            assert r == rank_of_subset(m, mask), (m, mask)
+
+
+def test_mk4_literal():
+    mk4 = oracle._k4_signature()
+    assert mk4.ground_size == 6 and mk4.rank == 3
+    assert len(mk4.bases) == len(set(mk4.bases)) == 16
+    # with the literal's edge labels, three edges of K4 form a spanning tree
+    # iff they touch all four vertices
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    trees = {
+        sum(1 << i for i in triple)
+        for triple in combinations(range(6), 3)
+        if len({v for i in triple for v in edges[i]}) == 4
+    }
+    assert set(mk4.bases) == trees
+    assert not minor_check(mk4)
+
+
+def test_connected_counts_row_seven():
+    # pinned from the graph-based enumeration this oracle replaced
+    assert connected_counts(7)[0] == [0, 1, 301, 2450, 2450, 301, 1, 0]
 
 
 def test_enumerate_small():

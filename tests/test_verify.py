@@ -43,7 +43,7 @@ def test_corrupted_stirling_table_is_localized():
 
 
 def test_low_order_config_reported_as_such():
-    report = run_verify(RunConfig(truncation_order=3, oracle_max_n=3))
+    report = run_verify(RunConfig(truncation_order=3))
     assert report.ok
     series_checks = [c for c in report.checks if c.name.startswith("gf-")]
     assert series_checks
