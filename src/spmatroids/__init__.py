@@ -2,13 +2,12 @@
 
 Four count families are computed from closed formulas and
 generating-function identities, and every formula is cross-checked against
-an independent brute-force enumeration of edge-labeled series-parallel
-graphs.
+an independent brute-force enumeration of series-parallel matroids, grown
+as basis sets by series and parallel extensions.
 """
 
 from .combinum import (
     assoc_stirling1,
-    bell_partial,
     binomial,
     double_factorial,
     h_value,

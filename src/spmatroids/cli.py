@@ -52,7 +52,7 @@ def render_json(table: TriangularCountTable) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def run_table(family: str, max_n: int, fmt: str, config: RunConfig) -> str:
+def run_table(family: str, max_n: int, fmt: str) -> str:
     """Render one family's triangle in the requested format."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -66,7 +66,7 @@ def run_table(family: str, max_n: int, fmt: str, config: RunConfig) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def run_oracle(max_n: int, compare: bool, dump_path: Path | None, config: RunConfig) -> tuple[str, int]:
+def run_oracle(max_n: int, compare: bool, dump_path: Path | None) -> tuple[str, int]:
     """Enumerate up to max_n, print per-(n, k) counts, optionally diff tables."""
     if max_n > oracle.HARD_CAP:
         raise ValueError(f"oracle max_n capped at {oracle.HARD_CAP}, got {max_n}")
@@ -110,7 +110,9 @@ def run_oracle(max_n: int, compare: bool, dump_path: Path | None, config: RunCon
     return "\n".join(lines) + "\n", status
 
 
-def run_oeis_compare(sequence_id: str, bfile: Path | None, fetch: bool, config: RunConfig) -> tuple[str, int]:
+def run_oeis_compare(
+    sequence_id: str, bfile: Path | None, fetch: bool, config: RunConfig
+) -> tuple[str, int]:
     """Compare one sequence's b-file against the formula table."""
     mapping = config.sequence_map.get(sequence_id)
     if mapping is None:
@@ -169,8 +171,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "table":
-            config = RunConfig()
-            text = run_table(args.family, args.max_n, args.format, config)
+            text = run_table(args.family, args.max_n, args.format)
             _write_output(text, args.out)
             return 0
         if args.command == "verify":
@@ -182,8 +183,7 @@ def main(argv=None) -> int:
             sys.stdout.write(report.render())
             return 0 if report.ok else 1
         if args.command == "oracle":
-            config = RunConfig()
-            text, status = run_oracle(args.max_n, args.compare, args.dump, config)
+            text, status = run_oracle(args.max_n, args.compare, args.dump)
             sys.stdout.write(text)
             return status
         if args.command == "oeis":

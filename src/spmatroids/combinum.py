@@ -1,10 +1,10 @@
 """Exact combinatorial numbers.
 
-Factorials, double factorials, binomial coefficients, Stirling numbers of
-the second kind, derangement numbers refined by cycle count (the unsigned
+Double factorials, binomial coefficients, Stirling numbers of the second
+kind, derangement numbers refined by cycle count (the unsigned
 associated Stirling numbers of the first kind), reciprocal composition
-sums, and partial Bell polynomials.  Everything is exact: integers are
-unbounded and rational values are fractions.Fraction.
+sums and compositions.  Everything is exact: integers are unbounded and
+rational values are fractions.Fraction.
 
 All functions are pure.  Memo tables are grown with idempotent writes of
 immutable rows, so concurrent readers always observe values identical to a
@@ -14,8 +14,8 @@ single-threaded run.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterator, Sequence
+from math import comb
+from typing import Iterator
 
 __all__ = [
     "binomial",
@@ -24,7 +24,6 @@ __all__ = [
     "assoc_stirling1",
     "h_value",
     "h_value_compositions",
-    "bell_partial",
     "compositions",
 ]
 
@@ -161,25 +160,3 @@ def h_value_compositions(m: int, k: int) -> Fraction:
             prod /= j + 1
         total += prod
     return total
-
-
-def bell_partial(n: int, k: int, t: Sequence[Fraction | int]) -> Fraction:
-    """Partial Bell polynomial B(n, k) evaluated at t = (t_1, t_2, ...).
-
-    Uses the composition-sum expansion
-    B(n,k)(t) = (n!/k!) * sum over j_1+...+j_k = n of prod t_{j_i} / j_i!.
-    Requires 1 <= k <= n and at least n - k + 1 entries in t.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("bell_partial requires 1 <= k <= n")
-    if len(t) < n - k + 1:
-        raise ValueError(
-            f"bell_partial needs at least {n - k + 1} entries in t, got {len(t)}"
-        )
-    total = Fraction(0)
-    for js in compositions(n, k):
-        prod = Fraction(1)
-        for j in js:
-            prod *= Fraction(t[j - 1]) / factorial(j)
-        total += prod
-    return total * Fraction(factorial(n), factorial(k))

@@ -12,35 +12,21 @@ from pathlib import Path
 class SequenceMapping:
     """How a b-file's linear indices map onto a triangular count table.
 
-    Entries are read row-major (`read_order` supports only "by-rows"):
-    the first data line corresponds to (n, k) = (row_offset, col_offset),
-    and row n carries the columns col_offset .. n.
+    Entries are read row by row: the first data line corresponds to
+    (n, k) = (row_offset, 0), and row n carries the columns 0 .. n.
     """
 
     id: str
     family: str
     row_offset: int
-    col_offset: int = 0
-    read_order: str = "by-rows"
-
-    def __post_init__(self):
-        if self.read_order != "by-rows":
-            raise ValueError(f"unsupported read_order {self.read_order!r}")
 
     def position(self, offset: int) -> tuple[int, int]:
         """(n, k) of the entry `offset` lines after the first data line."""
         n = self.row_offset
-        k = self.col_offset
-        remaining = offset
-        while remaining > 0:
-            width = n - self.col_offset + 1
-            if remaining < width - (k - self.col_offset):
-                k += remaining
-                return n, k
-            remaining -= width - (k - self.col_offset)
+        while offset > n:  # skip whole rows of n + 1 entries
+            offset -= n + 1
             n += 1
-            k = self.col_offset
-        return n, k
+        return n, offset
 
 
 DEFAULT_SEQUENCE_MAP: dict[str, SequenceMapping] = {

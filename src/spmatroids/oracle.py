@@ -281,6 +281,16 @@ def _mk4_canon() -> tuple[int, ...]:
     return _MK4_CANON
 
 
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of `mask`, in increasing order, from 0 to `mask`."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
 def _rank_table(m: MatroidSignature) -> list[int]:
     """Rank of every subset, indexed by mask.
 
@@ -288,14 +298,7 @@ def _rank_table(m: MatroidSignature) -> list[int]:
     its size, and a dependent subset has the largest rank of its one-smaller
     subsets.
     """
-    independent = set()
-    for b in m.bases:
-        sub = b
-        while True:
-            independent.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & b
+    independent = {sub for b in m.bases for sub in _submasks(b)}
     n = m.ground_size
     rank = [0] * (1 << n)
     for s in range(1, 1 << n):
@@ -309,12 +312,11 @@ def _rank_table(m: MatroidSignature) -> list[int]:
 def _has_u24_minor(n: int, rk: list[int]) -> bool:
     if n < 4:
         return False
+    full = (1 << n) - 1
     for quad in combinations(range(n), 4):
         tmask = sum(1 << i for i in quad)
-        rest = [i for i in range(n) if not tmask >> i & 1]
         pair_masks = [(1 << a) | (1 << b) for a, b in combinations(quad, 2)]
-        for bits in range(1 << len(rest)):
-            kmask = sum(1 << rest[i] for i in range(len(rest)) if bits >> i & 1)
+        for kmask in _submasks(full & ~tmask):
             rk_k = rk[kmask]
             if rk[tmask | kmask] - rk_k != 2:
                 continue
@@ -327,11 +329,10 @@ def _has_mk4_minor(n: int, rk: list[int]) -> bool:
     if n < 6:
         return False
     target = _mk4_canon()
+    full = (1 << n) - 1
     for six in combinations(range(n), 6):
         tmask = sum(1 << i for i in six)
-        rest = [i for i in range(n) if not tmask >> i & 1]
-        for bits in range(1 << len(rest)):
-            kmask = sum(1 << rest[i] for i in range(len(rest)) if bits >> i & 1)
+        for kmask in _submasks(full & ~tmask):
             rk_k = rk[kmask]
             if rk[tmask | kmask] - rk_k != 3:
                 continue

@@ -1,11 +1,16 @@
 """Identity verification suites.
 
-Every identity the library relies on is re-checked here over pinned index
-ranges, exactly.  Checks are grouped per area (combinatorial numbers,
-power series, count tables).  Four checks carry the status "flagged":
-they document printed formula variants that are contradicted by direct
-computation and by exhaustive enumeration.  Flagged items report both
-readings with numeric evidence and never fail the run.
+Every identity the library relies on is re-checked here, exactly, over
+pinned index ranges.  `run_verify` holds the check table: the `check_*` and
+`flag_*` functions in report order, grouped per area.  A grid check gives
+its name, identity and range strings, its index tuples and the two sides of
+its identity to `_first_failure`; a series check gives (description, lhs,
+rhs) entries to `_first_mismatch`.
+
+Four checks carry the status "flagged": they document printed formula
+variants that are contradicted by direct computation and by exhaustive
+enumeration.  Flagged items report both readings with numeric evidence and
+never fail the run.
 """
 
 from __future__ import annotations
@@ -13,19 +18,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from . import oracle
-from .combinum import (
-    assoc_stirling1,
-    binomial,
-    compositions,
-    double_factorial,
-    h_value,
-    stirling2,
-)
+from .combinum import assoc_stirling1, binomial, compositions, double_factorial, h_value, stirling2
 from .config import RunConfig
 from .powerseries import (
+    LAGRANGE_MAX_ORDER,
     BivariateSeries,
     UnivariateSeries,
     build_F,
@@ -101,159 +101,142 @@ def _result(name, identity, ranges, failure):
     return CheckResult(name, "fail", identity, ranges, failure)
 
 
+# Detail formats of a grid check's first failure.
+_VALUES = "first failure at ({axes}) = ({at}): {lhs} != {rhs}"
+_AT = "first failure at ({axes}) = ({at})"
+_NONZERO = "nonzero at ({axes}) = ({at})"
+
+
+def _first_failure(cases, lhs, rhs, axes="n, k", fmt=_VALUES):
+    """Detail for the first index tuple `case` with lhs(*case) != rhs(*case),
+    rendered by `fmt` from the axis names, the indices and both sides; None
+    when every case agrees."""
+    for case in cases:
+        a, b = lhs(*case), rhs(*case)
+        if a != b:
+            return fmt.format(axes=axes, at=", ".join(map(str, case)), lhs=a, rhs=b)
+    return None
+
+
+def _first_mismatch(entries):
+    """Description of the first (description, lhs, rhs) entry whose sides
+    differ, else None.  Sides are zero-argument functions, called in order,
+    so nothing after the first mismatch is computed."""
+    return next((desc for desc, lhs, rhs in entries if lhs() != rhs()), None)
+
+
+def _triangle(first_n: int, last_n: int):
+    # (n, k) for first_n <= n <= last_n and 0 <= k <= n, row by row
+    return ((n, k) for n in range(first_n, last_n + 1) for k in range(n + 1))
+
+
 # ---------------------------------------------------------------------------
 # combinatorial-number checks
 # ---------------------------------------------------------------------------
 
 def check_assoc_recursion() -> CheckResult:
-    failure = None
-    for n in range(41):
-        for k in range(41):
-            lhs = assoc_stirling1(n, k)
-            rhs = (n - 1) * assoc_stirling1(n - 2, k - 1) + (n - 1) * assoc_stirling1(n - 1, k)
-            if n >= 1 and lhs != rhs:
-                failure = f"first failure at (n, k) = ({n}, {k}): {lhs} != {rhs}"
-                break
-        if failure:
-            break
     return _result(
-        "assoc-stirling-recursion",
-        "D(n,k) = (n-1) D(n-2,k-1) + (n-1) D(n-1,k)",
+        "assoc-stirling-recursion", "D(n,k) = (n-1) D(n-2,k-1) + (n-1) D(n-1,k)",
         "0 <= n, k <= 40",
-        failure,
+        _first_failure(
+            ((n, k) for n in range(1, 41) for k in range(41)), assoc_stirling1,
+            lambda n, k: (n - 1) * assoc_stirling1(n - 2, k - 1)
+            + (n - 1) * assoc_stirling1(n - 1, k),
+        ),
     )
 
 
 def check_assoc_vanishing() -> CheckResult:
-    failure = None
-    for n in range(41):
-        for k in range(n // 2 + 1, 41):
-            if assoc_stirling1(n, k) != 0:
-                failure = f"nonzero at (n, k) = ({n}, {k})"
-                break
-        if failure:
-            break
     return _result(
-        "assoc-stirling-vanishing", "D(n,k) = 0 for n < 2k", "n <= 40", failure
+        "assoc-stirling-vanishing", "D(n,k) = 0 for n < 2k", "n <= 40",
+        _first_failure(((n, k) for n in range(41) for k in range(n // 2 + 1, 41)),
+                       assoc_stirling1, lambda n, k: 0, fmt=_NONZERO),
     )
 
 
+def _assoc_closed_form(n: int, k: int) -> Fraction:
+    # D(2k, k), D(2k+1, k) and D(2k+2, k), selected by n - 2k
+    odd = double_factorial(2 * k + 1)
+    return (
+        Fraction(double_factorial(2 * k - 1)),
+        Fraction(2, 3) * k * odd,
+        Fraction(1, 9) * (4 * k + 5) * (k + 1) * k * odd,
+    )[n - 2 * k]
+
+
 def check_assoc_closed_forms() -> CheckResult:
-    failure = None
-    for k in range(21):
-        want = [
-            (2 * k, Fraction(double_factorial(2 * k - 1))),
-            (2 * k + 1, Fraction(2, 3) * k * double_factorial(2 * k + 1)),
-            (2 * k + 2, Fraction(1, 9) * (4 * k + 5) * (k + 1) * k * double_factorial(2 * k + 1)),
-        ]
-        for n, expected in want:
-            got = assoc_stirling1(n, k)
-            if Fraction(got) != expected:
-                failure = f"first failure at (n, k) = ({n}, {k}): {got} != {expected}"
-                break
-        if failure:
-            break
     return _result(
         "assoc-stirling-closed-forms",
         "D(2k,k) = (2k-1)!!; D(2k+1,k) = (2/3)k(2k+1)!!; "
         "D(2k+2,k) = (1/9)(4k+5)(k+1)k(2k+1)!!",
         "0 <= k <= 20",
-        failure,
+        _first_failure(((2 * k + i, k) for k in range(21) for i in range(3)),
+                       assoc_stirling1, _assoc_closed_form),
     )
 
 
 def check_stirling_alternating_lemma(stirling2_fn=None) -> CheckResult:
     s2 = stirling2_fn or stirling2
-    failure = None
-    for m in range(13):
-        for l in range(m + 1):
-            lhs = sum(
-                (-1) ** (l + p) * binomial(m + p, l + p) * assoc_stirling1(l + p, p)
-                for p in range(l + 1)
-            )
-            rhs = s2(m + 1, m - l + 1)
-            if lhs != rhs:
-                failure = f"first failure at (m, l) = ({m}, {l}): {lhs} != {rhs}"
-                break
-        if failure:
-            break
     return _result(
         "stirling-alternating-lemma",
-        "sum_p (-1)^(l+p) C(m+p, l+p) D(l+p, p) = S2(m+1, m-l+1)",
-        "0 <= l <= m <= 12",
-        failure,
+        "sum_p (-1)^(l+p) C(m+p, l+p) D(l+p, p) = S2(m+1, m-l+1)", "0 <= l <= m <= 12",
+        _first_failure(
+            ((m, l) for m in range(13) for l in range(m + 1)),
+            lambda m, l: sum(
+                (-1) ** (l + p) * binomial(m + p, l + p) * assoc_stirling1(l + p, p)
+                for p in range(l + 1)
+            ),
+            lambda m, l: s2(m + 1, m - l + 1),
+            "m, l",
+        ),
+    )
+
+
+def _surjection_sum(s2, k: int, n: int, m: int) -> Fraction:
+    # sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!)
+    return sum(
+        s2(n + 1, m - j) * sum(
+            Fraction((-1) ** i) * Fraction(m - i) ** (k - 1) / (factorial(i) * factorial(j - i))
+            for i in range(j + 1)
+        )
+        for j in range(k)
     )
 
 
 def check_stirling_surjection_lemma(stirling2_fn=None) -> CheckResult:
     s2 = stirling2_fn or stirling2
-    failure = None
-    for k in range(1, 9):
-        for n in range(9):
-            for m in range(n + k + 1):
-                lhs = Fraction(s2(n + k, m))
-                rhs = Fraction(0)
-                for j in range(k):
-                    inner = Fraction(0)
-                    for i in range(j + 1):
-                        inner += (
-                            Fraction((-1) ** i)
-                            * Fraction(m - i) ** (k - 1)
-                            / (factorial(i) * factorial(j - i))
-                        )
-                    rhs += s2(n + 1, m - j) * inner
-                if lhs != rhs:
-                    failure = (
-                        f"first failure at (k, n, m) = ({k}, {n}, {m}): {lhs} != {rhs}"
-                    )
-                    break
-            if failure:
-                break
-        if failure:
-            break
     return _result(
         "stirling-surjection-lemma",
         "S2(n+k, m) = sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!)",
         "1 <= k <= 8, 0 <= n <= 8, 0 <= m <= n+k",
-        failure,
+        _first_failure(
+            ((k, n, m) for k in range(1, 9) for n in range(9) for m in range(n + k + 1)),
+            lambda k, n, m: Fraction(s2(n + k, m)),
+            lambda k, n, m: _surjection_sum(s2, k, n, m),
+            "k, n, m",
+        ),
     )
 
 
 def check_h_recursion() -> CheckResult:
-    failure = None
-    for n in range(1, 25):
-        for k in range(1, n + 1):
-            lhs = n * h_value(n - k, k)
-            rhs = k * h_value(n - k - 1, k - 1) + (n - 1) * h_value(n - k - 1, k)
-            if lhs != rhs:
-                failure = f"first failure at (n, k) = ({n}, {k}): {lhs} != {rhs}"
-                break
-        if failure:
-            break
     return _result(
-        "reciprocal-sum-recursion",
-        "n H(n-k,k) = k H(n-k-1,k-1) + (n-1) H(n-k-1,k)",
+        "reciprocal-sum-recursion", "n H(n-k,k) = k H(n-k-1,k-1) + (n-1) H(n-k-1,k)",
         "1 <= k <= n <= 24",
-        failure,
+        _first_failure(
+            ((n, k) for n in range(1, 25) for k in range(1, n + 1)),
+            lambda n, k: n * h_value(n - k, k),
+            lambda n, k: k * h_value(n - k - 1, k - 1) + (n - 1) * h_value(n - k - 1, k),
+        ),
     )
 
 
 def check_h_vs_derangements() -> CheckResult:
-    failure = None
-    for n in range(25):
-        for k in range(n + 1):
-            lhs = h_value(n - k, k)
-            rhs = Fraction(factorial(k), factorial(n)) * assoc_stirling1(n, k)
-            if lhs != rhs:
-                failure = f"first failure at (n, k) = ({n}, {k}): {lhs} != {rhs}"
-                break
-        if failure:
-            break
     return _result(
-        "reciprocal-sum-vs-derangements",
-        "H(n-k, k) = k!/n! D(n, k)",
-        "0 <= k <= n <= 24",
-        failure,
+        "reciprocal-sum-vs-derangements", "H(n-k, k) = k!/n! D(n, k)", "0 <= k <= n <= 24",
+        _first_failure(
+            _triangle(0, 24), lambda n, k: h_value(n - k, k),
+            lambda n, k: Fraction(factorial(k), factorial(n)) * assoc_stirling1(n, k),
+        ),
     )
 
 
@@ -263,84 +246,59 @@ def _reciprocal_product_poly(m: int, k: int) -> list[Fraction]:
     for js in compositions(m, k):
         poly = [Fraction(1)]
         for j in js:
-            factor = [Fraction(0)] * (j + 1)
-            factor[0] = Fraction(1, j + 1)
-            factor[j] += Fraction(1, j + 1)
-            nxt = [Fraction(0)] * (len(poly) + j)
-            for a, pa in enumerate(poly):
-                if pa:
-                    nxt[a] += pa * factor[0]
-                    nxt[a + j] += pa * factor[j]
-            poly = nxt
+            shifted = [Fraction(0)] * j + poly
+            poly = [(a + b) / (j + 1) for a, b in zip(poly + [Fraction(0)] * j, shifted)]
         for a, pa in enumerate(poly):
             out[a] += pa
     return out
 
 
+def _reciprocal_lemma(m: int, k: int) -> list[Fraction]:
+    # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)
+    return [
+        sum(binomial(k, p) * h_value(l, p) * h_value(m - l, k - p) for p in range(k + 1))
+        for l in range(m + 1)
+    ]
+
+
+def _reciprocal_corollary(m: int, k: int, top: int) -> list[Fraction]:
+    # (k!/top!) sum_l y^l sum_p C(top, l+p) D(l+p, p) D(m-l+k-p, k-p); top = m+k is
+    # the corrected form, top = m-k the printed one
+    return [
+        Fraction(factorial(k), factorial(top))
+        * sum(
+            binomial(top, l + p)
+            * assoc_stirling1(l + p, p)
+            * assoc_stirling1(m - l + k - p, k - p)
+            for p in range(k + 1)
+        )
+        for l in range(m + 1)
+    ]
+
+
 def check_reciprocal_composition_lemma() -> CheckResult:
-    failure = None
-    for m in range(11):
-        for k in range(11):
-            lhs = _reciprocal_product_poly(m, k)
-            rhs = [
-                sum(
-                    binomial(k, p) * h_value(l, p) * h_value(m - l, k - p)
-                    for p in range(k + 1)
-                )
-                for l in range(m + 1)
-            ]
-            if lhs != rhs:
-                failure = f"first failure at (m, k) = ({m}, {k})"
-                break
-        if failure:
-            break
     return _result(
         "reciprocal-composition-lemma",
-        "sum prod (1+y^j_i)/(j_i+1) = sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)",
-        "m, k <= 10",
-        failure,
+        "sum prod (1+y^j_i)/(j_i+1) = sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)", "m, k <= 10",
+        _first_failure(((m, k) for m in range(11) for k in range(11)),
+                       _reciprocal_product_poly, _reciprocal_lemma, "m, k", _AT),
     )
 
 
 def check_reciprocal_corollary_corrected() -> CheckResult:
-    failure = None
-    for m in range(11):
-        for k in range(11):
-            lhs = _reciprocal_product_poly(m, k)
-            pref = Fraction(factorial(k), factorial(m + k))
-            rhs = [
-                pref
-                * sum(
-                    binomial(m + k, l + p)
-                    * assoc_stirling1(l + p, p)
-                    * assoc_stirling1(m - l + k - p, k - p)
-                    for p in range(k + 1)
-                )
-                for l in range(m + 1)
-            ]
-            if lhs != rhs:
-                failure = f"first failure at (m, k) = ({m}, {k})"
-                break
-        if failure:
-            break
     return _result(
         "reciprocal-corollary-corrected",
         "composition product = (k!/(m+k)!) sum_l y^l sum_p C(m+k, l+p) D(l+p,p) D(m-l+k-p,k-p)",
         "m, k <= 10",
-        failure,
+        _first_failure(((m, k) for m in range(11) for k in range(11)), _reciprocal_product_poly,
+                       lambda m, k: _reciprocal_corollary(m, k, m + k), "m, k", _AT),
     )
 
 
 def flag_reciprocal_corollary_printed() -> CheckResult:
     # The printed variant uses prefactor k!/(m-k)! and binomial top m-k.
-    m, k = 2, 1
-    printed = Fraction(factorial(k), factorial(m - k)) * sum(
-        binomial(m - k, 0 + p)
-        * assoc_stirling1(0 + p, p)
-        * assoc_stirling1(m - 0 + k - p, k - p)
-        for p in range(k + 1)
-    )
-    actual = _reciprocal_product_poly(m, k)[0]
+    printed = _reciprocal_corollary(2, 1, 2 - 1)[0]
+    actual = _reciprocal_product_poly(2, 1)[0]
     return CheckResult(
         "reciprocal-corollary-printed-variant",
         "flagged",
@@ -358,127 +316,92 @@ def flag_reciprocal_corollary_printed() -> CheckResult:
 def _random_reversible_series(rng: random.Random, order: int) -> BivariateSeries:
     # Row n gets y-degree at most n - 1: that class is closed under
     # compositional inversion, so the inverse fits the triangular storage.
-    rows = [[Fraction(0)]]
-    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-    rows.append([c, Fraction(0)])
+    rows = [[0], [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)), 0]]
     for n in range(2, order + 1):
-        row = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        row.append(Fraction(0))
-        rows.append(row)
+        rows.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] + [0])
     return BivariateSeries(order, rows)
 
 
 def check_exp_log_roundtrip(order: int) -> CheckResult:
-    failure = None
     f = c_series(order)
-    if series_log(series_exp(f)) != f:
-        failure = "log(exp(f)) != f for the connected-count series"
     g = series_exp(f)
-    if failure is None and series_exp(series_log(g)) != g:
-        failure = "exp(log(g)) != g for the quasi-count series"
     u = BivariateSeries.x(order)
-    if failure is None and series_log(series_exp(u)) != u:
-        failure = "log(exp(x)) != x"
     return _result(
-        "series-exp-log-roundtrip",
-        "log(exp(f)) = f and exp(log(g)) = g",
-        f"order {order}",
-        failure,
+        "series-exp-log-roundtrip", "log(exp(f)) = f and exp(log(g)) = g", f"order {order}",
+        _first_mismatch([
+            ("log(exp(f)) != f for the connected-count series", lambda: series_log(g), lambda: f),
+            ("exp(log(g)) != g for the quasi-count series",
+             lambda: series_exp(series_log(g)), lambda: g),
+            ("log(exp(x)) != x", lambda: series_log(series_exp(u)), lambda: u),
+        ]),
     )
 
 
 def check_inversion_routes(order: int) -> CheckResult:
-    failure = None
-    f = build_F(order)
-    if series_reverse_x(f) != lagrange_invert(f):
-        failure = "routes disagree on the log-series"
+    # the inversion formula's cost caps the order of the log-series comparison
+    f_order = min(order, LAGRANGE_MAX_ORDER)
     rng = random.Random(_RANDOM_SEED)
-    if failure is None:
-        for trial in range(5):
-            g = _random_reversible_series(rng, min(order, 10))
-            if series_reverse_x(g) != lagrange_invert(g):
-                failure = f"routes disagree on random series #{trial}"
-                break
+    cases = [("the log-series", build_F(f_order))] + [
+        (f"random series #{trial}", _random_reversible_series(rng, min(order, 10)))
+        for trial in range(5)
+    ]
     return _result(
-        "series-inversion-route-agreement",
-        "coefficient solving = explicit inversion formula",
-        f"log-series at order {order}; 5 seeded random series at order <= 10",
-        failure,
+        "series-inversion-route-agreement", "coefficient solving = explicit inversion formula",
+        f"log-series at order {f_order}; 5 seeded random series at order <= 10",
+        _first_mismatch((f"routes disagree on {name}", partial(series_reverse_x, f),
+                         partial(lagrange_invert, f)) for name, f in cases),
     )
 
 
 def check_two_sided_inverse(order: int) -> CheckResult:
-    failure = None
     f = build_F(order)
     g = series_reverse_x(f)
     ident = BivariateSeries.x(order)
-    if series_compose_shared_y(g, f) != ident:
-        failure = "g(f(x,y), y) != x"
-    if failure is None and series_compose_shared_y(f, g) != ident:
-        failure = "f(g(x,y), y) != x"
     return _result(
-        "series-inverse-two-sided",
-        "g(f(x,y), y) = x = f(g(x,y), y)",
-        f"order {order}",
-        failure,
+        "series-inverse-two-sided", "g(f(x,y), y) = x = f(g(x,y), y)", f"order {order}",
+        _first_mismatch([
+            ("g(f(x,y), y) != x", lambda: series_compose_shared_y(g, f), lambda: ident),
+            ("f(g(x,y), y) != x", lambda: series_compose_shared_y(f, g), lambda: ident),
+        ]),
     )
 
 
 def check_g_palindromy(order: int) -> CheckResult:
-    failure = None
     g = series_reverse_x(build_F(order))
-    for n in range(1, order + 1):
-        for l in range(n):
-            a = count_coefficient(g, n, l)
-            b = count_coefficient(g, n, n - 1 - l)
-            if a != b:
-                failure = f"first failure at (n, l) = ({n}, {l}): {a} != {b}"
-                break
-        if failure:
-            break
     return _result(
-        "series-inverse-palindromy",
-        "n! [y^l x^n] g = n! [y^(n-1-l) x^n] g",
-        f"n <= {order}",
-        failure,
+        "series-inverse-palindromy", "n! [y^l x^n] g = n! [y^(n-1-l) x^n] g", f"n <= {order}",
+        _first_failure(((n, l) for n in range(1, order + 1) for l in range(n)),
+                       lambda n, l: count_coefficient(g, n, l),
+                       lambda n, l: count_coefficient(g, n, n - 1 - l), "n, l"),
     )
 
 
 def check_g_integrality(order: int) -> CheckResult:
-    failure = None
     g = series_reverse_x(build_F(order))
-    for n in range(1, order + 1):
-        for l in range(n + 1):
-            try:
-                v = count_coefficient(g, n, l)
-            except ValueError as exc:
-                failure = str(exc)
-                break
-            if v < 0:
-                failure = f"negative count at (n, l) = ({n}, {l}): {v}"
-                break
-        if failure:
-            break
+    try:
+        # min(v, 0) differs from 0 exactly when the count v is negative
+        failure = _first_failure(
+            _triangle(1, order), lambda n, l: min(count_coefficient(g, n, l), 0),
+            lambda n, l: 0, "n, l", "negative count at ({axes}) = ({at}): {lhs}",
+        )
+    except ValueError as exc:  # count_coefficient refuses a non-integral count
+        failure = str(exc)
     return _result(
-        "series-inverse-integrality",
-        "all n! [y^l x^n] g are nonnegative integers",
-        f"n <= {order}",
-        failure,
+        "series-inverse-integrality", "all n! [y^l x^n] g are nonnegative integers",
+        f"n <= {order}", failure,
     )
 
 
 def check_compose_identity(order: int) -> CheckResult:
-    failure = None
     f = build_F(order)
-    if series_compose_x(f, UnivariateSeries.x(order)) != f:
-        failure = "f(x) != f under univariate identity substitution"
-    if failure is None and series_compose_shared_y(BivariateSeries.x(order), f) != f:
-        failure = "x composed with f != f"
     return _result(
-        "series-compose-identity",
-        "f(x) = f and x(f) = f",
-        f"order {order}",
-        failure,
+        "series-compose-identity", "f(x) = f and x(f) = f", f"order {order}",
+        _first_mismatch([
+            ("f(x) != f under univariate identity substitution",
+             lambda: series_compose_x(f, UnivariateSeries.x(order)), lambda: f),
+            ("x composed with f != f",
+             lambda: series_compose_shared_y(BivariateSeries.x(order), f), lambda: f),
+        ]),
     )
 
 
@@ -518,156 +441,65 @@ def flag_inverse_defining_variable() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_route_agreement() -> CheckResult:
-    failure = None
-    table = e_from_c(40)
-    for n in range(1, 41):
-        for k in range(n + 1):
-            a = table.value(n, k)
-            b = e_closed(n, k)
-            if a != b:
-                failure = f"first failure at (n, k) = ({n}, {k}): {a} != {b}"
-                break
-        if failure:
-            break
     return _result(
-        "counts-e-route-agreement",
-        "triangular inversion of C = closed form for E",
-        "n <= 40",
-        failure,
+        "counts-e-route-agreement", "triangular inversion of C = closed form for E", "n <= 40",
+        _first_failure(_triangle(1, 40), e_from_c(40).value, e_closed),
     )
 
 
 def check_c_vs_g_shift() -> CheckResult:
-    failure = None
-    for n in range(2, 31):
-        for l in range(n + 1):
-            a = c_closed(n, l)
-            b = g_closed(n - 1, l - 1) if l >= 1 else 0
-            if a != b:
-                failure = f"first failure at (n, l) = ({n}, {l}): {a} != {b}"
-                break
-        if failure:
-            break
     return _result(
-        "counts-c-vs-inverse-coefficients",
-        "C(n, l) = G(n-1, l-1)",
-        "2 <= n <= 30",
-        failure,
+        "counts-c-vs-inverse-coefficients", "C(n, l) = G(n-1, l-1)", "2 <= n <= 30",
+        _first_failure(_triangle(2, 30), c_closed,
+                       lambda n, l: g_closed(n - 1, l - 1) if l >= 1 else 0, "n, l"),
     )
 
 
 def check_c_duality() -> CheckResult:
-    failure = None
-    for n in range(1, 31):
-        for k in range(n + 1):
-            if c_closed(n, k) != c_closed(n, n - k):
-                failure = f"first failure at (n, k) = ({n}, {k})"
-                break
-        if failure:
-            break
     return _result(
-        "counts-c-duality", "C(n, k) = C(n, n-k)", "1 <= n <= 30", failure
+        "counts-c-duality", "C(n, k) = C(n, n-k)", "1 <= n <= 30",
+        _first_failure(_triangle(1, 30), c_closed, lambda n, k: c_closed(n, n - k), fmt=_AT),
     )
 
 
 def check_gf_identities(order: int) -> list[CheckResult]:
-    e = e_series(order)
-    c = c_series(order)
-    s = s_series(order)
-    a = a_series(order)
-    g = g_series(order)
-    results = []
-
-    results.append(
-        _result(
-            "gf-simple-exponential",
-            "S = exp(E)",
-            f"order {order}",
-            None if s == series_exp(e) else "coefficient mismatch",
-        )
-    )
-    results.append(
-        _result(
-            "gf-quasi-exponential",
-            "A = exp(C)",
-            f"order {order}",
-            None if a == series_exp(c) else "coefficient mismatch",
-        )
-    )
+    e, c, s, a, g = (build(order) for build in (e_series, c_series, s_series, a_series, g_series))
     em1 = exp_minus_one(order)
-    composed = series_add(series_compose_x(e, em1), BivariateSeries.x(order))
-    results.append(
-        _result(
-            "gf-connected-substitution",
-            "C = E(e^x - 1, y) + x",
-            f"order {order}",
-            None if c == composed else "coefficient mismatch",
-        )
-    )
-    rhs = series_mul(series_compose_x(s, em1), exp_x(order))
-    results.append(
-        _result(
-            "gf-quasi-substitution",
-            "A = S(e^x - 1, y) e^x",
-            f"order {order}",
-            None if a == rhs else "coefficient mismatch",
-        )
-    )
-    linear = BivariateSeries.zero(order)
-    lin_rows = [list(row) for row in linear.rows]
-    lin_rows[1] = [Fraction(1), Fraction(1)]
-    linear = BivariateSeries(order, lin_rows)
-    integral = series_add(linear, series_mul_y(series_integrate_x(g)))
-    results.append(
-        _result(
-            "gf-integral-identity",
-            "C = (1+y) x + y Int G dx",
-            f"order {order}",
-            None if c == integral else "coefficient mismatch",
-        )
-    )
-    inverse = series_reverse_x(build_F(order))
-    results.append(
-        _result(
-            "gf-inverse-closed-form",
-            "closed-form G coefficients = inversion coefficients",
-            f"order {order}",
-            None if g == inverse else "coefficient mismatch",
-        )
-    )
-    return results
+    linear = BivariateSeries(order, [[0], [1, 1]] + [[0] * (n + 1) for n in range(2, order + 1)])
+    identities = [
+        ("gf-simple-exponential", "S = exp(E)", s, series_exp(e)),
+        ("gf-quasi-exponential", "A = exp(C)", a, series_exp(c)),
+        ("gf-connected-substitution", "C = E(e^x - 1, y) + x",
+         c, series_add(series_compose_x(e, em1), BivariateSeries.x(order))),
+        ("gf-quasi-substitution", "A = S(e^x - 1, y) e^x",
+         a, series_mul(series_compose_x(s, em1), exp_x(order))),
+        ("gf-integral-identity", "C = (1+y) x + y Int G dx",
+         c, series_add(linear, series_mul_y(series_integrate_x(g)))),
+        ("gf-inverse-closed-form", "closed-form G coefficients = inversion coefficients",
+         g, series_reverse_x(build_F(order))),
+    ]
+    return [
+        _result(name, identity, f"order {order}", None if lhs == rhs else "coefficient mismatch")
+        for name, identity, lhs, rhs in identities
+    ]
 
 
 def check_stirling_convolution() -> CheckResult:
-    failure = None
-    for n in range(2, 21):
-        for l in range(n + 1):
-            lhs = sum(stirling2(n, m) * e_closed(m, l) for m in range(1, n + 1))
-            rhs = c_closed(n, l)
-            if lhs != rhs:
-                failure = f"first failure at (n, l) = ({n}, {l}): {lhs} != {rhs}"
-                break
-        if failure:
-            break
     return _result(
-        "counts-stirling-convolution",
-        "sum_m S2(n, m) E(m, l) = C(n, l)",
-        "2 <= n <= 20",
-        failure,
+        "counts-stirling-convolution", "sum_m S2(n, m) E(m, l) = C(n, l)", "2 <= n <= 20",
+        _first_failure(
+            _triangle(2, 20),
+            lambda n, l: sum(stirling2(n, m) * e_closed(m, l) for m in range(1, n + 1)),
+            c_closed, "n, l",
+        ),
     )
 
 
 def check_e_vanishing() -> CheckResult:
-    failure = None
-    for n in range(1, 41):
-        for k in range(1, n // 2 + 1):
-            if e_closed(n, k) != 0:
-                failure = f"nonzero at (n, k) = ({n}, {k})"
-                break
-        if failure:
-            break
     return _result(
-        "counts-e-vanishing", "E(n, k) = 0 for n >= 2k > 0", "n <= 40", failure
+        "counts-e-vanishing", "E(n, k) = 0 for n >= 2k > 0", "n <= 40",
+        _first_failure(((n, k) for n in range(1, 41) for k in range(1, n // 2 + 1)),
+                       e_closed, lambda n, k: 0, fmt=_NONZERO),
     )
 
 
@@ -679,10 +511,8 @@ def check_table_nonnegativity(max_n: int = 30) -> CheckResult:
     except ValueError as exc:
         failure = str(exc)
     return _result(
-        "counts-nonnegative-integral",
-        "all table entries are nonnegative integers",
-        f"n <= {max_n}, all five families",
-        failure,
+        "counts-nonnegative-integral", "all table entries are nonnegative integers",
+        f"n <= {max_n}, all five families", failure,
     )
 
 
@@ -712,39 +542,32 @@ def run_verify(config: RunConfig | None = None, *, stirling2_fn=None) -> Verific
     Stirling lemma checks; it exists so tests can demonstrate that a
     corrupted table is caught and localized.
     """
-    if config is None:
-        config = RunConfig()
-    order = config.truncation_order
-    report = VerificationReport()
-    checks = report.checks
-
-    checks.append(check_assoc_recursion())
-    checks.append(check_assoc_vanishing())
-    checks.append(check_assoc_closed_forms())
-    checks.append(check_stirling_alternating_lemma(stirling2_fn))
-    checks.append(check_stirling_surjection_lemma(stirling2_fn))
-    checks.append(check_h_recursion())
-    checks.append(check_h_vs_derangements())
-    checks.append(check_reciprocal_composition_lemma())
-    checks.append(check_reciprocal_corollary_corrected())
-    checks.append(flag_reciprocal_corollary_printed())
-
-    checks.append(check_exp_log_roundtrip(order))
-    checks.append(check_inversion_routes(order))
-    checks.append(check_two_sided_inverse(order))
-    checks.append(check_g_palindromy(order))
-    checks.append(check_g_integrality(order))
-    checks.append(check_compose_identity(order))
-    checks.append(flag_inversion_formula_sign())
-    checks.append(flag_inverse_defining_variable())
-
-    checks.append(check_route_agreement())
-    checks.append(check_c_vs_g_shift())
-    checks.append(check_c_duality())
-    checks.extend(check_gf_identities(order))
-    checks.append(check_stirling_convolution())
-    checks.append(check_e_vanishing())
-    checks.append(check_table_nonnegativity())
-    checks.append(flag_r2_special_case())
-
-    return report
+    order = (config or RunConfig()).truncation_order
+    return VerificationReport([  # the check table, in report order
+        check_assoc_recursion(),
+        check_assoc_vanishing(),
+        check_assoc_closed_forms(),
+        check_stirling_alternating_lemma(stirling2_fn),
+        check_stirling_surjection_lemma(stirling2_fn),
+        check_h_recursion(),
+        check_h_vs_derangements(),
+        check_reciprocal_composition_lemma(),
+        check_reciprocal_corollary_corrected(),
+        flag_reciprocal_corollary_printed(),
+        check_exp_log_roundtrip(order),
+        check_inversion_routes(order),
+        check_two_sided_inverse(order),
+        check_g_palindromy(order),
+        check_g_integrality(order),
+        check_compose_identity(order),
+        flag_inversion_formula_sign(),
+        flag_inverse_defining_variable(),
+        check_route_agreement(),
+        check_c_vs_g_shift(),
+        check_c_duality(),
+        *check_gf_identities(order),
+        check_stirling_convolution(),
+        check_e_vanishing(),
+        check_table_nonnegativity(),
+        flag_r2_special_case(),
+    ])

@@ -38,7 +38,6 @@ from spmatroids.spcounts import (
     g_series,
     s_series,
 )
-from spmatroids.verify import run_verify
 
 ORDER = 12
 
@@ -120,9 +119,8 @@ def test_criterion_4_generating_function_identities():
                "inversion routes, and palindromy, coefficientwise to order 12")
 
 
-def test_criterion_5_stirling_and_reciprocal_suites():
-    report = run_verify(RunConfig())
-    by_name = {chk.name: chk for chk in report.checks}
+def test_criterion_5_stirling_and_reciprocal_suites(default_report):
+    by_name = {chk.name: chk for chk in default_report.checks}
     for name in (
         "stirling-alternating-lemma",
         "stirling-surjection-lemma",
@@ -137,16 +135,15 @@ def test_criterion_5_stirling_and_reciprocal_suites():
                "(m, k <= 10), exact")
 
 
-def test_criterion_6_discrepancy_arbitration():
+def test_criterion_6_discrepancy_arbitration(default_report):
     via_oracle = oracle.connected_counts(4)[1][3]
     via_formula = e_closed(4, 3)
     via_inversion = e_from_c(4).value(4, 3)
     assert via_oracle == via_formula == via_inversion == 1
     assert e_special(4, 3, 2) == 5  # printed variant, reported but not trusted
-    report = run_verify(RunConfig())
-    flagged = {chk.name: chk for chk in report.checks if chk.status == "flagged"}
+    flagged = {chk.name: chk for chk in default_report.checks if chk.status == "flagged"}
     assert "simple-count-r2-special-case" in flagged
-    assert report.ok  # flagged items never fail the run
+    assert default_report.ok  # flagged items never fail the run
     _report(6, "E(4,3) = 1 by enumeration, general formula, and triangular "
                "inversion; printed r = 2 value 5 reported as flagged")
 

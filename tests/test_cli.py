@@ -5,7 +5,6 @@ import json
 import pytest
 
 from spmatroids.cli import main, render_csv, run_oracle, run_table
-from spmatroids.config import RunConfig
 from spmatroids.oeis import parse_bfile
 from spmatroids.spcounts import build_tables
 
@@ -69,11 +68,10 @@ def test_table_max_n_zero_is_config_error(capsys):
 
 
 def test_formats_mutually_consistent():
-    config = RunConfig()
     table = build_tables(5, "S")
-    csv_text = run_table("S", 5, "csv", config)
-    json_text = run_table("S", 5, "json", config)
-    bfile_text = run_table("S", 5, "bfile", config)
+    csv_text = run_table("S", 5, "csv")
+    json_text = run_table("S", 5, "json")
+    bfile_text = run_table("S", 5, "bfile")
 
     csv_vals = {}
     for line in csv_text.splitlines()[1:]:
@@ -93,10 +91,9 @@ def test_formats_mutually_consistent():
 
 
 def test_output_deterministic():
-    config = RunConfig()
-    assert run_table("G", 6, "csv", config) == run_table("G", 6, "csv", config)
-    a, _ = run_oracle(3, True, None, config)
-    b, _ = run_oracle(3, True, None, config)
+    assert run_table("G", 6, "csv") == run_table("G", 6, "csv")
+    a, _ = run_oracle(3, True, None)
+    b, _ = run_oracle(3, True, None)
     assert a == b
 
 

@@ -18,7 +18,6 @@ import pytest
 import spmatroids
 from spmatroids.combinum import (
     assoc_stirling1,
-    bell_partial,
     binomial,
     compositions,
     double_factorial,
@@ -181,32 +180,3 @@ def test_compositions():
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(3, 0)) == []
     assert list(compositions(2, 3)) == []
-
-
-def test_bell_partial_single_block():
-    t = [Fraction(i + 1, 2) for i in range(8)]
-    for n in range(1, 8):
-        assert bell_partial(n, 1, t) == t[n - 1]
-
-
-def test_bell_partial_hand_cases():
-    t1, t2 = Fraction(2, 3), Fraction(5, 7)
-    # compositions (1,2) and (2,1) of 3 into 2 parts, each t1 t2 / 2
-    assert bell_partial(3, 2, [t1, t2]) == 3 * t1 * t2
-    assert bell_partial(4, 4, [t1]) == t1 ** 4
-
-
-def test_bell_partial_validation():
-    with pytest.raises(ValueError):
-        bell_partial(2, 3, [1, 1, 1])
-    with pytest.raises(ValueError):
-        bell_partial(5, 2, [1, 1, 1])  # needs n - k + 1 = 4 entries
-
-
-def test_bell_partial_stirling_specializations():
-    # B(n, k) at all t_j = 1 counts partitions into k blocks; at t_j = (j-1)!
-    # it counts cycle arrangements, i.e. unsigned Stirling numbers.
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            ones = [1] * (n - k + 1)
-            assert bell_partial(n, k, ones) == stirling2(n, k)

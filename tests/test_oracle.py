@@ -1,7 +1,9 @@
 """Tests for the brute-force enumeration oracle."""
 
+import ast
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,28 @@ def test_rank_table_matches_rank_of_subset():
         assert len(table) == 1 << m.ground_size
         for mask, r in enumerate(table):
             assert r == rank_of_subset(m, mask), (m, mask)
+
+
+def test_submasks_ascend_over_every_submask():
+    for mask in (0, 1, 0b101, 0b101101, 0xFF):
+        want = [s for s in range(mask + 1) if s & ~mask == 0]
+        assert list(oracle._submasks(mask)) == want
+
+
+def test_oracle_imports_no_formula_route():
+    # The oracle is the independent route: it may not reach the closed
+    # forms, the series kernel, the combinatorial numbers or the suites.
+    # For `from pkg import name` both pkg and pkg.name count as imported.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["spmatroids" if node.level else "", node.module]))
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    forbidden = {f"spmatroids.{m}" for m in ("spcounts", "powerseries", "combinum", "verify")}
+    assert imported.isdisjoint(forbidden)
 
 
 def test_mk4_literal():

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spmatroids import powerseries
 from spmatroids.powerseries import (
+    LAGRANGE_MAX_ORDER,
     BivariateSeries,
     UnivariateSeries,
     build_F,
@@ -219,6 +221,15 @@ def test_lagrange_matches_reverse():
             rows.append(row)
         h = BivariateSeries(8, rows)
         assert lagrange_invert(h) == series_reverse_x(h)
+
+
+def test_lagrange_refuses_orders_above_cap_before_any_work(monkeypatch):
+    def no_compositions(*args):
+        raise AssertionError("composition enumeration started")
+
+    monkeypatch.setattr(powerseries, "compositions", no_compositions)
+    with pytest.raises(ValueError, match=f"capped at order {LAGRANGE_MAX_ORDER}"):
+        lagrange_invert(build_F(LAGRANGE_MAX_ORDER + 1))
 
 
 def test_two_sided_inverse():

@@ -1,20 +1,25 @@
 """Tests for the verification report machinery."""
 
+from pathlib import Path
+
+import pytest
+
+from spmatroids import powerseries, verify
 from spmatroids.combinum import stirling2
 from spmatroids.config import RunConfig
-from spmatroids.verify import run_verify
+from spmatroids.verify import check_inversion_routes, run_verify
+
+EXPECTED_O12 = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "verify-o12.txt"
 
 
-def test_default_report_is_clean():
-    report = run_verify()
-    assert report.ok
-    failed = [c for c in report.checks if c.status == "fail"]
+def test_default_report_is_clean(default_report):
+    assert default_report.ok
+    failed = [c for c in default_report.checks if c.status == "fail"]
     assert failed == []
 
 
-def test_flagged_items_present_with_evidence():
-    report = run_verify()
-    flagged = {c.name: c for c in report.checks if c.status == "flagged"}
+def test_flagged_items_present_with_evidence(default_report):
+    flagged = {c.name: c for c in default_report.checks if c.status == "flagged"}
     assert set(flagged) == {
         "reciprocal-corollary-printed-variant",
         "inversion-formula-display-sign",
@@ -25,6 +30,10 @@ def test_flagged_items_present_with_evidence():
     assert "5" in r2.detail and "1" in r2.detail
     cor = flagged["reciprocal-corollary-printed-variant"]
     assert "2" in cor.detail and "1/3" in cor.detail
+
+
+def test_default_report_matches_golden_text(default_report):
+    assert default_report.render() == EXPECTED_O12.read_text(encoding="utf-8")
 
 
 def test_corrupted_stirling_table_is_localized():
@@ -42,6 +51,52 @@ def test_corrupted_stirling_table_is_localized():
     assert "FAIL" in rendered
 
 
+# One value of a combinatorial or count routine is raised by 1 inside the
+# verify module; each row lists the (name, detail) of every check that must
+# fail, in report order.
+PLANTED_FAULTS = {
+    ("assoc_stirling1", (7, 2)): [
+        ("assoc-stirling-recursion", "first failure at (n, k) = (7, 2): 925 != 924"),
+        ("stirling-alternating-lemma", "first failure at (m, l) = (5, 5): 0 != 1"),
+        ("reciprocal-sum-vs-derangements", "first failure at (n, k) = (7, 2): 11/30 != 185/504"),
+        ("reciprocal-corollary-corrected", "first failure at (m, k) = (5, 2)"),
+    ],
+    ("h_value", (5, 3)): [
+        ("reciprocal-sum-recursion", "first failure at (n, k) = (8, 3): 65/6 != 17/6"),
+        ("reciprocal-sum-vs-derangements", "first failure at (n, k) = (8, 3): 65/48 != 17/48"),
+        ("reciprocal-composition-lemma", "first failure at (m, k) = (5, 3)"),
+    ],
+    ("e_closed", (9, 4)): [
+        ("counts-e-route-agreement", "first failure at (n, k) = (9, 4): 0 != 1"),
+        ("counts-stirling-convolution", "first failure at (n, l) = (9, 4): 544972 != 544971"),
+        ("counts-e-vanishing", "nonzero at (n, k) = (9, 4)"),
+    ],
+    ("c_closed", (8, 3)): [
+        ("counts-c-vs-inverse-coefficients", "first failure at (n, l) = (8, 3): 17452 != 17451"),
+        ("counts-c-duality", "first failure at (n, k) = (8, 3)"),
+        ("counts-stirling-convolution", "first failure at (n, l) = (8, 3): 17451 != 17452"),
+    ],
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS, ids=lambda f: f"{f[0]}{f[1]}")
+def test_planted_fault_is_reported_exactly(monkeypatch, fault):
+    name, at = fault
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: real(*args) + 1 if args == at else real(*args))
+    report = run_verify(RunConfig(truncation_order=3))
+    failed = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
+    assert failed == PLANTED_FAULTS[fault]
+
+
+def test_inversion_routes_compare_at_the_lagrange_cap(monkeypatch):
+    monkeypatch.setattr(powerseries, "LAGRANGE_MAX_ORDER", 10)
+    monkeypatch.setattr(verify, "LAGRANGE_MAX_ORDER", 10)
+    result = check_inversion_routes(11)
+    assert result.status == "pass"
+    assert result.ranges.startswith("log-series at order 10;")
+
+
 def test_low_order_config_reported_as_such():
     report = run_verify(RunConfig(truncation_order=3))
     assert report.ok
@@ -50,8 +105,7 @@ def test_low_order_config_reported_as_such():
     assert all("order 3" in c.ranges for c in series_checks)
 
 
-def test_render_summary_line():
-    report = run_verify()
-    rendered = report.render()
+def test_render_summary_line(default_report):
+    rendered = default_report.render()
     assert rendered.endswith("flagged, 0 failed\n")
     assert "PASS" in rendered and "FLAG" in rendered
