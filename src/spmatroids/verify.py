@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import factorial
 
 from . import oracle
@@ -240,8 +240,10 @@ def check_h_vs_derangements() -> CheckResult:
     )
 
 
-def _reciprocal_product_poly(m: int, k: int) -> list[Fraction]:
-    # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1)
+@cache
+def _reciprocal_product_poly(m: int, k: int) -> tuple[Fraction, ...]:
+    # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1);
+    # cached, since two checks and the printed-variant flag read it
     out = [Fraction(0)] * (m + 1)
     for js in compositions(m, k):
         poly = [Fraction(1)]
@@ -250,21 +252,21 @@ def _reciprocal_product_poly(m: int, k: int) -> list[Fraction]:
             poly = [(a + b) / (j + 1) for a, b in zip(poly + [Fraction(0)] * j, shifted)]
         for a, pa in enumerate(poly):
             out[a] += pa
-    return out
+    return tuple(out)
 
 
-def _reciprocal_lemma(m: int, k: int) -> list[Fraction]:
+def _reciprocal_lemma(m: int, k: int) -> tuple[Fraction, ...]:
     # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)
-    return [
+    return tuple(
         sum(binomial(k, p) * h_value(l, p) * h_value(m - l, k - p) for p in range(k + 1))
         for l in range(m + 1)
-    ]
+    )
 
 
-def _reciprocal_corollary(m: int, k: int, top: int) -> list[Fraction]:
+def _reciprocal_corollary(m: int, k: int, top: int) -> tuple[Fraction, ...]:
     # (k!/top!) sum_l y^l sum_p C(top, l+p) D(l+p, p) D(m-l+k-p, k-p); top = m+k is
     # the corrected form, top = m-k the printed one
-    return [
+    return tuple(
         Fraction(factorial(k), factorial(top))
         * sum(
             binomial(top, l + p)
@@ -273,7 +275,7 @@ def _reciprocal_corollary(m: int, k: int, top: int) -> list[Fraction]:
             for p in range(k + 1)
         )
         for l in range(m + 1)
-    ]
+    )
 
 
 def check_reciprocal_composition_lemma() -> CheckResult:
@@ -322,6 +324,12 @@ def _random_reversible_series(rng: random.Random, order: int) -> BivariateSeries
     return BivariateSeries(order, rows)
 
 
+@cache
+def _inverse_of_F(order: int) -> BivariateSeries:
+    # series_reverse_x(build_F(order)), shared by the checks that read it
+    return series_reverse_x(build_F(order))
+
+
 def check_exp_log_roundtrip(order: int) -> CheckResult:
     f = c_series(order)
     g = series_exp(f)
@@ -355,7 +363,7 @@ def check_inversion_routes(order: int) -> CheckResult:
 
 def check_two_sided_inverse(order: int) -> CheckResult:
     f = build_F(order)
-    g = series_reverse_x(f)
+    g = _inverse_of_F(order)
     ident = BivariateSeries.x(order)
     return _result(
         "series-inverse-two-sided", "g(f(x,y), y) = x = f(g(x,y), y)", f"order {order}",
@@ -367,7 +375,7 @@ def check_two_sided_inverse(order: int) -> CheckResult:
 
 
 def check_g_palindromy(order: int) -> CheckResult:
-    g = series_reverse_x(build_F(order))
+    g = _inverse_of_F(order)
     return _result(
         "series-inverse-palindromy", "n! [y^l x^n] g = n! [y^(n-1-l) x^n] g", f"n <= {order}",
         _first_failure(((n, l) for n in range(1, order + 1) for l in range(n)),
@@ -377,7 +385,7 @@ def check_g_palindromy(order: int) -> CheckResult:
 
 
 def check_g_integrality(order: int) -> CheckResult:
-    g = series_reverse_x(build_F(order))
+    g = _inverse_of_F(order)
     try:
         # min(v, 0) differs from 0 exactly when the count v is negative
         failure = _first_failure(
@@ -476,7 +484,7 @@ def check_gf_identities(order: int) -> list[CheckResult]:
         ("gf-integral-identity", "C = (1+y) x + y Int G dx",
          c, series_add(linear, series_mul_y(series_integrate_x(g)))),
         ("gf-inverse-closed-form", "closed-form G coefficients = inversion coefficients",
-         g, series_reverse_x(build_F(order))),
+         g, _inverse_of_F(order)),
     ]
     return [
         _result(name, identity, f"order {order}", None if lhs == rhs else "coefficient mismatch")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spmatroids import powerseries
+from spmatroids.combinum import compositions
 from spmatroids.powerseries import (
     LAGRANGE_MAX_ORDER,
     BivariateSeries,
@@ -29,6 +30,14 @@ from spmatroids.powerseries import (
     series_mul_y,
     series_reverse_x,
     series_scale,
+)
+from spmatroids.powerseries import (
+    _check_reversible,
+    _composition_sums,
+    _fit_row,
+    _padd,
+    _pmul,
+    _pscale,
 )
 
 N = 12
@@ -223,11 +232,86 @@ def test_lagrange_matches_reverse():
         assert lagrange_invert(h) == series_reverse_x(h)
 
 
-def test_lagrange_refuses_orders_above_cap_before_any_work(monkeypatch):
-    def no_compositions(*args):
-        raise AssertionError("composition enumeration started")
+def literal_lagrange_invert(f):
+    """The inversion formula with each composition's product built from scratch."""
+    c = _check_reversible(f)
+    n_max = f.order
+    big_f = [None] + [_pscale(f.rows[n], factorial(n)) for n in range(1, n_max + 1)]
+    hat = {j: _pscale(big_f[j + 1], Fraction(1, j + 1) / c) for j in range(1, n_max)}
+    g = [[Fraction(0)], [Fraction(1) / c]]
+    for n in range(2, n_max + 1):
+        total = [Fraction(0)]
+        for k in range(1, n):
+            comp_sum = [Fraction(0)]
+            for js in compositions(n - 1, k):
+                term = [Fraction(1)]
+                for j in js:
+                    term = _pscale(_pmul(term, hat[j]), Fraction(1, factorial(j)))
+                comp_sum = _padd(comp_sum, term)
+            weight = Fraction((-1) ** k * factorial(n + k - 1), factorial(k))
+            total = _padd(total, _pscale(comp_sum, weight))
+        gn = _pscale(total, Fraction(1) / c ** n)
+        g.append(_pscale(gn, Fraction(1, factorial(n))))
+    return BivariateSeries(n_max, [_fit_row(row, n) for n, row in enumerate(g)])
 
-    monkeypatch.setattr(powerseries, "compositions", no_compositions)
+
+def random_reversible(rng, order):
+    # row n has y-degree at most n - 1, a class closed under inversion
+    rows = [[0], [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)), 0]]
+    for n in range(2, order + 1):
+        rows.append([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] + [0])
+    return BivariateSeries(order, rows)
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_lagrange_matches_literal_composition_sum(order):
+    rng = random.Random(1000 + order)
+    for f in [build_F(order)] + [random_reversible(rng, order) for _ in range(3)]:
+        assert lagrange_invert(f).rows == literal_lagrange_invert(f).rows
+
+
+def test_composition_sums_count_compositions():
+    # with every part equal to 1, sums[s][k] counts the compositions of s into k parts
+    sums = _composition_sums({j: [1] for j in range(1, 9)}, 8)
+    for s in range(9):
+        for k in range(s + 1):
+            assert sums[s][k] == [sum(1 for _ in compositions(s, k))] + [0] * (s + k)
+
+
+@st.composite
+def unit_reversible_series(draw):
+    """Small series with F_1 = +-1, integer F_n and y-degree at most n - 1 at x^n."""
+    order = draw(st.integers(1, 8))
+    rows = [[0], [draw(st.sampled_from([-1, 1])), 0]]
+    for n in range(2, order + 1):
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        rows.append([Fraction(v, factorial(n)) for v in coeffs] + [0])
+    return BivariateSeries(order, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_reversible_series())
+def test_lagrange_matches_reverse_on_random_series(f):
+    assert lagrange_invert(f) == series_reverse_x(f)
+
+
+def test_lagrange_shares_nothing_with_coefficient_solving(monkeypatch):
+    f = build_F(10)
+    expected = series_reverse_x(f)
+
+    def refuse(*args):
+        raise AssertionError("the coefficient-solving route was called")
+
+    for name in ("_x_powers", "_compose", "series_reverse_x"):
+        monkeypatch.setattr(powerseries, name, refuse)
+    assert powerseries.lagrange_invert(f) == expected
+
+
+def test_lagrange_refuses_orders_above_cap_before_any_work(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("composition walk started")
+
+    monkeypatch.setattr(powerseries, "_composition_sums", no_walk)
     with pytest.raises(ValueError, match=f"capped at order {LAGRANGE_MAX_ORDER}"):
         lagrange_invert(build_F(LAGRANGE_MAX_ORDER + 1))
 
