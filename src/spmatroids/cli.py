@@ -5,6 +5,7 @@
     spm oracle --max-n INT [--compare] [--dump PATH]
     spm oeis   --id AXXXXXX [--bfile PATH | --fetch]
 
+`spm table` accepts --max-n from 1 to 150 and `spm oracle` from 1 to 8.
 Exit codes: 0 all checks pass, 1 verification or comparison failure,
 2 usage or configuration error.  Output is deterministic for a given
 configuration.
@@ -31,6 +32,9 @@ from .spcounts import FAMILIES, TriangularCountTable, build_tables
 from .verify import run_verify
 
 USAGE_ERROR = 2
+# Largest `spm table --max-n`.  A cold build at n = 150 takes about 15 s for
+# E and 16 s for S (31 MiB peak) on a 2-vCPU host.
+TABLE_MAX_N = 150
 
 
 def render_csv(table: TriangularCountTable) -> str:
@@ -56,6 +60,10 @@ def run_table(family: str, max_n: int, fmt: str) -> str:
     """Render one family's triangle in the requested format."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if max_n < 1:
+        raise ValueError(f"--max-n: table needs max_n >= 1, got {max_n}")
+    if max_n > TABLE_MAX_N:
+        raise ValueError(f"--max-n: table max_n capped at {TABLE_MAX_N}, got {max_n}")
     table = build_tables(max_n, family)
     if fmt == "csv":
         return render_csv(table)
@@ -69,9 +77,9 @@ def run_table(family: str, max_n: int, fmt: str) -> str:
 def run_oracle(max_n: int, compare: bool, dump_path: Path | None) -> tuple[str, int]:
     """Enumerate up to max_n, print per-(n, k) counts, optionally diff tables."""
     if max_n > oracle.HARD_CAP:
-        raise ValueError(f"oracle max_n capped at {oracle.HARD_CAP}, got {max_n}")
+        raise ValueError(f"--max-n: oracle max_n capped at {oracle.HARD_CAP}, got {max_n}")
     if max_n < 1:
-        raise ValueError("oracle needs max_n >= 1")
+        raise ValueError(f"--max-n: oracle needs max_n >= 1, got {max_n}")
     lines = [f"exhaustive enumeration up to n = {max_n}"]
     rows: dict[str, dict[int, list[int]]] = {"C": {}, "E": {}, "A": {}, "S": {}}
     for n in range(1, max_n + 1):

@@ -23,7 +23,6 @@ __all__ = [
     "stirling2",
     "assoc_stirling1",
     "h_value",
-    "h_value_compositions",
     "compositions",
 ]
 
@@ -145,18 +144,3 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
-
-def h_value_compositions(m: int, k: int) -> Fraction:
-    """Reference evaluation of h_value by direct composition enumeration.
-
-    Exponential in k; intended for cross-checks at small indices only.
-    """
-    if m < 0 or k < 0:
-        return Fraction(0)
-    total = Fraction(0)
-    for js in compositions(m, k):
-        prod = Fraction(1)
-        for j in js:
-            prod /= j + 1
-        total += prod
-    return total

@@ -1,11 +1,18 @@
 """Brute-force ground truth by exhaustive basis-set generation.
 
-Series-parallel matroids on labeled ground sets are grown from U_{1,2} by
-series and parallel extensions applied to their basis sets (Oxley, *Matroid
-Theory*, 2nd ed., section 5.4), over every label subset.  A matroid is its
-set of basis masks, so the catalog holds each one exactly once, and counts
-per (ground size, rank) are read off it.  Everything here is independent of
-the closed formulas, which is the point: the two routes validate each other.
+Series-parallel matroids on labeled ground sets are built by series and
+parallel extensions applied to their basis sets (Oxley, *Matroid Theory*,
+2nd ed., section 5.4).  The catalog for [n] comes from the one for [n - 1]
+by reverse search (Avis and Fukuda, 1996): label n is added in series or in
+parallel at one element of each series or parallel class, and each result
+is relabelled by swapping n with every label above the other elements that
+lie in a series or parallel pair.  This reaches each matroid exactly once,
+so nothing is deduplicated.  A parent's series and parallel classes come
+from two masks per element filled in one pass over its bases, and the
+pairs and simplicity of each extension follow from them.  A matroid is its
+set of basis masks, and counts per (ground size, rank) are read off the
+catalog.  Everything here is independent of the closed formulas, which is
+the point: the two routes validate each other.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from itertools import combinations
 from typing import Iterator
 
 HARD_CAP = 8
-DEFAULT_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -52,108 +58,117 @@ def series_extension(bases: frozenset[int], e: int, f: int) -> frozenset[int]:
     return frozenset([b | fb for b in bases] + [b | eb for b in bases if not b & eb])
 
 
-def _ground(bases: frozenset[int]) -> int:
-    # The union of the bases: the ground set of a matroid without loops.
-    ground = 0
-    for b in bases:
-        ground |= b
-    return ground
+def _partners(bases, n: int) -> tuple[list[int], list[int]]:
+    """Parallel and series partners of each element of [n], as masks, from
+    one pass over the bases of a matroid without loops or coloops.
 
-
-def extensions(bases: frozenset[int], label: int) -> list[frozenset[int]]:
-    """All one-step parallel and series extensions by `label`, at each element.
-
-    The ground set is read as the union of the bases, which is exact for the
-    loopless matroids grown here.  Matroids with fewer than two elements are
-    terminal and yield nothing: the closure starts from U_{1,2}, and a lone
-    loop or coloop is a separate base case.
+    cover[i] is the union of the bases that contain i, and miss[i] the union
+    of the complements of the bases that avoid i.  Then j is parallel to i
+    iff no basis holds both, that is j is not in cover[i]; and j is in series
+    with i iff every basis that avoids i holds j, that is j is not in miss[i].
     """
-    ground = _ground(bases)
-    if ground >> (label - 1) & 1:
-        raise ValueError(f"label {label} already used")
-    if ground.bit_count() < 2:
-        return []
-    out = []
-    for e in range(1, ground.bit_length() + 1):
-        if ground >> (e - 1) & 1:
-            out.append(parallel_extension(bases, e, label))
-            out.append(series_extension(bases, e, label))
+    full = (1 << n) - 1
+    cover = [0] * n
+    miss = [0] * n
+    for b in bases:
+        out = full ^ b
+        for i in range(n):
+            if b >> i & 1:
+                cover[i] |= b
+            else:
+                miss[i] |= out
+    return [full ^ c for c in cover], [full ^ m for m in miss]
+
+
+def _without(masks: list[int], e: int) -> int:
+    # The pairs among masks that survive once element e leaves them.
+    eb = 1 << e
+    out = 0
+    for j, mask in enumerate(masks):
+        if j != e:
+            out |= mask & ~eb
     return out
 
 
-def rank_of_subset(m: MatroidSignature, subset_mask: int) -> int:
-    """Matroid rank of a subset, as the best overlap with any basis."""
-    return max((b & subset_mask).bit_count() for b in m.bases)
+def _reverse_search(parents, n: int) -> Iterator[CatalogEntry]:
+    """Every series-parallel matroid on [n], n >= 3, exactly once, from the
+    catalog of [n - 1].
 
+    Label n is added parallel to one element of each parallel class of the
+    parent and in series with one element of each series class.  In a
+    connected matroid on at least three elements n is never in both a
+    parallel and a series pair, and the parent is M with n deleted or
+    contracted, so each M in which n lies in some series or parallel pair
+    comes once.  Every other matroid is a relabelling: with sp(M) the
+    elements in some series or parallel pair, n is swapped with each label f
+    above every element of sp(M) - n, and the result M'' is reached only
+    from f = max sp(M''), since every connected series-parallel matroid on
+    at least two elements has a series or parallel pair.  Relabelling keeps
+    rank and simplicity.
 
-def is_simple(m: MatroidSignature) -> bool:
-    """True iff the matroid has no loops and no parallel pairs."""
-    n = m.ground_size
-    singles = [rank_of_subset(m, 1 << i) for i in range(n)]
-    if any(r == 0 for r in singles):
-        return False
-    for i, j in combinations(range(n), 2):
-        if rank_of_subset(m, (1 << i) | (1 << j)) == 1:
-            return False
-    return True
-
-
-def _grow(level, n: int) -> Iterator[frozenset[int]]:
-    # Every extension of every matroid in `level` by every absent label of [n].
-    for bases in level:
-        ground = _ground(bases)
-        for label in range(1, n + 1):
-            if not ground >> (label - 1) & 1:
-                yield from extensions(bases, label)
-
-
-def _closure(n: int, dedup_levels: bool) -> set[frozenset[int]]:
-    # Breadth-first closure over label subsets: level m holds the basis sets
-    # of matroids whose ground set is some m-subset of [n], starting from
-    # U_{1,2} on every label pair.
-    level = [frozenset((1 << a, 1 << b)) for a, b in combinations(range(n), 2)]
-    for _size in range(2, n):
-        level = set(_grow(level, n)) if dedup_levels else list(_grow(level, n))
-    return set(level)
+    The pairs of M follow from the parent's.  Adding n parallel to e joins
+    n to e's parallel class and breaks every series pair at e (a cocircuit
+    through e gains n); adding n in series is the dual.  A connected matroid
+    on at least two elements is simple iff it has no parallel pair.
+    """
+    top = 1 << (n - 1)
+    for parent in parents:
+        bases = frozenset(parent.sig.bases)
+        rank = parent.sig.rank
+        par, ser = _partners(bases, n - 1)
+        par_sp = ser_sp = 0
+        for p, s in zip(par, ser):
+            par_sp |= p
+            ser_sp |= s
+        grown = []  # (M, its rank, sp(M) - n, whether M is simple)
+        for e in range(n - 1):
+            eb = 1 << e
+            if not par[e] & (eb - 1):  # e is the least of its parallel class
+                m = parallel_extension(bases, e + 1, n)
+                grown.append((m, rank, par_sp | eb | _without(ser, e), False))
+            if not ser[e] & (eb - 1):
+                m = series_extension(bases, e + 1, n)
+                left = _without(par, e)
+                grown.append((m, rank + 1, ser_sp | eb | left, not left))
+        for m, rank_m, sp, simple in grown:
+            for f in range(sp.bit_length(), n - 1):
+                swap = top | 1 << f
+                relabelled = sorted(b ^ swap if 0 < b & swap < swap else b for b in m)
+                yield CatalogEntry(MatroidSignature(n, rank_m, tuple(relabelled)), simple)
+            yield CatalogEntry(MatroidSignature(n, rank_m, tuple(sorted(m))), simple)
 
 
 _CATALOG: dict[int, tuple[CatalogEntry, ...]] = {}
 
 
-def enumerate_connected(n: int, *, dedup_levels: bool = True) -> tuple[CatalogEntry, ...]:
-    """Catalog of all series-parallel matroids on ground set {1..n}.
+def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
+    """Catalog of all connected series-parallel matroids on ground set
+    {1..n}, sorted by (rank, bases) and cached per n.
 
-    For n >= 2 these are grown from U_{1,2} on every label pair by parallel
-    and series extensions of basis sets at every element, with every absent
-    label.  With dedup_levels=True (the default) each level is deduplicated
-    by basis set, which is sound because both moves act on the matroid, not
-    on one presentation of it; dedup_levels=False expands every extension
-    sequence and deduplicates only at the end, as a slower certification of
-    that optimization.
+    n = 1 gives the loop and the coloop, and n = 2 gives U_{1,2}.  For
+    n >= 3 the catalog is built from the one for n - 1 by reverse search
+    (`_reverse_search`), which emits each matroid exactly once, so no
+    deduplication is needed.  Each parent's series and parallel classes come
+    from one pass over its bases (`_partners`), and each new matroid's pairs
+    and simplicity follow from its parent's.
     """
     if n < 1:
         raise ValueError("enumerate_connected needs n >= 1")
     if n > HARD_CAP:
         raise ValueError(f"enumeration capped at n = {HARD_CAP}, got {n}")
-    if dedup_levels and n in _CATALOG:
+    if n in _CATALOG:
         return _CATALOG[n]
     if n == 1:
-        sigs = {
-            MatroidSignature(1, 0, (0,)),  # single loop
-            MatroidSignature(1, 1, (1,)),  # single coloop
-        }
-    else:
-        sigs = [
-            MatroidSignature(n, next(iter(bases)).bit_count(), tuple(sorted(bases)))
-            for bases in _closure(n, dedup_levels)
+        entries = [
+            CatalogEntry(MatroidSignature(1, 0, (0,)), False),  # single loop
+            CatalogEntry(MatroidSignature(1, 1, (1,)), True),  # single coloop
         ]
-    entries = tuple(
-        CatalogEntry(sig, is_simple(sig))
-        for sig in sorted(sigs, key=lambda s: (s.rank, s.bases))
-    )
-    if dedup_levels:
-        _CATALOG[n] = entries
-    return entries
+    elif n == 2:
+        entries = [CatalogEntry(MatroidSignature(2, 1, (1, 2)), False)]  # U_{1,2}
+    else:
+        entries = _reverse_search(enumerate_connected(n - 1), n)
+    _CATALOG[n] = tuple(sorted(entries, key=lambda e: (e.sig.rank, e.sig.bases)))
+    return _CATALOG[n]
 
 
 def connected_counts(n: int) -> tuple[list[int], list[int]]:
@@ -254,33 +269,6 @@ def _k4_signature() -> MatroidSignature:
     ))
 
 
-def _canonical_bases(bases: tuple[int, ...], size: int) -> tuple[int, ...]:
-    # Minimum over all ground-set bijections of the sorted basis masks.
-    import itertools
-
-    best = None
-    for perm in itertools.permutations(range(size)):
-        mapped = tuple(
-            sorted(
-                sum(1 << perm[i] for i in range(size) if b >> i & 1)
-                for b in bases
-            )
-        )
-        if best is None or mapped < best:
-            best = mapped
-    return best
-
-
-_MK4_CANON: tuple[int, ...] | None = None
-
-
-def _mk4_canon() -> tuple[int, ...]:
-    global _MK4_CANON
-    if _MK4_CANON is None:
-        _MK4_CANON = _canonical_bases(_k4_signature().bases, 6)
-    return _MK4_CANON
-
-
 def _submasks(mask: int) -> Iterator[int]:
     """Every submask of `mask`, in increasing order, from 0 to `mask`."""
     sub = 0
@@ -326,9 +314,16 @@ def _has_u24_minor(n: int, rk: list[int]) -> bool:
 
 
 def _has_mk4_minor(n: int, rk: list[int]) -> bool:
+    """True iff some minor on six elements is M(K4), given that the matroid
+    has no U_{2,4} minor (`minor_check` asks only after `_has_u24_minor`).
+
+    Under that precondition a rank-3 minor on six elements is M(K4) iff it
+    has exactly 16 bases and no parallel pair.  Without it the test is
+    wrong: a four-point line plus two points off it also has 16 bases and no
+    parallel pair.
+    """
     if n < 6:
         return False
-    target = _mk4_canon()
     full = (1 << n) - 1
     for six in combinations(range(n), 6):
         tmask = sum(1 << i for i in six)
@@ -336,21 +331,13 @@ def _has_mk4_minor(n: int, rk: list[int]) -> bool:
             rk_k = rk[kmask]
             if rk[tmask | kmask] - rk_k != 3:
                 continue
-            minor_bases = []
-            for triple in combinations(six, 3):
-                bmask = sum(1 << i for i in triple)
-                if rk[bmask | kmask] - rk_k == 3:
-                    minor_bases.append(bmask)
-            if len(minor_bases) != 16:
-                continue
-            pos = {e: i for i, e in enumerate(six)}
-            local = tuple(
-                sorted(
-                    sum(1 << pos[i] for i in range(n) if b >> i & 1)
-                    for b in minor_bases
-                )
+            bases = sum(
+                1 for a, b, c in combinations(six, 3)
+                if rk[1 << a | 1 << b | 1 << c | kmask] - rk_k == 3
             )
-            if _canonical_bases(local, 6) == target:
+            if bases == 16 and all(
+                rk[1 << a | 1 << b | kmask] - rk_k == 2 for a, b in combinations(six, 2)
+            ):
                 return True
     return False
 

@@ -1,0 +1,86 @@
+"""Reference routes for the oracle tests: the breadth-first closure.
+
+Before the reverse-search generator, `spmatroids.oracle` built every
+series-parallel matroid on [n] by closing U_{1,2} on every label pair under
+parallel and series extensions at every element with every absent label,
+deduplicating by basis set.  It is slow (each matroid is reached many times
+over every label subset) but obviously complete, so the tests keep it to
+check the generator against.  `rank_of_subset` and `is_simple` are the
+rescanning definitions the generator's one-pass `simple` flag replaces.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Iterator
+
+from spmatroids.oracle import MatroidSignature, parallel_extension, series_extension
+
+
+def _ground(bases: frozenset[int]) -> int:
+    # The union of the bases: the ground set of a matroid without loops.
+    ground = 0
+    for b in bases:
+        ground |= b
+    return ground
+
+
+def extensions(bases: frozenset[int], label: int) -> list[frozenset[int]]:
+    """All one-step parallel and series extensions by `label`, at each element.
+
+    The ground set is read as the union of the bases, which is exact for the
+    loopless matroids grown here.  Matroids with fewer than two elements are
+    terminal and yield nothing: the closure starts from U_{1,2}, and a lone
+    loop or coloop is a separate base case.
+    """
+    ground = _ground(bases)
+    if ground >> (label - 1) & 1:
+        raise ValueError(f"label {label} already used")
+    if ground.bit_count() < 2:
+        return []
+    out = []
+    for e in range(1, ground.bit_length() + 1):
+        if ground >> (e - 1) & 1:
+            out.append(parallel_extension(bases, e, label))
+            out.append(series_extension(bases, e, label))
+    return out
+
+
+def rank_of_subset(m: MatroidSignature, subset_mask: int) -> int:
+    """Matroid rank of a subset, as the best overlap with any basis."""
+    return max((b & subset_mask).bit_count() for b in m.bases)
+
+
+def is_simple(m: MatroidSignature) -> bool:
+    """True iff the matroid has no loops and no parallel pairs."""
+    n = m.ground_size
+    singles = [rank_of_subset(m, 1 << i) for i in range(n)]
+    if any(r == 0 for r in singles):
+        return False
+    for i, j in combinations(range(n), 2):
+        if rank_of_subset(m, (1 << i) | (1 << j)) == 1:
+            return False
+    return True
+
+
+def _grow(level, n: int) -> Iterator[frozenset[int]]:
+    # Every extension of every matroid in `level` by every absent label of [n].
+    for bases in level:
+        ground = _ground(bases)
+        for label in range(1, n + 1):
+            if not ground >> (label - 1) & 1:
+                yield from extensions(bases, label)
+
+
+def closure(n: int, dedup_levels: bool = True) -> set[frozenset[int]]:
+    """Basis sets of every series-parallel matroid on [n], n >= 2.
+
+    Level m holds the matroids whose ground set is some m-subset of [n],
+    starting from U_{1,2} on every label pair.  With dedup_levels=True each
+    level is deduplicated by basis set; dedup_levels=False expands every
+    extension sequence and deduplicates only at the end.
+    """
+    level = [frozenset((1 << a, 1 << b)) for a, b in combinations(range(n), 2)]
+    for _size in range(2, n):
+        level = set(_grow(level, n)) if dedup_levels else list(_grow(level, n))
+    return set(level)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spmatroids.cli import main, render_csv, run_oracle, run_table
+from spmatroids.cli import TABLE_MAX_N, main, render_csv, run_oracle, run_table
 from spmatroids.oeis import parse_bfile
 from spmatroids.spcounts import build_tables
 
@@ -67,6 +67,17 @@ def test_table_max_n_zero_is_config_error(capsys):
     assert "max_n >= 1" in err
 
 
+@pytest.mark.parametrize("command", ["table", "oracle"])
+@pytest.mark.parametrize("max_n", ["0", "-4", str(TABLE_MAX_N + 1)])
+def test_max_n_out_of_range_names_the_argument(capsys, command, max_n):
+    args = ["--family", "C"] if command == "table" else []
+    code, out, err = run_cli(capsys, command, *args, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --max-n: ") and f"got {max_n}" in err
+    assert "build_tables" not in err
+
+
 def test_formats_mutually_consistent():
     table = build_tables(5, "S")
     csv_text = run_table("S", 5, "csv")
@@ -111,6 +122,7 @@ def test_oracle_cap_is_config_error(capsys):
     code, _, err = run_cli(capsys, "oracle", "--max-n", "9")
     assert code == 2
     assert "capped" in err
+    assert err.startswith("error: --max-n: ")
 
 
 def test_oracle_dump(tmp_path, capsys):

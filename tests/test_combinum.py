@@ -22,7 +22,6 @@ from spmatroids.combinum import (
     compositions,
     double_factorial,
     h_value,
-    h_value_compositions,
     stirling2,
 )
 
@@ -161,6 +160,19 @@ def test_h_value_small():
     assert h_value(0, 3) == 0
     assert h_value(4, 0) == 0
     assert h_value(-1, 0) == 0
+
+
+def h_value_compositions(m: int, k: int) -> Fraction:
+    """Reference evaluation of h_value by direct composition enumeration."""
+    if m < 0 or k < 0:
+        return Fraction(0)
+    total = Fraction(0)
+    for js in compositions(m, k):
+        prod = Fraction(1)
+        for j in js:
+            prod /= j + 1
+        total += prod
+    return total
 
 
 def test_h_value_vs_composition_reference():

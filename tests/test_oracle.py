@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_reference import closure, extensions, is_simple, rank_of_subset
 from spmatroids import oracle
 from spmatroids.oracle import (
     MatroidSignature,
@@ -17,12 +18,9 @@ from spmatroids.oracle import (
     direct_sum,
     dump_catalog,
     enumerate_connected,
-    extensions,
-    is_simple,
     minor_check,
     parallel_extension,
     quasi_counts,
-    rank_of_subset,
     series_extension,
 )
 
@@ -150,6 +148,52 @@ def test_mk4_literal():
     assert not minor_check(mk4)
 
 
+BITS_OF = [[1 << i for i in range(6) if m >> i & 1] for m in range(64)]  # six labels
+
+
+def _exchange_holds(bases):
+    # the basis-exchange axiom, checked exactly over every pair of bases
+    base_set = set(bases)
+    return all(
+        any(b1 ^ e | f in base_set for f in BITS_OF[b2 & ~b1])
+        for b1 in bases for b2 in bases for e in BITS_OF[b1 & ~b2]
+    )
+
+
+def test_mk4_test_is_sixteen_bases_without_a_parallel_pair():
+    # Every rank-3 matroid on six labels with 16 bases, against the literal
+    # canonical form: the least sorted basis tuple over all 720 relabellings.
+    relabel = [
+        [sum(1 << p[i] for i in range(6) if m >> i & 1) for m in range(64)]
+        for p in permutations(range(6))
+    ]
+
+    def canonical(bases):
+        return min(tuple(sorted(table[b] for b in bases)) for table in relabel)
+
+    mk4 = canonical(oracle._k4_signature().bases)
+    triples = [sum(1 << i for i in t) for t in combinations(range(6), 3)]
+    matroids = []
+    for dependent in combinations(triples, 4):
+        bases = tuple(t for t in triples if t not in dependent)
+        if _exchange_holds(bases):
+            matroids.append(MatroidSignature(6, 3, bases))
+    assert len(matroids) == 60
+    with_u24 = wrong_without_precondition = 0
+    for m in matroids:
+        rk = oracle._rank_table(m)
+        is_mk4 = canonical(m.bases) == mk4
+        no_parallel_pair = all(rk[p] == 2 for p in map(sum, combinations(BITS_OF[63], 2)))
+        wrong_without_precondition += no_parallel_pair != is_mk4
+        if oracle._has_u24_minor(6, rk):
+            with_u24 += 1
+            assert not is_mk4
+        else:
+            assert no_parallel_pair == is_mk4 == oracle._has_mk4_minor(6, rk), m
+    assert with_u24 == 30
+    assert wrong_without_precondition == 15
+
+
 def test_connected_counts_row_seven():
     # pinned from the graph-based enumeration this oracle replaced
     assert connected_counts(7)[0] == [0, 1, 301, 2450, 2450, 301, 1, 0]
@@ -175,7 +219,33 @@ def test_enumerate_caps():
 
 def test_lossless_level_dedup():
     for n in range(2, 6):
-        assert enumerate_connected(n) == enumerate_connected(n, dedup_levels=False)
+        catalog = {frozenset(e.sig.bases) for e in enumerate_connected(n)}
+        assert catalog == closure(n) == closure(n, dedup_levels=False)
+
+
+def test_reverse_search_emits_each_closure_matroid_once():
+    # the generator against the breadth-first closure over label subsets
+    assert {frozenset(e.sig.bases) for e in enumerate_connected(2)} == closure(2)
+    for n in range(3, 8):
+        parents = enumerate_connected(n - 1)
+        emitted = [frozenset(e.sig.bases) for e in oracle._reverse_search(parents, n)]
+        assert set(emitted) == closure(n), n
+        assert len(emitted) == len(set(emitted)), n
+
+
+def test_simple_flag_matches_rescan():
+    for n in range(1, 8):
+        for entry in enumerate_connected(n):
+            assert entry.simple == is_simple(entry.sig), entry
+
+
+def test_partners_from_cover_and_miss_masks():
+    # U_{1,3} plus 4 in series with 3: {1, 2} is the only parallel pair and
+    # {3, 4} the only series pair
+    bases = series_extension(U13_BASES, 3, 4)
+    par, ser = oracle._partners(bases, 4)
+    assert par == [0b0010, 0b0001, 0, 0]
+    assert ser == [0, 0, 0b1000, 0b0100]
 
 
 def test_catalog_rank_multiset_duality():

@@ -295,6 +295,54 @@ def test_lagrange_matches_reverse_on_random_series(f):
     assert lagrange_invert(f) == series_reverse_x(f)
 
 
+def integer_rows(draw, order, constant, lag=0):
+    """Triangle rows: `constant` at x^0, then small integers at y^0 .. y^(n - lag)
+    of each x^n and zeros above."""
+    coeff = st.integers(-3, 3)
+    return [[constant]] + [
+        draw(st.lists(coeff, min_size=n + 1 - lag, max_size=n + 1 - lag)) + [0] * lag
+        for n in range(1, order + 1)
+    ]
+
+
+@st.composite
+def integer_series_triples(draw):
+    """Three small integer-coefficient series of one order up to 5."""
+    order = draw(st.integers(0, 5))
+    return [
+        BivariateSeries(order, integer_rows(draw, order, draw(st.integers(-3, 3))))
+        for _ in range(3)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_series_triples())
+def test_series_mul_ring_laws(abc):
+    a, b, c = abc
+    assert series_mul(a, b) == series_mul(b, a)
+    assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
+    assert series_mul(a, series_add(b, c)) == series_add(series_mul(a, b), series_mul(a, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exp_inverts_log_on_integer_series(data):
+    order = data.draw(st.integers(1, 6))
+    one_plus_f = BivariateSeries(order, integer_rows(data.draw, order, 1))
+    assert series_exp(series_log(one_plus_f)) == one_plus_f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reverse_twice_is_identity_on_integer_series(data):
+    # F_1 a nonzero integer and y-degree at most n - 1 at x^n, as reversion needs
+    order = data.draw(st.integers(1, 6))
+    rows = integer_rows(data.draw, order, 0, lag=1)
+    rows[1] = [data.draw(st.sampled_from([-2, -1, 1, 2])), 0]
+    f = BivariateSeries(order, rows)
+    assert series_reverse_x(series_reverse_x(f)) == f
+
+
 def test_lagrange_shares_nothing_with_coefficient_solving(monkeypatch):
     f = build_F(10)
     expected = series_reverse_x(f)
