@@ -32,8 +32,8 @@ from .spcounts import FAMILIES, TriangularCountTable, build_tables
 from .verify import run_verify
 
 USAGE_ERROR = 2
-# Largest `spm table --max-n`.  A cold build at n = 150 takes about 15 s for
-# E and 16 s for S (31 MiB peak) on a 2-vCPU host.
+# Largest `spm table --max-n`.  A cold build at n = 150 takes about 3 s for
+# E, 5 s for S and 7.5 s for A, the slowest (41 MiB peak), on a 2-vCPU host.
 TABLE_MAX_N = 150
 
 

@@ -354,6 +354,16 @@ def minor_check(m: MatroidSignature) -> bool:
     return not _has_u24_minor(n, rk) and not _has_mk4_minor(n, rk)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 40) -> bool:
     """Randomized spot check of the basis-exchange axiom."""
     bases = m.bases
@@ -364,12 +374,9 @@ def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 
         out_bits = b1 & ~b2
         if not out_bits:
             continue
-        candidates = [i for i in range(m.ground_size) if out_bits >> i & 1]
-        e = rng.choice(candidates)
+        e = rng.choice(_bits(out_bits))
         stripped = b1 & ~(1 << e)
-        in_bits = b2 & ~b1
-        swaps = [i for i in range(m.ground_size) if in_bits >> i & 1]
-        if not any(stripped | (1 << f) in base_set for f in swaps):
+        if not any(stripped | (1 << f) in base_set for f in _bits(b2 & ~b1)):
             return False
     return True
 

@@ -12,11 +12,16 @@ and rank k:
 
 E and C come from closed-form alternating sums, A and S from the
 exponential identities A = exp(C) and S = exp(E), and G from its own
-closed form.  Tables are built in exact integers throughout: the closed
-forms sum over integer common denominators, and A and S apply
-powerseries.egf_exp to the integer rows of C and E.  The *_series builders
-wrap those rows as Fraction series (raw = count / n!) for the identity
-checks, which compare them with the Fraction reference series_exp.
+closed form.  Tables are built in exact integers throughout.  C and G rows
+are their closed forms entry by entry.  E rows come from the column route
+_e_rows, which reads every inner sum of the E closed form off one
+finite-difference table per (k, p); e_closed evaluates the same closed
+form one entry at a time and is the reference that verify and the tests
+check the rows against.  A and S apply powerseries.egf_exp to the integer
+rows of C and E.  Each family's rows are built once per process and
+memoised.  The *_series builders wrap those rows as Fraction series
+(raw = count / n!) for the identity checks, which compare them with the
+Fraction reference series_exp.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import sub
 
 from .combinum import assoc_stirling1, double_factorial, stirling2
 from .powerseries import BivariateSeries, egf_exp
@@ -82,6 +88,9 @@ def e_closed(n: int, k: int) -> int:
     before the power is formed, so the only negative exponent ever reached
     is 1^(-1) in the (n, k) = (1, 1) base case.  Returns 0 for k = 0,
     k > n, or n >= 2k > 0.
+
+    This is the entry-by-entry reference: tables take their E rows from
+    the column route _e_rows, which tests assert equal to this function.
     """
     if n < 1 or k < 1 or k > n:
         return 0
@@ -113,6 +122,45 @@ def e_closed(n: int, k: int) -> int:
             f"non-integral E value at (n, k) = ({n}, {k}): {Fraction(total, denominator)}"
         )
     return value
+
+
+def _e_rows(max_n: int) -> tuple[tuple[int, ...], ...]:
+    """Normalized E rows for n = 0 .. max_n, built column by column.
+
+    Fix k and p in the e_closed sum and set x = 2k - p, e = k - p - 1 and
+    m = r - p.  The inner sum sum_i (-1)^i C(m, i) (x - i)^e is the m-th
+    backward difference of t^e at x, so
+
+        E(2k-r, k) = sum_{p=1}^{r} (-1)^(p+1) D(2k-p-1, k-p) nabla^m t^e (x) / m!
+
+    and one difference table per (k, p) serves every r: e + 1 powers, then
+    subtractions.  Differences past m = e vanish, so p = k and every m > e
+    contribute nothing.  nabla^m t^e / m! is an integer at integer points
+    (Graham, Knuth & Patashnik, Concrete Mathematics, sec. 6.1); each is
+    divided exactly, raising if a remainder is left.  The single coloop
+    E(1, 1) = 1 (the 1^(-1) term of e_closed) is set directly.
+    """
+    rows = [[0] * (n + 1) for n in range(max_n + 1)]
+    if max_n >= 1:
+        rows[1][1] = 1
+    factorials = [factorial(m) for m in range(max_n)]
+    for k in range(2, max_n + 1):
+        for p in range(1, k):
+            d = assoc_stirling1(2 * k - p - 1, k - p)
+            if p % 2 == 0:
+                d = -d
+            e = k - p - 1
+            x = 2 * k - p
+            diffs = [(x - i) ** e for i in range(e + 1)]
+            for m in range(e + 1):
+                n = 2 * k - p - m
+                if n <= max_n:
+                    q, remainder = divmod(diffs[0], factorials[m])
+                    if remainder:
+                        raise ValueError(f"non-integral E term at (n, k) = ({n}, {k})")
+                    rows[n][k] += d * q
+                diffs = list(map(sub, diffs, diffs[1:]))
+    return tuple(tuple(row) for row in rows)
 
 
 def c_closed(n: int, l: int) -> int:
@@ -227,14 +275,27 @@ def e_special(n: int, k: int, r: int) -> int:
 _EXP_OF = {"A": "C", "S": "E"}
 
 
+# family -> the longest rows _count_rows has built in this process.  Row n
+# depends only on rows <= n, so every prefix of them is exact; each write
+# stores a whole tuple, as the combinum memos do.
+_ROWS: dict[str, tuple[tuple[int, ...], ...]] = {}
+
+
 def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
     """Normalized rows n! [y^k x^n] of a family's series for n = 0 .. max_n."""
-    if family in _EXP_OF:
-        return egf_exp(_count_rows(_EXP_OF[family], max_n))
-    fn = {"E": e_closed, "C": c_closed, "G": g_closed}[family]
-    return ((0,),) + tuple(
-        tuple(fn(n, k) for k in range(n + 1)) for n in range(1, max_n + 1)
-    )
+    rows = _ROWS.get(family, ())
+    if len(rows) <= max_n:
+        if family in _EXP_OF:
+            rows = egf_exp(_count_rows(_EXP_OF[family], max_n))
+        elif family == "E":
+            rows = _e_rows(max_n)
+        else:
+            fn = {"C": c_closed, "G": g_closed}[family]
+            rows = ((0,),) + tuple(
+                tuple(fn(n, k) for k in range(n + 1)) for n in range(1, max_n + 1)
+            )
+        _ROWS[family] = rows
+    return rows[:max_n + 1]
 
 
 def _series(rows) -> BivariateSeries:

@@ -192,15 +192,18 @@ def check_stirling_alternating_lemma(stirling2_fn=None) -> CheckResult:
     )
 
 
+@cache
+def _surjection_inner(k: int, m: int, j: int) -> Fraction:
+    # sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!); shared by every n
+    return sum(
+        Fraction((-1) ** i) * Fraction(m - i) ** (k - 1) / (factorial(i) * factorial(j - i))
+        for i in range(j + 1)
+    )
+
+
 def _surjection_sum(s2, k: int, n: int, m: int) -> Fraction:
     # sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!)
-    return sum(
-        s2(n + 1, m - j) * sum(
-            Fraction((-1) ** i) * Fraction(m - i) ** (k - 1) / (factorial(i) * factorial(j - i))
-            for i in range(j + 1)
-        )
-        for j in range(k)
-    )
+    return sum(s2(n + 1, m - j) * _surjection_inner(k, m, j) for j in range(k))
 
 
 def check_stirling_surjection_lemma(stirling2_fn=None) -> CheckResult:

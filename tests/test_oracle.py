@@ -312,6 +312,34 @@ def test_basis_exchange_rejects_non_matroid():
     assert not check_basis_exchange(fake, rng, trials=200)
 
 
+def ground_loop_basis_exchange(m, rng, trials=40):
+    # the candidate lists built by a loop over the whole ground set
+    base_set = set(m.bases)
+    for _ in range(trials):
+        b1 = rng.choice(m.bases)
+        b2 = rng.choice(m.bases)
+        out_bits = b1 & ~b2
+        if not out_bits:
+            continue
+        e = rng.choice([i for i in range(m.ground_size) if out_bits >> i & 1])
+        stripped = b1 & ~(1 << e)
+        in_bits = b2 & ~b1
+        swaps = [i for i in range(m.ground_size) if in_bits >> i & 1]
+        if not any(stripped | (1 << f) in base_set for f in swaps):
+            return False
+    return True
+
+
+def test_basis_exchange_draws_as_ground_loop_reference():
+    # same verdict and the same rng draws, so every seeded sweep is unchanged
+    sigs = [entry.sig for n in range(1, 7) for entry in enumerate_connected(n)]
+    sigs.append(MatroidSignature(4, 2, (0b0011, 0b1100)))
+    for seed, sig in enumerate(sigs):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert check_basis_exchange(sig, fast) == ground_loop_basis_exchange(sig, slow)
+        assert fast.getstate() == slow.getstate()
+
+
 def test_dump_catalog_format():
     text = dump_catalog(2)
     lines = text.splitlines()

@@ -1,6 +1,7 @@
 """Tests for the closed-form count families and their conversions."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -93,6 +94,59 @@ def test_e_from_c_matches_e_closed():
     for n in range(1, 41):
         for k in range(n + 1):
             assert table.value(n, k) == e_closed(n, k)
+
+
+@pytest.fixture
+def cold_rows(monkeypatch):
+    """An empty per-family row memo for one test; the shared one is restored after."""
+    monkeypatch.setattr(spcounts, "_ROWS", {})
+
+
+def test_e_rows_match_e_closed():
+    rows = spcounts._e_rows(60)
+    assert len(rows) == 61
+    for n in range(61):
+        for k in range(n + 1):
+            assert rows[n][k] == e_closed(n, k), (n, k)
+
+
+def test_e_rows_match_e_from_c():
+    assert spcounts._e_rows(100)[1:] == e_from_c(100).rows
+
+
+def test_e_rows_raise_on_non_integral_term(monkeypatch):
+    # a corrupted m! stands in for an upstream error: nabla^m t^e / m! must
+    # divide exactly, so the column route refuses the remainder
+    monkeypatch.setattr(spcounts, "factorial", lambda m: 2 * factorial(m))
+    with pytest.raises(ValueError, match=r"non-integral E term at \(n, k\) = \(\d+, \d+\)"):
+        spcounts._e_rows(6)
+
+
+@pytest.mark.parametrize("family", ["E", "S"])
+def test_row_memo_prefix_equals_cold_build(cold_rows, family, monkeypatch):
+    build_tables(60, family)
+    assert len(spcounts._ROWS[family]) == 61
+    warm = spcounts._count_rows(family, 13)
+    monkeypatch.setattr(spcounts, "_ROWS", {})
+    spcounts._count_rows(family, 12)
+    # a longer request than the memo holds rebuilds and replaces the entry
+    assert warm == spcounts._count_rows(family, 13)
+    assert len(spcounts._ROWS[family]) == 14
+
+
+def test_s_reuses_memoised_e_rows(cold_rows, monkeypatch):
+    calls = []
+    real = spcounts._e_rows
+
+    def counted(max_n):
+        calls.append(max_n)
+        return real(max_n)
+
+    monkeypatch.setattr(spcounts, "_e_rows", counted)
+    e = build_tables(60, "E")
+    s = build_tables(60, "S")
+    assert calls == [60]
+    assert e.row(5) == (0, 0, 0, 15, 1, 0) and s.row(4) == (0, 0, 0, 5, 1)
 
 
 def test_stirling_convolution_of_e_gives_c():
