@@ -6,6 +6,7 @@
     spm oeis   --id AXXXXXX [--bfile PATH | --fetch]
 
 `spm table` accepts --max-n from 1 to 150 and `spm oracle` from 1 to 8.
+--out and --dump refuse any path inside the fixtures directory.
 Exit codes: 0 all checks pass, 1 verification or comparison failure,
 2 usage or configuration error.  Output is deterministic for a given
 configuration.
@@ -74,8 +75,19 @@ def run_table(family: str, max_n: int, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _refuse_fixture_path(option: str, path: Path | None) -> None:
+    """Raise if `path` resolves inside the fixtures directory, so no output
+    of the tool can overwrite a committed fixture."""
+    if path is None:
+        return
+    fixtures = RunConfig().fixtures_dir.resolve()
+    if path.resolve().is_relative_to(fixtures):
+        raise ValueError(f"{option}: refusing to write {path} inside the fixtures directory")
+
+
 def run_oracle(max_n: int, compare: bool, dump_path: Path | None) -> tuple[str, int]:
     """Enumerate up to max_n, print per-(n, k) counts, optionally diff tables."""
+    _refuse_fixture_path("--dump", dump_path)
     if max_n > oracle.HARD_CAP:
         raise ValueError(f"--max-n: oracle max_n capped at {oracle.HARD_CAP}, got {max_n}")
     if max_n < 1:
@@ -179,6 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "table":
+            _refuse_fixture_path("--out", args.out)
             text = run_table(args.family, args.max_n, args.format)
             _write_output(text, args.out)
             return 0

@@ -269,75 +269,98 @@ def _k4_signature() -> MatroidSignature:
     ))
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of `mask`, in increasing order, from 0 to `mask`."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 def _rank_table(m: MatroidSignature) -> list[int]:
     """Rank of every subset, indexed by mask.
 
-    A subset is independent iff it lies inside some basis; its rank is then
-    its size, and a dependent subset has the largest rank of its one-smaller
-    subsets.
+    The bases are marked in a bytearray and closed downward in one pass from
+    the top mask, so a mask is marked iff it is independent.  The greedy
+    independent subset g(s) of s, taking elements in increasing order, is
+    g(s - top) + top if that set is independent and g(s - top) otherwise,
+    where top is the largest element of s.  It is a basis of s, so the rank
+    of s is its size.
     """
-    independent = {sub for b in m.bases for sub in _submasks(b)}
     n = m.ground_size
-    rank = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        if s in independent:
-            rank[s] = s.bit_count()
-        else:
-            rank[s] = max(rank[s & ~(1 << e)] for e in range(n) if s >> e & 1)
-    return rank
+    independent = bytearray(1 << n)
+    for b in m.bases:
+        independent[b] = 1
+    for s in range((1 << n) - 1, 0, -1):
+        if independent[s]:
+            rest = s
+            while rest:
+                low = rest & -rest
+                independent[s ^ low] = 1
+                rest ^= low
+    greedy = [0]
+    for i in range(n):
+        top = 1 << i
+        greedy += [g | top if independent[g | top] else g for g in greedy]
+    return [g.bit_count() for g in greedy]
+
+
+def _independent_sets(n: int, rk: list[int], size: int) -> list[int]:
+    """Masks of the independent sets with `size` elements."""
+    return [
+        k for k in map(sum, combinations([1 << i for i in range(n)], size))
+        if rk[k] == size
+    ]
+
+
+def _points(n: int, rk: list[int], k: int, most: int) -> list[int]:
+    """One element of each parallel class of non-loops of M/K, as bit
+    masks in increasing order, stopping once `most` are found.
+
+    An element i is a non-loop of M/K iff rk(K + i) = rk(K) + 1, and two
+    non-loops are parallel in M/K iff together they add only 1 to rk(K).
+    """
+    one, two = rk[k] + 1, rk[k] + 2
+    points = []
+    for i in range(n):
+        ki = k | 1 << i
+        if rk[ki] == one:
+            for p in points:
+                if rk[ki | p] != two:
+                    break
+            else:
+                points.append(1 << i)
+                if len(points) == most:
+                    break
+    return points
 
 
 def _has_u24_minor(n: int, rk: list[int]) -> bool:
-    if n < 4:
+    """True iff some minor is U_{2,4}.
+
+    Each such minor is M/K restricted to four elements, with K independent
+    and |K| = r - 2, so that M/K has rank 2.  The four elements are then
+    non-loops of M/K, no two of them parallel, and any four such will do.
+    """
+    size = rk[-1] - 2
+    if n < 4 or size < 0:
         return False
-    full = (1 << n) - 1
-    for quad in combinations(range(n), 4):
-        tmask = sum(1 << i for i in quad)
-        pair_masks = [(1 << a) | (1 << b) for a, b in combinations(quad, 2)]
-        for kmask in _submasks(full & ~tmask):
-            rk_k = rk[kmask]
-            if rk[tmask | kmask] - rk_k != 2:
-                continue
-            if all(rk[p | kmask] - rk_k == 2 for p in pair_masks):
-                return True
-    return False
+    return any(len(_points(n, rk, k, 4)) == 4 for k in _independent_sets(n, rk, size))
 
 
 def _has_mk4_minor(n: int, rk: list[int]) -> bool:
     """True iff some minor on six elements is M(K4), given that the matroid
     has no U_{2,4} minor (`minor_check` asks only after `_has_u24_minor`).
 
-    Under that precondition a rank-3 minor on six elements is M(K4) iff it
-    has exactly 16 bases and no parallel pair.  Without it the test is
-    wrong: a four-point line plus two points off it also has 16 bases and no
+    Each such minor is M/K restricted to a six-set T, with K independent
+    and |K| = r - 3, so that M/K has rank 3.  M(K4) has no loop and no
+    parallel pair, and parallel elements are interchangeable, so T is taken
+    from one element of each parallel class of non-loops of M/K.  Under the
+    precondition a rank-3 minor on six elements is M(K4) iff it has exactly
+    16 bases and no parallel pair.  Without it the test is wrong: a
+    four-point line plus two points off it also has 16 bases and no
     parallel pair.
     """
-    if n < 6:
+    size = rk[-1] - 3
+    if n < 6 or size < 0:
         return False
-    full = (1 << n) - 1
-    for six in combinations(range(n), 6):
-        tmask = sum(1 << i for i in six)
-        for kmask in _submasks(full & ~tmask):
-            rk_k = rk[kmask]
-            if rk[tmask | kmask] - rk_k != 3:
-                continue
-            bases = sum(
-                1 for a, b, c in combinations(six, 3)
-                if rk[1 << a | 1 << b | 1 << c | kmask] - rk_k == 3
-            )
-            if bases == 16 and all(
-                rk[1 << a | 1 << b | kmask] - rk_k == 2 for a, b in combinations(six, 2)
-            ):
+    for k in _independent_sets(n, rk, size):
+        three = rk[k] + 3
+        for six in combinations(_points(n, rk, k, n), 6):
+            bases = sum(1 for a, b, c in combinations(six, 3) if rk[a | b | c | k] == three)
+            if bases == 16:
                 return True
     return False
 
@@ -346,7 +369,14 @@ def minor_check(m: MatroidSignature) -> bool:
     """True iff the matroid has no minor equal to the rank-2 uniform matroid
     on four elements or to the cycle matroid of the complete graph on four
     vertices.  Every series-parallel matroid and every direct sum of them
-    must pass."""
+    must pass.
+
+    The search lowers the rank first.  Every minor N of M is M/I\\D with I
+    independent, D coindependent and |I| = r(M) - r(N) (Oxley, *Matroid
+    Theory*, 2nd ed., Lemma 3.3.2), so only contractions by independent
+    sets of r(M) - 2 elements (for U_{2,4}) or r(M) - 3 elements (for
+    M(K4)) are tried, and each minor is read off a restriction of one.
+    """
     if m.ground_size > HARD_CAP:
         raise ValueError(f"minor_check capped at ground size {HARD_CAP}")
     n = m.ground_size
@@ -354,29 +384,36 @@ def minor_check(m: MatroidSignature) -> bool:
     return not _has_u24_minor(n, rk) and not _has_mk4_minor(n, rk)
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of `mask`, in increasing order."""
+@lru_cache(maxsize=1 << HARD_CAP)
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of `mask`, in increasing order.
+
+    Cached per mask: every mask up to the enumeration cap fits, and larger
+    ground sizes only evict."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
+    return tuple(out)
 
 
 def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 40) -> bool:
     """Randomized spot check of the basis-exchange axiom."""
     bases = m.bases
     base_set = set(bases)
+    choice = rng.choice
     for _ in range(trials):
-        b1 = rng.choice(bases)
-        b2 = rng.choice(bases)
+        b1 = choice(bases)
+        b2 = choice(bases)
         out_bits = b1 & ~b2
         if not out_bits:
             continue
-        e = rng.choice(_bits(out_bits))
-        stripped = b1 & ~(1 << e)
-        if not any(stripped | (1 << f) in base_set for f in _bits(b2 & ~b1)):
+        stripped = b1 & ~(1 << choice(_bits(out_bits)))
+        for f in _bits(b2 & ~b1):
+            if stripped | 1 << f in base_set:
+                break
+        else:
             return False
     return True
 

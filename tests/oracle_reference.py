@@ -1,4 +1,5 @@
-"""Reference routes for the oracle tests: the breadth-first closure.
+"""Reference routes for the oracle tests: the breadth-first closure and the
+full excluded-minor search.
 
 Before the reverse-search generator, `spmatroids.oracle` built every
 series-parallel matroid on [n] by closing U_{1,2} on every label pair under
@@ -7,6 +8,12 @@ deduplicating by basis set.  It is slow (each matroid is reached many times
 over every label subset) but obviously complete, so the tests keep it to
 check the generator against.  `rank_of_subset` and `is_simple` are the
 rescanning definitions the generator's one-pass `simple` flag replaces.
+
+Before the rank-lowering search, the excluded-minor test tried every
+contraction set K outside every four- or six-element set T, over a rank
+table built from the set of every submask of every basis.  `rank_table`,
+`has_u24_minor` and `has_mk4_minor` keep that search to check the
+oracle's against.
 """
 
 from __future__ import annotations
@@ -84,3 +91,76 @@ def closure(n: int, dedup_levels: bool = True) -> set[frozenset[int]]:
     for _size in range(2, n):
         level = set(_grow(level, n)) if dedup_levels else list(_grow(level, n))
     return set(level)
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of `mask`, in increasing order, from 0 to `mask`."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
+def rank_table(m: MatroidSignature) -> list[int]:
+    """Rank of every subset, indexed by mask.
+
+    A subset is independent iff it lies inside some basis; its rank is then
+    its size, and a dependent subset has the largest rank of its one-smaller
+    subsets.
+    """
+    independent = {sub for b in m.bases for sub in submasks(b)}
+    n = m.ground_size
+    rank = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        if s in independent:
+            rank[s] = s.bit_count()
+        else:
+            rank[s] = max(rank[s & ~(1 << e)] for e in range(n) if s >> e & 1)
+    return rank
+
+
+def has_u24_minor(n: int, rk: list[int]) -> bool:
+    if n < 4:
+        return False
+    full = (1 << n) - 1
+    for quad in combinations(range(n), 4):
+        tmask = sum(1 << i for i in quad)
+        pair_masks = [(1 << a) | (1 << b) for a, b in combinations(quad, 2)]
+        for kmask in submasks(full & ~tmask):
+            rk_k = rk[kmask]
+            if rk[tmask | kmask] - rk_k != 2:
+                continue
+            if all(rk[p | kmask] - rk_k == 2 for p in pair_masks):
+                return True
+    return False
+
+
+def has_mk4_minor(n: int, rk: list[int]) -> bool:
+    """True iff some minor on six elements is M(K4), given that the matroid
+    has no U_{2,4} minor (asked only after `has_u24_minor`).
+
+    Under that precondition a rank-3 minor on six elements is M(K4) iff it
+    has exactly 16 bases and no parallel pair.  Without it the test is
+    wrong: a four-point line plus two points off it also has 16 bases and no
+    parallel pair.
+    """
+    if n < 6:
+        return False
+    full = (1 << n) - 1
+    for six in combinations(range(n), 6):
+        tmask = sum(1 << i for i in six)
+        for kmask in submasks(full & ~tmask):
+            rk_k = rk[kmask]
+            if rk[tmask | kmask] - rk_k != 3:
+                continue
+            bases = sum(
+                1 for a, b, c in combinations(six, 3)
+                if rk[1 << a | 1 << b | 1 << c | kmask] - rk_k == 3
+            )
+            if bases == 16 and all(
+                rk[1 << a | 1 << b | kmask] - rk_k == 2 for a, b in combinations(six, 2)
+            ):
+                return True
+    return False

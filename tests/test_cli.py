@@ -134,6 +134,42 @@ def test_oracle_dump(tmp_path, capsys):
     assert dump.read_text().splitlines() == ["1 0 0 -", "1 1 1 1", "2 1 0 1,2"]
 
 
+@pytest.fixture
+def fixtures_copy(tmp_path, monkeypatch):
+    # a copy of the committed fixtures as SPM_FIXTURES, so no test can clobber them
+    import shutil
+
+    from spmatroids.config import default_fixtures_dir
+
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(default_fixtures_dir(), fixtures)
+    monkeypatch.setenv("SPM_FIXTURES", str(fixtures))
+    return fixtures
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["table", "--family", "C", "--max-n", "3", "--out"], "--out"),
+    (["oracle", "--max-n", "2", "--dump"], "--dump"),
+])
+def test_output_paths_inside_fixtures_refused(fixtures_copy, capsys, argv, option):
+    before = {p.name: p.read_bytes() for p in fixtures_copy.iterdir()}
+    link = fixtures_copy.parent / "link"
+    link.symlink_to(fixtures_copy, target_is_directory=True)
+    targets = [
+        link / "b359985.txt",
+        fixtures_copy / "b140945.txt",
+        fixtures_copy / "new.txt",
+        fixtures_copy / ".." / "fixtures" / "b361355.txt",
+        fixtures_copy,
+    ]
+    for target in targets:
+        code, out, err = run_cli(capsys, *argv, str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {option}: ")
+    assert {p.name: p.read_bytes() for p in fixtures_copy.iterdir()} == before
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--order", "6")
     assert code == 0
@@ -173,16 +209,13 @@ def test_oeis_parse_error_is_usage_error(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_oeis_fetch_malformed_payload_leaves_fixture(tmp_path, monkeypatch, capsys):
+def test_oeis_fetch_malformed_payload_leaves_fixture(fixtures_copy, monkeypatch, capsys):
     import io
-    import shutil
     import urllib.request
 
     from spmatroids.config import default_fixtures_dir
 
-    fixtures = tmp_path / "fixtures"
-    shutil.copytree(default_fixtures_dir(), fixtures)
-    monkeypatch.setenv("SPM_FIXTURES", str(fixtures))
+    fixtures = fixtures_copy
     target = fixtures / "b140945.txt"
     before = target.read_bytes()
     monkeypatch.setattr(

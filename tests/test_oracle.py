@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_reference
 from oracle_reference import closure, extensions, is_simple, rank_of_subset
 from spmatroids import oracle
 from spmatroids.oracle import (
+    HARD_CAP,
     MatroidSignature,
     check_basis_exchange,
     connected_counts,
@@ -113,7 +115,72 @@ def test_rank_table_matches_rank_of_subset():
 def test_submasks_ascend_over_every_submask():
     for mask in (0, 1, 0b101, 0b101101, 0xFF):
         want = [s for s in range(mask + 1) if s & ~mask == 0]
-        assert list(oracle._submasks(mask)) == want
+        assert list(oracle_reference.submasks(mask)) == want
+
+
+def test_rank_table_matches_reference_on_every_catalog_matroid():
+    catalog = [e.sig for n in range(1, 8) for e in enumerate_connected(n)]
+    assert len(catalog) == 6041
+    for m in catalog:
+        assert oracle._rank_table(m) == oracle_reference.rank_table(m), m
+
+
+def _uniform(r, n):
+    bases = tuple(sorted(sum(1 << i for i in c) for c in combinations(range(n), r)))
+    return MatroidSignature(n, r, bases)
+
+
+def _fano():
+    # F7: the lines are {i, i + 1, i + 3} mod 7, and the bases the other triples
+    lines = {sum(1 << (i + d) % 7 for d in (0, 1, 3)) for i in range(7)}
+    bases = (sum(1 << i for i in c) for c in combinations(range(7), 3))
+    return MatroidSignature(7, 3, tuple(sorted(set(bases) - lines)))
+
+
+LOOP = MatroidSignature(1, 0, (0,))
+COLOOP = MatroidSignature(1, 1, (1,))
+
+
+def _with_one_more_element(m):
+    # m, its series and parallel extensions at each element, m + loop, m + coloop
+    n, bases = m.ground_size, frozenset(m.bases)
+    out = [m, direct_sum(m, LOOP), direct_sum(m, COLOOP)]
+    for e in range(1, n + 1):
+        par = parallel_extension(bases, e, n + 1)
+        ser = series_extension(bases, e, n + 1)
+        out.append(MatroidSignature(n + 1, m.rank, tuple(sorted(par))))
+        out.append(MatroidSignature(n + 1, m.rank + 1, tuple(sorted(ser))))
+    return out
+
+
+NOT_SERIES_PARALLEL = [
+    case
+    for m in (
+        _uniform(2, 4), _uniform(2, 5), _uniform(2, 6), _uniform(3, 5),
+        _uniform(3, 6), _uniform(4, 7), oracle._k4_signature(), _fano(),
+    )
+    for case in _with_one_more_element(m)
+]
+
+
+def test_minor_search_matches_reference_off_the_series_parallel_class():
+    assert len(NOT_SERIES_PARALLEL) == 116
+    for m in NOT_SERIES_PARALLEL:
+        n, rk = m.ground_size, oracle._rank_table(m)
+        u24 = oracle._has_u24_minor(n, rk)
+        assert u24 == oracle_reference.has_u24_minor(n, rk), m
+        if not u24:
+            assert oracle._has_mk4_minor(n, rk) == oracle_reference.has_mk4_minor(n, rk), m
+        assert not minor_check(m), m
+
+
+def test_minor_check_at_the_cap():
+    assert not minor_check(direct_sum(_fano(), COLOOP))
+    eight = [e.sig for e in enumerate_connected(HARD_CAP)]
+    for m in random.Random(8).sample(eight, 300):
+        assert minor_check(m), m
+    with pytest.raises(ValueError, match=f"capped at ground size {HARD_CAP}"):
+        minor_check(direct_sum(_fano(), U12))
 
 
 def test_oracle_imports_no_formula_route():
@@ -337,6 +404,19 @@ def test_basis_exchange_draws_as_ground_loop_reference():
     for seed, sig in enumerate(sigs):
         fast, slow = random.Random(seed), random.Random(seed)
         assert check_basis_exchange(sig, fast) == ground_loop_basis_exchange(sig, slow)
+        assert fast.getstate() == slow.getstate()
+
+
+def test_basis_exchange_above_the_cap():
+    # ground size 14, past HARD_CAP: a direct sum of two 7-element entries
+    sevens = enumerate_connected(7)
+    rng = random.Random(14)
+    for _ in range(5):
+        m = direct_sum(rng.choice(sevens).sig, rng.choice(sevens).sig)
+        assert m.ground_size == 14
+        fast, slow = random.Random(m.rank), random.Random(m.rank)
+        assert check_basis_exchange(m, fast, trials=200)
+        assert ground_loop_basis_exchange(m, slow, trials=200)
         assert fast.getstate() == slow.getstate()
 
 
