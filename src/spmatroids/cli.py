@@ -33,8 +33,10 @@ from .spcounts import FAMILIES, TriangularCountTable, build_tables
 from .verify import run_verify
 
 USAGE_ERROR = 2
-# Largest `spm table --max-n`.  A cold build at n = 150 takes about 3 s for
-# E, 5 s for S and 7.5 s for A, the slowest (41 MiB peak), on a 2-vCPU host.
+# Largest `spm table --max-n`.  A cold build at n = 150 takes about 0.5 s
+# for E, 0.7 s for C or G and 3.3 s for S or A, the slowest (both spend
+# ~2.7 s in egf_exp), each with a peak RSS of at most 40 MiB, on a 2-vCPU
+# host.
 TABLE_MAX_N = 150
 
 

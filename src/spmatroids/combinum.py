@@ -55,8 +55,8 @@ def double_factorial(n: int) -> int:
     return result
 
 
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    # row[k] = S2(n, k) for 0 <= k <= n
+def _stirling2_rows(n: int) -> dict[int, tuple[int, ...]]:
+    # the S2 memo grown to hold rows 0 .. n, where row[k] = S2(n, k)
     rows = _STIRLING2_ROWS
     while len(rows) <= n:
         m = len(rows)
@@ -65,18 +65,19 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
             (prev[k - 1] if k >= 1 else 0) + k * (prev[k] if k < m else 0)
             for k in range(m + 1)
         )
-    return rows[n]
+    return rows
 
 
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k nonempty blocks; S2(0,0) = 1."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _stirling2_row(n)[k]
+    return _stirling2_rows(n)[n][k]
 
 
-def _assoc_row(n: int) -> tuple[int, ...]:
-    # row[k] = number of derangements of [n] with exactly k cycles
+def _assoc_rows(n: int) -> dict[int, tuple[int, ...]]:
+    # the D memo grown to hold rows 0 .. n, where row[k] = number of
+    # derangements of [n] with exactly k cycles (0 for n < 2k)
     rows = _ASSOC_ROWS
     while len(rows) <= n:
         m = len(rows)
@@ -87,7 +88,7 @@ def _assoc_row(n: int) -> tuple[int, ...]:
                        + (p1[k] if k <= m - 1 else 0))
             for k in range(m + 1)
         )
-    return rows[n]
+    return rows
 
 
 def assoc_stirling1(n: int, k: int) -> int:
@@ -99,7 +100,7 @@ def assoc_stirling1(n: int, k: int) -> int:
         return 0
     if n < 2 * k:
         return 0
-    return _assoc_row(n)[k]
+    return _assoc_rows(n)[n][k]
 
 
 def _h_row(m: int) -> tuple[Fraction, ...]:

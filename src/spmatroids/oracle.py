@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 from typing import Iterator
 
 HARD_CAP = 8
@@ -182,18 +183,6 @@ def connected_counts(n: int) -> tuple[list[int], list[int]]:
     return c_row, e_row
 
 
-def set_partitions(items: list) -> Iterator[list[list]]:
-    """Yield all set partitions of `items` as lists of blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield part + [[first]]
-
-
 @lru_cache(maxsize=None)
 def _block_rank_vectors(b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # (all, simple-only) counts per rank for connected matroids on b elements
@@ -206,33 +195,47 @@ def _block_rank_vectors(b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(all_v), tuple(simple_v)
 
 
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    # the partitions of n into parts <= largest, parts in nonincreasing order
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
 def quasi_counts(n: int) -> tuple[list[int], list[int]]:
     """Counts of (all, simple) quasi series-parallel matroids on [n] by rank.
 
-    Sums over set partitions of [n]: each block carries any connected
-    series-parallel matroid on its elements (simple ones only for the
-    simple count), and ranks add over blocks.  n = 0 gives the empty
-    matroid, counted once at rank 0.
+    Each set partition of [n] carries any connected series-parallel matroid
+    on each block (simple ones only for the simple count), and ranks add
+    over blocks.  The term depends only on the block sizes, so the sum runs
+    over integer partitions lambda of n, each convolved once and weighted by
+    the n! / (prod lambda_i! prod mult!) set partitions of that shape.
+    n = 0 gives the empty matroid, counted once at rank 0.
     """
     if n < 0:
         raise ValueError("quasi_counts needs n >= 0")
     if n > HARD_CAP:
         raise ValueError(f"enumeration capped at n = {HARD_CAP}, got {n}")
-    if n == 0:
-        return [1], [1]
     a_row = [0] * (n + 1)
     s_row = [0] * (n + 1)
-    for part in set_partitions(list(range(1, n + 1))):
+    for shape in _partitions(n, n):
+        weight = factorial(n)
         conv_a = [1]
         conv_s = [1]
-        for block in part:
-            vec_a, vec_s = _block_rank_vectors(len(block))
+        for b in shape:
+            weight //= factorial(b)
+            vec_a, vec_s = _block_rank_vectors(b)
             conv_a = _convolve(conv_a, vec_a)
             conv_s = _convolve(conv_s, vec_s)
+        for b in set(shape):
+            weight //= factorial(shape.count(b))
         for r, v in enumerate(conv_a):
-            a_row[r] += v
+            a_row[r] += weight * v
         for r, v in enumerate(conv_s):
-            s_row[r] += v
+            s_row[r] += weight * v
     return a_row, s_row
 
 

@@ -7,10 +7,10 @@ coefficient of y^k x^n, not the exponential-generating-function numerator);
 count extraction multiplies by n! at the boundary.
 
 Two routes compute exp.  egf_exp works on normalized integer rows
-n! [y^k x^n] and is the one the count tables use.  series_exp, like
-series_log, the compositions, series_reverse_x and lagrange_invert, works
-on Fraction series and is kept as the reference the verification suites
-check the integer route against.
+n! [y^k x^n] and is the one the count tables use, to build S = exp(E).
+series_exp, like series_log, the compositions, series_reverse_x and
+lagrange_invert, works on Fraction series and is kept as the reference the
+verification suites check the integer route against.
 
 Series values are immutable and all operations are pure, so they are safe
 to share across threads.
@@ -277,8 +277,8 @@ def egf_exp(rows) -> tuple[tuple[int, ...], ...]:
         A_0 = 1,  A_n = sum_{m=1}^{n} C(n-1, m-1) F_m A_{n-m}
 
     on y-polynomials (Flajolet & Sedgewick, Analytic Combinatorics, ch. II).
-    This is the table route; series_exp is the Fraction reference it is
-    checked against.
+    This is the route to the S table; series_exp is the Fraction reference
+    it is checked against.
     """
     for n, row in enumerate(rows):
         if len(row) != n + 1:

@@ -10,28 +10,36 @@ and rank k:
   G  normalized coefficients of the compositional inverse of build_F,
       which satisfy C(n, l) = G(n-1, l-1) for n >= 2
 
-E and C come from closed-form alternating sums, A and S from the
-exponential identities A = exp(C) and S = exp(E), and G from its own
-closed form.  Tables are built in exact integers throughout.  C and G rows
-are their closed forms entry by entry.  E rows come from the column route
-_e_rows, which reads every inner sum of the E closed form off one
-finite-difference table per (k, p); e_closed evaluates the same closed
-form one entry at a time and is the reference that verify and the tests
-check the rows against.  A and S apply powerseries.egf_exp to the integer
-rows of C and E.  Each family's rows are built once per process and
-memoised.  The *_series builders wrap those rows as Fraction series
-(raw = count / n!) for the identity checks, which compare them with the
-Fraction reference series_exp.
+E, C and G come from closed-form alternating sums, S from the exponential
+identity S = exp(E), and A from S by the substitution A = S(e^x - 1, y) e^x
+(Flajolet & Sedgewick, Analytic Combinatorics, ch. II):
+
+    A(n, k) = sum_{j=k}^{n} S2(n+1, j+1) S(j, k).
+
+Tables are built in exact integers throughout, each family in O(N^3)
+arithmetic operations but S, which applies powerseries.egf_exp to the
+integer E rows.  C and G rows are their closed forms entry by entry, each
+reading the combinum S2 and D memo rows directly.  E rows come from the
+column route _e_rows, which reads every inner sum of the E closed form,
+a scaled backward difference of t^e, off layers built by the Leibniz rule
+for backward differences (_leibniz_layer); e_closed evaluates the same
+closed form one entry at a time and is the reference that verify and the
+tests check the rows against.  A = exp(C) is no longer a route, only a
+cross-check: verify and the tests compare the A rows with the Fraction
+reference series_exp(C).  Each family's rows are built once per process
+and memoised, so S reuses the E rows and A the S rows.  The *_series
+builders wrap those rows as Fraction series (raw = count / n!) for the
+identity checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial
-from operator import sub
 
-from .combinum import assoc_stirling1, double_factorial, stirling2
+from .combinum import _assoc_rows, _stirling2_rows, assoc_stirling1, double_factorial, stirling2
 from .powerseries import BivariateSeries, egf_exp
 
 FAMILIES = ("E", "C", "A", "S", "G")
@@ -124,42 +132,71 @@ def e_closed(n: int, k: int) -> int:
     return value
 
 
+def _leibniz_layer(above: list[list[int]], d: int, levels: int) -> list[list[int]]:
+    """One offset layer of h(e, m, x) = nabla^m t^e (x) / m!, from the one above.
+
+    A layer for offset d and width w holds, for each level e, the row
+    H[e] = [h(e, e - j, e + d) for j = 0 .. min(e, w - 1)].  Given the
+    layer for offset d + 1 of width w - 1 with at least levels - 1 levels,
+    this returns the layer for offset d of width w with `levels` levels.
+    The product rule for backward differences (Graham, Knuth & Patashnik,
+    Concrete Mathematics, sec. 2.6), applied m times with nabla t = 1 and
+    nabla^2 t = 0, is the Leibniz rule
+    nabla^m (t v)(x) = x nabla^m v(x) + m nabla^(m-1) v(x-1); with
+    v = t^(e-1) it gives
+
+        h(e, m, x) = x h(e-1, m, x) + h(e-1, m-1, x-1),   h(0, 0, x) = 1,
+
+    where h(e-1, m, x) is column j - 1 of the layer above at level e - 1
+    and h(e-1, m-1, x-1) column j of this one.  Integers by construction:
+    no division.
+    """
+    layer = [[1]]
+    for e in range(1, levels):
+        x = e + d
+        prev = layer[-1]
+        layer.append([prev[0]] + [
+            x * up + here for up, here in zip_longest(above[e - 1], prev[1:], fillvalue=0)
+        ])
+    return layer
+
+
 def _e_rows(max_n: int) -> tuple[tuple[int, ...], ...]:
     """Normalized E rows for n = 0 .. max_n, built column by column.
 
     Fix k and p in the e_closed sum and set x = 2k - p, e = k - p - 1 and
     m = r - p.  The inner sum sum_i (-1)^i C(m, i) (x - i)^e is the m-th
-    backward difference of t^e at x, so
+    backward difference of t^e at x, so with h(e, m, x) = nabla^m t^e (x) / m!
 
-        E(2k-r, k) = sum_{p=1}^{r} (-1)^(p+1) D(2k-p-1, k-p) nabla^m t^e (x) / m!
+        E(2k-r, k) = sum_{p=1}^{r} (-1)^(p+1) D(2k-p-1, k-p) h(e, m, x).
 
-    and one difference table per (k, p) serves every r: e + 1 powers, then
-    subtractions.  Differences past m = e vanish, so p = k and every m > e
-    contribute nothing.  nabla^m t^e / m! is an integer at integer points
-    (Graham, Knuth & Patashnik, Concrete Mathematics, sec. 6.1); each is
-    divided exactly, raising if a remainder is left.  The single coloop
-    E(1, 1) = 1 (the 1^(-1) term of e_closed) is set directly.
+    Differences past m = e vanish, so p = k and every m > e contribute
+    nothing.  Column k reads h at the offset x - e = k + 1 for the levels
+    e = 0 .. k - 2, and row n = x - m = k + 1 + (e - m), so rows n <= max_n
+    need only e - m <= max_n - k - 1.  _leibniz_layer builds each offset
+    layer from the one above it, from the top offset max_n down to 3; only
+    the layer above is kept.  The single coloop E(1, 1) = 1 (the 1^(-1) term of
+    e_closed) is set directly.
     """
     rows = [[0] * (n + 1) for n in range(max_n + 1)]
     if max_n >= 1:
         rows[1][1] = 1
-    factorials = [factorial(m) for m in range(max_n)]
-    for k in range(2, max_n + 1):
-        for p in range(1, k):
-            d = assoc_stirling1(2 * k - p - 1, k - p)
-            if p % 2 == 0:
-                d = -d
-            e = k - p - 1
-            x = 2 * k - p
-            diffs = [(x - i) ** e for i in range(e + 1)]
-            for m in range(e + 1):
-                n = 2 * k - p - m
-                if n <= max_n:
-                    q, remainder = divmod(diffs[0], factorials[m])
-                    if remainder:
-                        raise ValueError(f"non-integral E term at (n, k) = ({n}, {k})")
-                    rows[n][k] += d * q
-                diffs = list(map(sub, diffs, diffs[1:]))
+    d_rows = _assoc_rows(2 * max_n)
+    above: list[list[int]] = [[]] * max_n  # width 0: nothing lies above offset max_n
+    for d in range(max_n, 2, -1):
+        k = d - 1
+        layer = _leibniz_layer(above, d, d - 2)
+        column = [0] * (max_n - d + 1)
+        for e, values in enumerate(layer):
+            # p = k - 1 - e: the sign (-1)^(p+1) and D(2k-p-1, k-p) = D(k+e, e+1)
+            coefficient = d_rows[k + e][e + 1]
+            if (k - e) % 2:
+                coefficient = -coefficient
+            for j, v in enumerate(values):
+                column[j] += coefficient * v
+        for j, v in enumerate(column):
+            rows[d + j][k] = v
+        above = layer
     return tuple(tuple(row) for row in rows)
 
 
@@ -171,19 +208,21 @@ def c_closed(n: int, l: int) -> int:
         C(n, l) = sum_{k=0}^{l-1} (-1)^(k+l-1) D(k+l-1, k) S2(n-1+k, k+l);
 
     the single edge and the single loop give C(1, 0) = C(1, 1) = 1 by
-    convention.
+    convention.  At l = n every S2 factor vanishes.  The S2 and D memos are
+    grown once to the largest index the sum reads, then indexed directly.
     """
     if n < 1 or l < 0 or l > n:
         return 0
     if n == 1:
         return 1
+    if l == n:
+        return 0
+    s2 = _stirling2_rows(n + l - 2)
+    d = _assoc_rows(2 * l - 2)
     total = 0
     for k in range(l):
-        total += (
-            (-1) ** (k + l - 1)
-            * assoc_stirling1(k + l - 1, k)
-            * stirling2(n - 1 + k, k + l)
-        )
+        term = d[k + l - 1][k] * s2[n - 1 + k][k + l]
+        total += term if (k + l) % 2 else -term
     return total
 
 
@@ -192,16 +231,16 @@ def g_closed(n: int, l: int) -> int:
 
     Evaluates sum_{j=0}^{l} (-1)^(j+l) D(j+l, j) S2(n+j, j+l+1); zero
     outside 0 <= l <= n - 1.  Satisfies the palindromy G(n, l) = G(n, n-1-l).
+    The S2 and D memos are grown once, as in c_closed.
     """
     if n < 1 or l < 0 or l > n - 1:
         return 0
+    s2 = _stirling2_rows(n + l)
+    d = _assoc_rows(2 * l)
     total = 0
     for j in range(l + 1):
-        total += (
-            (-1) ** (j + l)
-            * assoc_stirling1(j + l, j)
-            * stirling2(n + j, j + l + 1)
-        )
+        term = d[j + l][j] * s2[n + j][j + l + 1]
+        total += -term if (j + l) % 2 else term
     return total
 
 
@@ -271,22 +310,36 @@ def e_special(n: int, k: int, r: int) -> int:
 # count rows and series builders
 # ---------------------------------------------------------------------------
 
-# A = exp(C) and S = exp(E): the quasi families are exponentials of these
-_EXP_OF = {"A": "C", "S": "E"}
-
-
 # family -> the longest rows _count_rows has built in this process.  Row n
 # depends only on rows <= n, so every prefix of them is exact; each write
 # stores a whole tuple, as the combinum memos do.
 _ROWS: dict[str, tuple[tuple[int, ...], ...]] = {}
 
 
+def _a_rows(s_rows) -> tuple[tuple[int, ...], ...]:
+    # A = S(e^x - 1, y) e^x: A(n, k) = sum_{j=k}^{n} S2(n+1, j+1) S(j, k)
+    s2 = _stirling2_rows(len(s_rows))
+    out = []
+    for n in range(len(s_rows)):
+        acc = [0] * (n + 1)
+        weights = s2[n + 1]
+        for j, row in enumerate(s_rows[:n + 1]):
+            w = weights[j + 1]
+            for k, v in enumerate(row):
+                if v:
+                    acc[k] += w * v
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
     """Normalized rows n! [y^k x^n] of a family's series for n = 0 .. max_n."""
     rows = _ROWS.get(family, ())
     if len(rows) <= max_n:
-        if family in _EXP_OF:
-            rows = egf_exp(_count_rows(_EXP_OF[family], max_n))
+        if family == "A":
+            rows = _a_rows(_count_rows("S", max_n))
+        elif family == "S":
+            rows = egf_exp(_count_rows("E", max_n))
         elif family == "E":
             rows = _e_rows(max_n)
         else:

@@ -22,7 +22,7 @@ from functools import cache, partial
 from math import factorial
 
 from . import oracle
-from .combinum import assoc_stirling1, binomial, compositions, double_factorial, h_value, stirling2
+from .combinum import assoc_stirling1, binomial, double_factorial, h_value, stirling2
 from .config import RunConfig
 from .powerseries import (
     LAGRANGE_MAX_ORDER,
@@ -245,16 +245,19 @@ def check_h_vs_derangements() -> CheckResult:
 
 @cache
 def _reciprocal_product_poly(m: int, k: int) -> tuple[Fraction, ...]:
-    # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1);
-    # cached, since two checks and the printed-variant flag read it
+    # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1),
+    # by the last part j: P(m, k) = sum_j P(m-j, k-1) (1 + y^j) / (j+1) with
+    # P(0, 0) = 1; cached, since two checks, the printed-variant flag and the
+    # recursion itself read it
+    if k == 0:
+        return (Fraction(1),) if m == 0 else (Fraction(0),) * (m + 1)
     out = [Fraction(0)] * (m + 1)
-    for js in compositions(m, k):
-        poly = [Fraction(1)]
-        for j in js:
-            shifted = [Fraction(0)] * j + poly
-            poly = [(a + b) / (j + 1) for a, b in zip(poly + [Fraction(0)] * j, shifted)]
-        for a, pa in enumerate(poly):
-            out[a] += pa
+    for j in range(1, m - k + 2):
+        for a, c in enumerate(_reciprocal_product_poly(m - j, k - 1)):
+            if c:
+                w = c / (j + 1)
+                out[a] += w
+                out[a + j] += w
     return tuple(out)
 
 

@@ -14,6 +14,10 @@ contraction set K outside every four- or six-element set T, over a rank
 table built from the set of every submask of every basis.  `rank_table`,
 `has_u24_minor` and `has_mk4_minor` keep that search to check the
 oracle's against.
+
+Before the sum over integer partitions, `quasi_counts` summed over every
+set partition of [n], convolving the block vectors once per partition.
+`set_partitions` and `quasi_counts` keep that sum.
 """
 
 from __future__ import annotations
@@ -21,7 +25,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from spmatroids.oracle import MatroidSignature, parallel_extension, series_extension
+from spmatroids.oracle import (
+    MatroidSignature,
+    connected_counts,
+    parallel_extension,
+    series_extension,
+)
 
 
 def _ground(bases: frozenset[int]) -> int:
@@ -164,3 +173,39 @@ def has_mk4_minor(n: int, rk: list[int]) -> bool:
             ):
                 return True
     return False
+
+
+def set_partitions(items: list) -> Iterator[list[list]]:
+    """Yield all set partitions of `items` as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1:]
+        yield part + [[first]]
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def quasi_counts(n: int) -> tuple[list[int], list[int]]:
+    """(all, simple) quasi series-parallel counts on [n] by rank, summed over
+    every set partition of [n] with a connected matroid on each block."""
+    a_row = [0] * (n + 1)
+    s_row = [0] * (n + 1)
+    for part in set_partitions(list(range(1, n + 1))):
+        conv_a, conv_s = [1], [1]
+        for block in part:
+            vec_a, vec_s = connected_counts(len(block))
+            conv_a = _convolve(conv_a, vec_a)
+            conv_s = _convolve(conv_s, vec_s)
+        a_row = [x + y for x, y in zip(a_row, conv_a)]
+        s_row = [x + y for x, y in zip(s_row, conv_s)]
+    return a_row, s_row

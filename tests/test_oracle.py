@@ -341,6 +341,11 @@ def test_quasi_counts():
     assert a3 == [1, 7, 7, 1]
 
 
+def test_quasi_counts_match_set_partition_sum():
+    for n in range(HARD_CAP + 1):
+        assert quasi_counts(n) == oracle_reference.quasi_counts(n), n
+
+
 def test_minor_check_identity_cases():
     assert not minor_check(U24)
     assert not minor_check(oracle._k4_signature())

@@ -1,13 +1,13 @@
 """Tests for the closed-form count families and their conversions."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from spmatroids.combinum import double_factorial, stirling2
-from spmatroids import spcounts
-from spmatroids.powerseries import count_coefficient, series_exp
+from spmatroids import combinum, spcounts
+from spmatroids.combinum import assoc_stirling1, double_factorial, stirling2
+from spmatroids.powerseries import count_coefficient, egf_exp, series_exp
 from spmatroids.spcounts import (
     TriangularCountTable,
     a_series,
@@ -114,15 +114,22 @@ def test_e_rows_match_e_from_c():
     assert spcounts._e_rows(100)[1:] == e_from_c(100).rows
 
 
-def test_e_rows_raise_on_non_integral_term(monkeypatch):
-    # a corrupted m! stands in for an upstream error: nabla^m t^e / m! must
-    # divide exactly, so the column route refuses the remainder
-    monkeypatch.setattr(spcounts, "factorial", lambda m: 2 * factorial(m))
-    with pytest.raises(ValueError, match=r"non-integral E term at \(n, k\) = \(\d+, \d+\)"):
-        spcounts._e_rows(6)
+def test_leibniz_layers_are_scaled_backward_differences():
+    # h(e, m, x) = nabla^m t^e (x) / m! from the layers _e_rows builds, against
+    # the alternating sum; the sum must divide exactly by m!
+    layers, above = {}, [[]] * 12
+    for d in range(26, 2, -1):
+        above = layers[d] = spcounts._leibniz_layer(above, d, 13)
+    for d in range(3, 15):
+        for e in range(13):
+            for m in range(e + 1):
+                total = sum((-1) ** i * comb(m, i) * (e + d - i) ** e for i in range(m + 1))
+                q, remainder = divmod(total, factorial(m))
+                assert remainder == 0
+                assert layers[d][e][e - m] == q, (d, e, m)
 
 
-@pytest.mark.parametrize("family", ["E", "S"])
+@pytest.mark.parametrize("family", ["E", "S", "A"])
 def test_row_memo_prefix_equals_cold_build(cold_rows, family, monkeypatch):
     build_tables(60, family)
     assert len(spcounts._ROWS[family]) == 61
@@ -147,6 +154,61 @@ def test_s_reuses_memoised_e_rows(cold_rows, monkeypatch):
     s = build_tables(60, "S")
     assert calls == [60]
     assert e.row(5) == (0, 0, 0, 15, 1, 0) and s.row(4) == (0, 0, 0, 5, 1)
+
+
+def test_a_reuses_memoised_s_rows(cold_rows, monkeypatch):
+    calls = []
+    for name in ("_e_rows", "egf_exp"):
+        real = getattr(spcounts, name)
+        monkeypatch.setattr(
+            spcounts, name, lambda arg, real=real, name=name: calls.append(name) or real(arg)
+        )
+    build_tables(60, "S")
+    a = build_tables(60, "A")
+    assert calls == ["_e_rows", "egf_exp"]
+    assert a.row(3) == (1, 7, 7, 1)
+
+
+def test_a_rows_equal_exp_of_c_rows():
+    assert spcounts._count_rows("A", 100) == egf_exp(spcounts._count_rows("C", 100))
+
+
+def _c_literal(n, l):
+    if n < 1 or l < 0 or l > n:
+        return 0
+    if n == 1:
+        return 1
+    return sum(
+        (-1) ** (k + l - 1) * assoc_stirling1(k + l - 1, k) * stirling2(n - 1 + k, k + l)
+        for k in range(l)
+    )
+
+
+def _g_literal(n, l):
+    if n < 1 or l < 0 or l > n - 1:
+        return 0
+    return sum(
+        (-1) ** (j + l) * assoc_stirling1(j + l, j) * stirling2(n + j, j + l + 1)
+        for j in range(l + 1)
+    )
+
+
+@pytest.mark.parametrize("memos", ["shared", "seed-only"])
+def test_c_and_g_closed_match_literal_sums(memos, monkeypatch):
+    # seed-only memos are reset before every call, so each closed form must
+    # grow the S2 and D memos itself to every index it reads
+    def fresh():
+        if memos == "seed-only":
+            monkeypatch.setattr(combinum, "_STIRLING2_ROWS", {0: (1,)})
+            monkeypatch.setattr(combinum, "_ASSOC_ROWS", {0: (1,), 1: (0, 0)})
+
+    for n in range(31):
+        for l in range(-1, n + 3):
+            fresh()
+            c = c_closed(n, l)
+            fresh()
+            g = g_closed(n, l)
+            assert (c, g) == (_c_literal(n, l), _g_literal(n, l)), (n, l)
 
 
 def test_stirling_convolution_of_e_gives_c():

@@ -1,11 +1,12 @@
 """Tests for the verification report machinery."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from spmatroids import powerseries, verify
-from spmatroids.combinum import stirling2
+from spmatroids.combinum import compositions, stirling2
 from spmatroids.config import RunConfig
 from spmatroids.verify import check_inversion_routes, run_verify
 
@@ -109,3 +110,22 @@ def test_render_summary_line(default_report):
     rendered = default_report.render()
     assert rendered.endswith("flagged, 0 failed\n")
     assert "PASS" in rendered and "FLAG" in rendered
+
+
+def _product_poly_by_compositions(m, k):
+    # the literal sum over compositions of m into k parts of prod (1 + y^j) / (j + 1)
+    out = [Fraction(0)] * (m + 1)
+    for js in compositions(m, k):
+        poly = [Fraction(1)]
+        for j in js:
+            shifted = [Fraction(0)] * j + poly
+            poly = [(a + b) / (j + 1) for a, b in zip(poly + [Fraction(0)] * j, shifted)]
+        for a, pa in enumerate(poly):
+            out[a] += pa
+    return tuple(out)
+
+
+def test_reciprocal_product_poly_matches_composition_walk():
+    for m in range(9):
+        for k in range(9):
+            assert verify._reciprocal_product_poly(m, k) == _product_poly_by_compositions(m, k), (m, k)
