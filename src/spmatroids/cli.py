@@ -5,7 +5,8 @@
     spm oracle --max-n INT [--compare] [--dump PATH]
     spm oeis   --id AXXXXXX [--bfile PATH | --fetch]
 
-`spm table` accepts --max-n from 1 to 150 and `spm oracle` from 1 to 8.
+`spm table` accepts --max-n from 1 to 150, `spm oracle` from 1 to 8, and
+`spm verify` accepts --order from 1 to 30.
 --out and --dump refuse any path inside the fixtures directory.
 Exit codes: 0 all checks pass, 1 verification or comparison failure,
 2 usage or configuration error.  Output is deterministic for a given
@@ -38,6 +39,10 @@ USAGE_ERROR = 2
 # ~2.7 s in egf_exp), each with a peak RSS of at most 40 MiB, on a 2-vCPU
 # host.
 TABLE_MAX_N = 150
+# Largest `spm verify --order`.  A cold run takes about 1.1 s at order 16,
+# 3.2 s at 24, 6.8 s with a peak RSS of 25 MiB at 30 and 23.5 s at 40, on a
+# 2-vCPU host; the cost nears order^5, so order 100 would take ~40 minutes.
+VERIFY_MAX_ORDER = 30
 
 
 def render_csv(table: TriangularCountTable) -> str:
@@ -198,6 +203,10 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return 0
         if args.command == "verify":
+            if args.order > VERIFY_MAX_ORDER:
+                raise ValueError(
+                    f"--order: verify order capped at {VERIFY_MAX_ORDER}, got {args.order}"
+                )
             try:
                 config = RunConfig(truncation_order=args.order)
             except ValueError as exc:

@@ -9,7 +9,6 @@ wrong row/column offset can never produce a false PASS.
 from __future__ import annotations
 
 import os
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,11 +181,23 @@ def fetch_bfile(sequence_id: str, dest: Path, timeout: float = 30.0) -> Path:
 
     The download is parsed before anything is written and then replaces
     `dest` in one rename, so a malformed or empty payload never clobbers an
-    existing file.
+    existing file.  An HTTP protocol error (such as a truncated read) is
+    raised as a `ValueError` naming the sequence, so the CLI exits 2 like
+    any other bad download.  The network modules are imported here, not at
+    module level: they are about half the modules `import spmatroids.cli`
+    would load, and nothing but `spm oeis --fetch` uses them.
     """
+    import http.client
+    import urllib.request
+
     url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        data = resp.read()
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            data = resp.read()
+    except http.client.HTTPException as exc:
+        raise ValueError(
+            f"download of b-file for {sequence_id} failed: {exc!r}"
+        ) from None
     try:
         entries = parse_bfile(data.decode("utf-8"))
     except ValueError as exc:  # BFileParseError or UnicodeDecodeError

@@ -1,10 +1,23 @@
 """Tests for the command-line front end."""
 
+import http.client
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spmatroids.cli import TABLE_MAX_N, main, render_csv, run_oracle, run_table
+from spmatroids.cli import (
+    TABLE_MAX_N,
+    VERIFY_MAX_ORDER,
+    main,
+    render_csv,
+    run_oracle,
+    run_table,
+)
 from spmatroids.oeis import parse_bfile
 from spmatroids.spcounts import build_tables
 
@@ -186,6 +199,19 @@ def test_verify_order_below_one_is_config_error(capsys, order):
     assert "series x" not in err
 
 
+def test_verify_order_above_cap_is_config_error(capsys, monkeypatch):
+    def refuse(config):
+        raise AssertionError("verify ran past the --order cap")
+
+    monkeypatch.setattr("spmatroids.cli.run_verify", refuse)
+    order = str(VERIFY_MAX_ORDER + 1)
+    code, out, err = run_cli(capsys, "verify", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --order: ")
+    assert "capped" in err and f"got {order}" in err
+
+
 def test_oeis_fixture_comparison(capsys):
     for sid in ("A140945", "A361355", "A359985", "A361353"):
         code, out, _ = run_cli(capsys, "oeis", "--id", sid)
@@ -230,3 +256,48 @@ def test_oeis_fetch_malformed_payload_leaves_fixture(fixtures_copy, monkeypatch,
     assert sorted(p.name for p in fixtures.iterdir()) == sorted(
         p.name for p in default_fixtures_dir().iterdir()
     )
+
+
+class _TruncatedResponse(io.BytesIO):
+    def read(self, *args):
+        raise http.client.IncompleteRead(b"1 1\n", 40)
+
+
+def _raise_incomplete_read(url, timeout):
+    raise http.client.IncompleteRead(b"", 40)
+
+
+@pytest.mark.parametrize("urlopen", [
+    _raise_incomplete_read,
+    lambda url, timeout: _TruncatedResponse(),
+], ids=["at-open", "at-read"])
+def test_oeis_fetch_http_error_is_usage_error(fixtures_copy, monkeypatch, capsys, urlopen):
+    import urllib.request
+
+    before = {p.name: p.read_bytes() for p in fixtures_copy.iterdir()}
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    code, out, err = run_cli(capsys, "oeis", "--id", "A140945", "--fetch")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "A140945" in err and "IncompleteRead" in err
+    assert {p.name: p.read_bytes() for p in fixtures_copy.iterdir()} == before
+
+
+def test_import_loads_no_network_modules():
+    # A fresh interpreter, compared against its own start-up modules, so a
+    # `site` that preloads modules cannot hide or fake an import.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import spmatroids.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(result.stdout.split())
+    assert "spmatroids.cli" in added
+    network = ("urllib.request", "http.client", "ssl", "socket", "email")
+    loaded = sorted(m for m in added if any(m == n or m.startswith(n + ".") for n in network))
+    assert loaded == []
