@@ -15,10 +15,8 @@ from .combinum import (
 )
 from .powerseries import (
     BivariateSeries,
-    UnivariateSeries,
     build_F,
     count_coefficient,
-    egf_exp,
     lagrange_invert,
     series_exp,
     series_log,
@@ -31,6 +29,7 @@ from .spcounts import (
     e_closed,
     e_from_c,
     e_special,
+    egf_exp,
     g_closed,
 )
 from .verify import run_verify

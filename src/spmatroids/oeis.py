@@ -17,6 +17,7 @@ from .config import RunConfig, SequenceMapping
 from .spcounts import TriangularCountTable
 
 ORACLE_VALIDATION_MAX_N = 4
+FETCH_TIMEOUT_S = 30.0
 
 
 class BFileParseError(ValueError):
@@ -47,18 +48,10 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     return entries
 
 
-def render_bfile(table: TriangularCountTable, first_index: int = 1, comment: str = "") -> str:
-    """Row-major b-file text for a table; indices count up from first_index."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    idx = first_index
-    for i, row in enumerate(table.rows):
-        for value in row:
-            lines.append(f"{idx} {value}")
-            idx += 1
-    return "\n".join(lines) + "\n"
+def render_bfile(table: TriangularCountTable) -> str:
+    """Row-major b-file text for a table; indices count up from 1."""
+    values = (value for row in table.rows for value in row)
+    return "\n".join(f"{idx} {value}" for idx, value in enumerate(values, start=1)) + "\n"
 
 
 def _oracle_row(family: str, n: int) -> list[int]:
@@ -176,7 +169,7 @@ def bfile_path(config: RunConfig, sequence_id: str) -> Path:
     return Path(config.fixtures_dir) / f"b{sequence_id[1:]}.txt"
 
 
-def fetch_bfile(sequence_id: str, dest: Path, timeout: float = 30.0) -> Path:
+def fetch_bfile(sequence_id: str, dest: Path) -> Path:
     """Download a b-file from oeis.org and cache it at `dest`.
 
     The download is parsed before anything is written and then replaces
@@ -192,7 +185,7 @@ def fetch_bfile(sequence_id: str, dest: Path, timeout: float = 30.0) -> Path:
 
     url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
             data = resp.read()
     except http.client.HTTPException as exc:
         raise ValueError(

@@ -263,15 +263,6 @@ def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
 # excluded-minor characterization
 # ---------------------------------------------------------------------------
 
-def _k4_signature() -> MatroidSignature:
-    # M(K4) with edges 1=01, 2=02, 3=03, 4=12, 5=13, 6=23: its bases are the
-    # 20 triples of edges except the four triangles 124, 135, 236 and 456.
-    return MatroidSignature(6, 3, (
-        0b000111, 0b001101, 0b001110, 0b010011, 0b010110, 0b011001, 0b011010, 0b011100,
-        0b100011, 0b100101, 0b101001, 0b101010, 0b101100, 0b110001, 0b110010, 0b110100,
-    ))
-
-
 def _rank_table(m: MatroidSignature) -> list[int]:
     """Rank of every subset, indexed by mask.
 

@@ -6,11 +6,10 @@ x-degree.  BivariateSeries stores coefficients raw, as Fractions (the
 coefficient of y^k x^n, not the exponential-generating-function numerator);
 count extraction multiplies by n! at the boundary.
 
-Two routes compute exp.  egf_exp works on normalized integer rows
-n! [y^k x^n] and is the one the count tables use, to build S = exp(E).
-series_exp, like series_log, the compositions, series_reverse_x and
-lagrange_invert, works on Fraction series and is kept as the reference the
-verification suites check the integer route against.
+This module is the Fraction reference kernel: series_exp, series_log,
+the composition, series_reverse_x and lagrange_invert are what the
+verification suites check the integer count rows of spcounts against.
+Series constant in y, such as e^x and e^x - 1, are BivariateSeries too.
 
 Series values are immutable and all operations are pure, so they are safe
 to share across threads.
@@ -19,7 +18,7 @@ to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 Poly = tuple[Fraction, ...]
 
@@ -67,7 +66,7 @@ def _fit_row(poly, n) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# series types
+# series type
 # ---------------------------------------------------------------------------
 
 class BivariateSeries:
@@ -122,71 +121,15 @@ class BivariateSeries:
         n = min(self._order, other._order)
         return self._rows[: n + 1] == other._rows[: n + 1]
 
-    def __hash__(self):
-        raise TypeError("BivariateSeries is not hashable (order-relative equality)")
-
-    def __add__(self, other):
-        return series_add(self, other)
-
-    def __sub__(self, other):
-        return series_add(self, series_scale(other, Fraction(-1)))
-
-    def __mul__(self, other):
-        if isinstance(other, BivariateSeries):
-            return series_mul(self, other)
-        return series_scale(self, other)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         terms = sum(1 for row in self._rows for c in row if c)
         return f"BivariateSeries(order={self._order}, nonzero_terms={terms})"
 
 
-class UnivariateSeries:
-    """Truncated series sum_{n <= order} c[n] x^n, used as inner series of compositions."""
-
-    __slots__ = ("_order", "_coeffs")
-
-    def __init__(self, order: int, coeffs):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != order + 1:
-            raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
-        self._order = order
-        self._coeffs = coeffs
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @property
-    def coeffs(self) -> Poly:
-        return self._coeffs
-
-    @classmethod
-    def x(cls, order: int) -> "UnivariateSeries":
-        if order < 1:
-            raise ValueError("the series x needs order >= 1")
-        return cls(order, [0, 1] + [0] * (order - 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariateSeries):
-            return NotImplemented
-        n = min(self._order, other._order)
-        return self._coeffs[: n + 1] == other._coeffs[: n + 1]
-
-    def __hash__(self):
-        raise TypeError("UnivariateSeries is not hashable (order-relative equality)")
-
-    def __repr__(self):
-        return f"UnivariateSeries(order={self._order})"
-
-
-def exp_minus_one(order: int) -> UnivariateSeries:
-    """The series e^x - 1 truncated at the given order."""
-    return UnivariateSeries(order, [0] + [Fraction(1, factorial(n)) for n in range(1, order + 1)])
+def exp_minus_one(order: int) -> BivariateSeries:
+    """The series e^x - 1 as a bivariate series (constant in y)."""
+    rows = [[Fraction(1, factorial(n)) if n else 0] + [0] * n for n in range(order + 1)]
+    return BivariateSeries(order, rows)
 
 
 def exp_x(order: int) -> BivariateSeries:
@@ -207,13 +150,6 @@ def series_add(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
         for n in range(order + 1)
     ]
     return BivariateSeries(order, rows)
-
-
-def series_scale(a: BivariateSeries, c) -> BivariateSeries:
-    """Scalar multiple c * a."""
-    c = Fraction(c)
-    rows = [[v * c for v in row] for row in a.rows]
-    return BivariateSeries(a.order, rows)
 
 
 def series_mul(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
@@ -267,40 +203,6 @@ def series_exp(f: BivariateSeries) -> BivariateSeries:
     return BivariateSeries(n_max, [_fit_row(row, n) for n, row in enumerate(g)])
 
 
-def egf_exp(rows) -> tuple[tuple[int, ...], ...]:
-    """exp on a normalized integer triangle, in exact integers.
-
-    rows[n][k] = n! [y^k x^n] f for n = 0 .. order, with rows[0] = (0,).
-    Returns the normalized rows of exp(f), computed by the labelled
-    exponential's binomial convolution
-
-        A_0 = 1,  A_n = sum_{m=1}^{n} C(n-1, m-1) F_m A_{n-m}
-
-    on y-polynomials (Flajolet & Sedgewick, Analytic Combinatorics, ch. II).
-    This is the route to the S table; series_exp is the Fraction reference
-    it is checked against.
-    """
-    for n, row in enumerate(rows):
-        if len(row) != n + 1:
-            raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
-    if rows[0][0] != 0:
-        raise ValueError("egf_exp requires zero constant term")
-    out = [(1,)]
-    for n in range(1, len(rows)):
-        acc = [0] * (n + 1)
-        for m in range(1, n + 1):
-            weight = comb(n - 1, m - 1)
-            prev = out[n - m]
-            for i, fi in enumerate(rows[m]):
-                if fi:
-                    wi = weight * fi
-                    for j, aj in enumerate(prev):
-                        if aj:
-                            acc[i + j] += wi * aj
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 def series_log(f: BivariateSeries) -> BivariateSeries:
     """log(f) for a series with constant term 1; inverse of series_exp."""
     if f.rows[0][0] != 1:
@@ -333,26 +235,6 @@ def _x_powers(rows, order: int):
         power = nxt
 
 
-def _compose(outer: BivariateSeries, inner_rows, order: int) -> BivariateSeries:
-    # sum_m outer_m(y) inner^m, truncated at x^order
-    acc = [[outer.rows[0][0]]] + [[Fraction(0)] for _ in range(order)]
-    for m, power in enumerate(_x_powers(inner_rows, order), start=1):
-        row_m = outer.rows[m]
-        if any(row_m):
-            for n in range(m, order + 1):
-                if any(power[n]):
-                    acc[n] = _padd(acc[n], _pmul(row_m, power[n]))
-    return BivariateSeries(order, [_fit_row(row, n) for n, row in enumerate(acc)])
-
-
-def series_compose_x(outer: BivariateSeries, inner: UnivariateSeries) -> BivariateSeries:
-    """Substitute the univariate series `inner` for x in `outer`; y is untouched."""
-    if inner.coeffs[0] != 0:
-        raise ValueError("series_compose_x requires inner constant term 0")
-    # each coefficient of inner is a one-term y-polynomial
-    return _compose(outer, [[c] for c in inner.coeffs], min(outer.order, inner.order))
-
-
 def series_compose_shared_y(outer: BivariateSeries, inner: BivariateSeries) -> BivariateSeries:
     """Substitute the bivariate series `inner` for x in `outer`, sharing y.
 
@@ -362,7 +244,16 @@ def series_compose_shared_y(outer: BivariateSeries, inner: BivariateSeries) -> B
     """
     if inner.rows[0][0] != 0:
         raise ValueError("series_compose_shared_y requires inner constant term 0")
-    return _compose(outer, inner.rows, min(outer.order, inner.order))
+    order = min(outer.order, inner.order)
+    # sum_m outer_m(y) inner^m, truncated at x^order
+    acc = [[outer.rows[0][0]]] + [[Fraction(0)] for _ in range(order)]
+    for m, power in enumerate(_x_powers(inner.rows, order), start=1):
+        row_m = outer.rows[m]
+        if any(row_m):
+            for n in range(m, order + 1):
+                if any(power[n]):
+                    acc[n] = _padd(acc[n], _pmul(row_m, power[n]))
+    return BivariateSeries(order, [_fit_row(row, n) for n, row in enumerate(acc)])
 
 
 def series_integrate_x(f: BivariateSeries) -> BivariateSeries:

@@ -17,12 +17,13 @@ identity S = exp(E), and A from S by the substitution A = S(e^x - 1, y) e^x
     A(n, k) = sum_{j=k}^{n} S2(n+1, j+1) S(j, k).
 
 Tables are built in exact integers throughout, each family in O(N^3)
-arithmetic operations but S, which applies powerseries.egf_exp to the
-integer E rows.  C and G rows are their closed forms entry by entry, each
-reading the combinum S2 and D memo rows directly.  E rows come from the
-column route _e_rows, which reads every inner sum of the E closed form,
-a scaled backward difference of t^e, off layers built by the Leibniz rule
-for backward differences (_leibniz_layer); e_closed evaluates the same
+arithmetic operations but S, which applies egf_exp to the integer E rows.
+Every integer route to the rows lives here; powerseries holds only the
+Fraction reference kernel.  C and G rows are their closed forms entry by
+entry, each reading the combinum S2 and D memo rows directly.  E rows come
+from the column route _e_rows, which reads every inner sum of the E closed
+form, a scaled backward difference of t^e, off layers built by the Leibniz
+rule for backward differences (_leibniz_layer); e_closed evaluates the same
 closed form one entry at a time and is the reference that verify and the
 tests check the rows against.  A = exp(C) is no longer a route, only a
 cross-check: verify and the tests compare the A rows with the Fraction
@@ -40,7 +41,7 @@ from itertools import zip_longest
 from math import comb, factorial
 
 from .combinum import _assoc_rows, _stirling2_rows, assoc_stirling1, double_factorial, stirling2
-from .powerseries import BivariateSeries, egf_exp
+from .powerseries import BivariateSeries
 
 FAMILIES = ("E", "C", "A", "S", "G")
 
@@ -314,6 +315,42 @@ def e_special(n: int, k: int, r: int) -> int:
 # depends only on rows <= n, so every prefix of them is exact; each write
 # stores a whole tuple, as the combinum memos do.
 _ROWS: dict[str, tuple[tuple[int, ...], ...]] = {}
+
+
+def egf_exp(rows) -> tuple[tuple[int, ...], ...]:
+    """exp on a normalized integer triangle, in exact integers.
+
+    rows[n][k] = n! [y^k x^n] f for n = 0 .. order, with rows[0] = (0,).
+    Returns the normalized rows of exp(f), computed by the labelled
+    exponential's binomial convolution
+
+        A_0 = 1,  A_n = sum_{m=1}^{n} C(n-1, m-1) F_m A_{n-m}
+
+    on y-polynomials (Flajolet & Sedgewick, Analytic Combinatorics, ch. II).
+    This is the route to the S table; powerseries.series_exp is the
+    Fraction reference it is checked against.
+    """
+    for n, row in enumerate(rows):
+        if len(row) != n + 1:
+            raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
+    if not rows:
+        raise ValueError("egf_exp needs at least the constant row")
+    if rows[0][0] != 0:
+        raise ValueError("egf_exp requires zero constant term")
+    out = [(1,)]
+    for n in range(1, len(rows)):
+        acc = [0] * (n + 1)
+        for m in range(1, n + 1):
+            weight = comb(n - 1, m - 1)
+            prev = out[n - m]
+            for i, fi in enumerate(rows[m]):
+                if fi:
+                    wi = weight * fi
+                    for j, aj in enumerate(prev):
+                        if aj:
+                            acc[i + j] += wi * aj
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _a_rows(s_rows) -> tuple[tuple[int, ...], ...]:

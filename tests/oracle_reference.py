@@ -13,7 +13,8 @@ Before the rank-lowering search, the excluded-minor test tried every
 contraction set K outside every four- or six-element set T, over a rank
 table built from the set of every submask of every basis.  `rank_table`,
 `has_u24_minor` and `has_mk4_minor` keep that search to check the
-oracle's against.
+oracle's against, and `k4_signature` is the M(K4) literal the tests feed
+to both.
 
 Before the sum over integer partitions, `quasi_counts` summed over every
 set partition of [n], convolving the block vectors once per partition.
@@ -173,6 +174,15 @@ def has_mk4_minor(n: int, rk: list[int]) -> bool:
             ):
                 return True
     return False
+
+
+def k4_signature() -> MatroidSignature:
+    # M(K4) with edges 1=01, 2=02, 3=03, 4=12, 5=13, 6=23: its bases are the
+    # 20 triples of edges except the four triangles 124, 135, 236 and 456.
+    return MatroidSignature(6, 3, (
+        0b000111, 0b001101, 0b001110, 0b010011, 0b010110, 0b011001, 0b011010, 0b011100,
+        0b100011, 0b100101, 0b101001, 0b101010, 0b101100, 0b110001, 0b110010, 0b110100,
+    ))
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

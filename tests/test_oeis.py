@@ -32,7 +32,7 @@ def test_parse_bfile_errors_carry_line_numbers():
 
 def test_render_parse_roundtrip():
     table = build_tables(5, "C")
-    text = render_bfile(table, comment="roundtrip")
+    text = "# roundtrip\n" + render_bfile(table)
     entries = parse_bfile(text)
     values = [v for _, v in entries]
     flat = [v for row in table.rows for v in row]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_reference
-from oracle_reference import closure, extensions, is_simple, rank_of_subset
+from oracle_reference import closure, extensions, is_simple, k4_signature, rank_of_subset
 from spmatroids import oracle
 from spmatroids.oracle import (
     HARD_CAP,
@@ -105,7 +105,7 @@ def test_series_is_dual_of_parallel(data):
 
 
 def test_rank_table_matches_rank_of_subset():
-    for m in SMALL_CATALOG + [U24, oracle._k4_signature()]:
+    for m in SMALL_CATALOG + [U24, k4_signature()]:
         table = oracle._rank_table(m)
         assert len(table) == 1 << m.ground_size
         for mask, r in enumerate(table):
@@ -157,7 +157,7 @@ NOT_SERIES_PARALLEL = [
     case
     for m in (
         _uniform(2, 4), _uniform(2, 5), _uniform(2, 6), _uniform(3, 5),
-        _uniform(3, 6), _uniform(4, 7), oracle._k4_signature(), _fano(),
+        _uniform(3, 6), _uniform(4, 7), k4_signature(), _fano(),
     )
     for case in _with_one_more_element(m)
 ]
@@ -183,24 +183,32 @@ def test_minor_check_at_the_cap():
         minor_check(direct_sum(_fano(), U12))
 
 
-def test_oracle_imports_no_formula_route():
+@pytest.mark.parametrize("module, forbidden", [
     # The oracle is the independent route: it may not reach the closed
     # forms, the series kernel, the combinatorial numbers or the suites.
+    ("oracle", [f"spmatroids.{m}" for m in ("spcounts", "powerseries", "combinum", "verify")]),
+    # The series kernel is the Fraction reference: the closed forms and the
+    # integer product routes it is checked against, egf_exp's binomial
+    # convolution among them, stay outside it.
+    ("powerseries",
+     [f"spmatroids.{m}" for m in ("spcounts", "combinum", "oracle", "verify")] + ["math.comb"]),
+], ids=["oracle", "powerseries"])
+def test_independent_route_imports(module, forbidden):
     # For `from pkg import name` both pkg and pkg.name count as imported.
+    path = Path(oracle.__file__).with_name(f"{module}.py")
     imported = set()
-    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = ".".join(filter(None, ["spmatroids" if node.level else "", node.module]))
             imported.add(base)
             imported.update(f"{base}.{alias.name}" for alias in node.names)
-    forbidden = {f"spmatroids.{m}" for m in ("spcounts", "powerseries", "combinum", "verify")}
     assert imported.isdisjoint(forbidden)
 
 
 def test_mk4_literal():
-    mk4 = oracle._k4_signature()
+    mk4 = k4_signature()
     assert mk4.ground_size == 6 and mk4.rank == 3
     assert len(mk4.bases) == len(set(mk4.bases)) == 16
     # with the literal's edge labels, three edges of K4 form a spanning tree
@@ -238,7 +246,7 @@ def test_mk4_test_is_sixteen_bases_without_a_parallel_pair():
     def canonical(bases):
         return min(tuple(sorted(table[b] for b in bases)) for table in relabel)
 
-    mk4 = canonical(oracle._k4_signature().bases)
+    mk4 = canonical(k4_signature().bases)
     triples = [sum(1 << i for i in t) for t in combinations(range(6), 3)]
     matroids = []
     for dependent in combinations(triples, 4):
@@ -348,7 +356,7 @@ def test_quasi_counts_match_set_partition_sum():
 
 def test_minor_check_identity_cases():
     assert not minor_check(U24)
-    assert not minor_check(oracle._k4_signature())
+    assert not minor_check(k4_signature())
     assert minor_check(U23)
 
 

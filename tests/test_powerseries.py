@@ -13,23 +13,19 @@ from spmatroids.combinum import compositions
 from spmatroids.powerseries import (
     LAGRANGE_MAX_ORDER,
     BivariateSeries,
-    UnivariateSeries,
     build_F,
     count_coefficient,
-    egf_exp,
     exp_minus_one,
     exp_x,
     lagrange_invert,
     series_add,
     series_compose_shared_y,
-    series_compose_x,
     series_exp,
     series_integrate_x,
     series_log,
     series_mul,
     series_mul_y,
     series_reverse_x,
-    series_scale,
 )
 from spmatroids.powerseries import (
     _check_reversible,
@@ -70,7 +66,6 @@ def test_add_mul_scale():
     assert [sq.coeff(2, k) for k in range(3)] == [1, 2, 1]
     zero = BivariateSeries.zero(N)
     assert series_add(f, zero) == f
-    assert series_scale(f, 2).coeff(1, 1) == 2
 
 
 def test_equality_up_to_common_order():
@@ -109,42 +104,6 @@ def test_exp_of_connected_series_order_2():
     assert [count_coefficient(g, 2, k) for k in range(3)] == [1, 3, 1]
 
 
-@st.composite
-def integer_triangles(draw):
-    """Normalized integer rows n! [y^k x^n] f, n <= 7, with zero constant row."""
-    order = draw(st.integers(0, 7))
-    coeff = st.integers(-30, 30)
-    return [(0,)] + [
-        tuple(draw(st.lists(coeff, min_size=n + 1, max_size=n + 1)))
-        for n in range(1, order + 1)
-    ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(integer_triangles())
-def test_egf_exp_matches_series_exp(rows):
-    order = len(rows) - 1
-    raw = [[Fraction(c, factorial(n)) for c in row] for n, row in enumerate(rows)]
-    reference = series_exp(BivariateSeries(order, raw))
-    assert egf_exp(rows) == tuple(
-        tuple(count_coefficient(reference, n, k) for k in range(n + 1))
-        for n in range(order + 1)
-    )
-
-
-def test_egf_exp_basics():
-    assert egf_exp([(0,)]) == ((1,),)
-    # exp of (1+y)x + y x^2/2, the order-2 connected series
-    assert egf_exp([(0,), (1, 1), (0, 1, 0)]) == ((1,), (1, 1), (1, 3, 1))
-    # exp(e^x - 1) counts set partitions: the Bell numbers
-    bell = egf_exp([(0,)] + [(1,) + (0,) * n for n in range(1, 6)])
-    assert [row[0] for row in bell] == [1, 1, 2, 5, 15, 52]
-    with pytest.raises(ValueError):
-        egf_exp([(1,), (0, 0)])
-    with pytest.raises(ValueError):
-        egf_exp([(0,), (1,)])
-
-
 def test_log_basics():
     one_plus_x = from_univariate_coeffs([1, 1], N)
     lg = series_log(one_plus_x)
@@ -159,15 +118,15 @@ def test_log_basics():
 def test_compose_x():
     em1 = exp_minus_one(N)
     x2 = series_mul(poly_x(), poly_x())
-    comp = series_compose_x(x2, em1)
+    comp = series_compose_shared_y(x2, em1)
     # (e^x - 1)^2 = x^2 + x^3 + 7 x^4 / 12 + ...
     assert comp.coeff(2, 0) == 1
     assert comp.coeff(3, 0) == 1
     assert comp.coeff(4, 0) == Fraction(7, 12)
     f = build_F(N)
-    assert series_compose_x(f, UnivariateSeries.x(N)) == f
+    assert series_compose_shared_y(f, poly_x()) == f
     with pytest.raises(ValueError):
-        series_compose_x(f, UnivariateSeries(N, [1] * (N + 1)))
+        series_compose_shared_y(f, from_univariate_coeffs([1] * (N + 1), N))
 
 
 def test_integrate():
@@ -350,7 +309,7 @@ def test_lagrange_shares_nothing_with_coefficient_solving(monkeypatch):
     def refuse(*args):
         raise AssertionError("the coefficient-solving route was called")
 
-    for name in ("_x_powers", "_compose", "series_reverse_x"):
+    for name in ("_x_powers", "series_compose_shared_y", "series_reverse_x"):
         monkeypatch.setattr(powerseries, name, refuse)
     assert powerseries.lagrange_invert(f) == expected
 

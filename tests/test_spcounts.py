@@ -4,10 +4,12 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmatroids import combinum, spcounts
 from spmatroids.combinum import assoc_stirling1, double_factorial, stirling2
-from spmatroids.powerseries import count_coefficient, egf_exp, series_exp
+from spmatroids.powerseries import BivariateSeries, count_coefficient, series_exp
 from spmatroids.spcounts import (
     TriangularCountTable,
     a_series,
@@ -18,6 +20,7 @@ from spmatroids.spcounts import (
     e_from_c,
     e_series,
     e_special,
+    egf_exp,
     g_closed,
     s_series,
 )
@@ -171,6 +174,44 @@ def test_a_reuses_memoised_s_rows(cold_rows, monkeypatch):
 
 def test_a_rows_equal_exp_of_c_rows():
     assert spcounts._count_rows("A", 100) == egf_exp(spcounts._count_rows("C", 100))
+
+
+@st.composite
+def integer_triangles(draw):
+    """Normalized integer rows n! [y^k x^n] f, n <= 7, with zero constant row."""
+    order = draw(st.integers(0, 7))
+    coeff = st.integers(-30, 30)
+    return [(0,)] + [
+        tuple(draw(st.lists(coeff, min_size=n + 1, max_size=n + 1)))
+        for n in range(1, order + 1)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_triangles())
+def test_egf_exp_matches_series_exp(rows):
+    order = len(rows) - 1
+    raw = [[Fraction(c, factorial(n)) for c in row] for n, row in enumerate(rows)]
+    reference = series_exp(BivariateSeries(order, raw))
+    assert egf_exp(rows) == tuple(
+        tuple(count_coefficient(reference, n, k) for k in range(n + 1))
+        for n in range(order + 1)
+    )
+
+
+def test_egf_exp_basics():
+    assert egf_exp([(0,)]) == ((1,),)
+    # exp of (1+y)x + y x^2/2, the order-2 connected series
+    assert egf_exp([(0,), (1, 1), (0, 1, 0)]) == ((1,), (1, 1), (1, 3, 1))
+    # exp(e^x - 1) counts set partitions: the Bell numbers
+    bell = egf_exp([(0,)] + [(1,) + (0,) * n for n in range(1, 6)])
+    assert [row[0] for row in bell] == [1, 1, 2, 5, 15, 52]
+    with pytest.raises(ValueError):
+        egf_exp([(1,), (0, 0)])
+    with pytest.raises(ValueError):
+        egf_exp([(0,), (1,)])
+    with pytest.raises(ValueError):
+        egf_exp([])
 
 
 def _c_literal(n, l):
