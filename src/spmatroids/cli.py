@@ -39,9 +39,10 @@ USAGE_ERROR = 2
 # ~2.7 s in egf_exp), each with a peak RSS of at most 40 MiB, on a 2-vCPU
 # host.
 TABLE_MAX_N = 150
-# Largest `spm verify --order`.  A cold run takes about 1.1 s at order 16,
-# 3.2 s at 24, 6.8 s with a peak RSS of 25 MiB at 30 and 23.5 s at 40, on a
-# 2-vCPU host; the cost nears order^5, so order 100 would take ~40 minutes.
+# Largest `spm verify --order`.  A cold run takes about 0.5 s at order 16,
+# 0.75 s at 24 and 1.1 s with a peak RSS of 19 MiB at 30, on a 2-vCPU host.
+# Past 30 the series composition's integers grow long and the cost
+# steepens: run_verify() takes 2.6 s at order 40 and 10 s at 50.
 VERIFY_MAX_ORDER = 30
 
 

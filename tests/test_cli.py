@@ -190,6 +190,13 @@ def test_verify_passes(capsys):
     assert "FLAG" in out
 
 
+def test_verify_passes_at_order_20(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--order", "20")
+    assert code == 0
+    summary = out.splitlines()[-1]
+    assert summary.startswith("verification: ") and summary.endswith(", 0 failed")
+
+
 @pytest.mark.parametrize("order", ["0", "-3"])
 def test_verify_order_below_one_is_config_error(capsys, order):
     code, out, err = run_cli(capsys, "verify", "--order", order)

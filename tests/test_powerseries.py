@@ -27,14 +27,7 @@ from spmatroids.powerseries import (
     series_mul_y,
     series_reverse_x,
 )
-from spmatroids.powerseries import (
-    _check_reversible,
-    _composition_sums,
-    _fit_row,
-    _padd,
-    _pmul,
-    _pscale,
-)
+from spmatroids.powerseries import _check_reversible, _composition_sums, _fit_row
 
 N = 12
 
@@ -191,6 +184,119 @@ def test_lagrange_matches_reverse():
         assert lagrange_invert(h) == series_reverse_x(h)
 
 
+# ---------------------------------------------------------------------------
+# Literal Fraction references: the series operations as they were written
+# before the kernel went fraction-free, on Fraction polynomial helpers.
+# ---------------------------------------------------------------------------
+
+def _padd(a, b):
+    n = max(len(a), len(b))
+    return [
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+        for i in range(n)
+    ]
+
+
+def _pmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _pscale(a, c):
+    return [ai * c for ai in a]
+
+
+def literal_series_mul(a, b):
+    order = min(a.order, b.order)
+    rows = []
+    for n in range(order + 1):
+        acc = [Fraction(0)] * (n + 1)
+        for i in range(n + 1):
+            ra = a.rows[i]
+            rb = b.rows[n - i]
+            if any(ra) and any(rb):
+                acc = _padd(acc, _pmul(ra, rb))
+        rows.append(_fit_row(acc, n))
+    return BivariateSeries(order, rows)
+
+
+def literal_series_exp(f):
+    if f.rows[0][0] != 0:
+        raise ValueError("series_exp requires zero constant term")
+    n_max = f.order
+    g = [[Fraction(1)]]
+    for n in range(1, n_max + 1):
+        acc = [Fraction(0)]
+        for m in range(1, n + 1):
+            fm = f.rows[m]
+            if any(fm):
+                acc = _padd(acc, _pscale(_pmul(fm, g[n - m]), m))
+        g.append(_pscale(acc, Fraction(1, n)))
+    return BivariateSeries(n_max, [_fit_row(row, n) for n, row in enumerate(g)])
+
+
+def literal_series_log(f):
+    if f.rows[0][0] != 1:
+        raise ValueError("series_log requires constant term 1")
+    n_max = f.order
+    g = [[Fraction(0)]]
+    for n in range(1, n_max + 1):
+        acc = [Fraction(0)]
+        for m in range(1, n):
+            gm = g[m]
+            fnm = f.rows[n - m]
+            if any(gm) and any(fnm):
+                acc = _padd(acc, _pscale(_pmul(gm, fnm), m))
+        g.append(_padd(list(f.rows[n]), _pscale(acc, Fraction(-1, n))))
+    return BivariateSeries(n_max, [_fit_row(row, n) for n, row in enumerate(g)])
+
+
+def literal_x_powers(rows, order):
+    power = [list(row) for row in rows[: order + 1]]
+    for m in range(1, order + 1):
+        yield power
+        nxt = [[Fraction(0)] for _ in range(order + 1)]
+        for i in range(m, order + 1):
+            if any(power[i]):
+                for j in range(1, order + 1 - i):
+                    if any(rows[j]):
+                        nxt[i + j] = _padd(nxt[i + j], _pmul(power[i], rows[j]))
+        power = nxt
+
+
+def literal_series_compose_shared_y(outer, inner):
+    if inner.rows[0][0] != 0:
+        raise ValueError("series_compose_shared_y requires inner constant term 0")
+    order = min(outer.order, inner.order)
+    acc = [[outer.rows[0][0]]] + [[Fraction(0)] for _ in range(order)]
+    for m, power in enumerate(literal_x_powers(inner.rows, order), start=1):
+        row_m = outer.rows[m]
+        if any(row_m):
+            for n in range(m, order + 1):
+                if any(power[n]):
+                    acc[n] = _padd(acc[n], _pmul(row_m, power[n]))
+    return BivariateSeries(order, [_fit_row(row, n) for n, row in enumerate(acc)])
+
+
+def literal_series_reverse_x(f):
+    c = _check_reversible(f)
+    n_max = f.order
+    fpow = [None, *literal_x_powers(f.rows, n_max)]
+    g = [[Fraction(0)], [Fraction(1) / c]]
+    for n in range(2, n_max + 1):
+        acc = [Fraction(0)]
+        for m in range(1, n):
+            if any(g[m]) and any(fpow[m][n]):
+                acc = _padd(acc, _pmul(g[m], fpow[m][n]))
+        g.append(_pscale(acc, Fraction(-1) / c ** n))
+    return BivariateSeries(n_max, [_fit_row(row, n) for n, row in enumerate(g)])
+
+
 def literal_lagrange_invert(f):
     """The inversion formula with each composition's product built from scratch."""
     c = _check_reversible(f)
@@ -254,30 +360,36 @@ def test_lagrange_matches_reverse_on_random_series(f):
     assert lagrange_invert(f) == series_reverse_x(f)
 
 
-def integer_rows(draw, order, constant, lag=0):
-    """Triangle rows: `constant` at x^0, then small integers at y^0 .. y^(n - lag)
-    of each x^n and zeros above."""
-    coeff = st.integers(-3, 3)
-    return [[constant]] + [
-        draw(st.lists(coeff, min_size=n + 1 - lag, max_size=n + 1 - lag)) + [0] * lag
-        for n in range(1, order + 1)
-    ]
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 7))
 
 
-@st.composite
-def integer_series_triples(draw):
-    """Three small integer-coefficient series of one order up to 5."""
-    order = draw(st.integers(0, 5))
-    return [
-        BivariateSeries(order, integer_rows(draw, order, draw(st.integers(-3, 3))))
-        for _ in range(3)
-    ]
+def draw_series(draw, order, constant=None, lag=0):
+    """A triangle series: `constant` (drawn if None) at x^0, then small rationals
+    (denominators 1..7, either sign) at y^0 .. y^(n - lag) of each x^n and
+    zeros above; about one row in four is all zero."""
+    rows = [[draw(RATIONALS) if constant is None else constant]]
+    for n in range(1, order + 1):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append([0] * (n + 1))
+        else:
+            rows.append(draw(st.lists(RATIONALS, min_size=n + 1 - lag, max_size=n + 1 - lag)) + [0] * lag)
+    return BivariateSeries(order, rows)
+
+
+def draw_reversible(draw, order):
+    # F_1 = +-p/q and y-degree at most n - 1 at x^n, as reversion needs
+    f = draw_series(draw, order, 0, lag=1)
+    sign = draw(st.sampled_from([-1, 1]))
+    rows = [list(row) for row in f.rows]
+    rows[1] = [Fraction(sign * draw(st.integers(1, 7)), draw(st.integers(1, 7))), 0]
+    return BivariateSeries(order, rows)
 
 
 @settings(max_examples=40, deadline=None)
-@given(integer_series_triples())
-def test_series_mul_ring_laws(abc):
-    a, b, c = abc
+@given(st.data())
+def test_series_mul_ring_laws(data):
+    order = data.draw(st.integers(0, 5))
+    a, b, c = (draw_series(data.draw, order) for _ in range(3))
     assert series_mul(a, b) == series_mul(b, a)
     assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
     assert series_mul(a, series_add(b, c)) == series_add(series_mul(a, b), series_mul(a, c))
@@ -285,21 +397,49 @@ def test_series_mul_ring_laws(abc):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_exp_inverts_log_on_integer_series(data):
+def test_exp_inverts_log_on_rational_series(data):
     order = data.draw(st.integers(1, 6))
-    one_plus_f = BivariateSeries(order, integer_rows(data.draw, order, 1))
+    one_plus_f = draw_series(data.draw, order, 1)
     assert series_exp(series_log(one_plus_f)) == one_plus_f
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_reverse_twice_is_identity_on_integer_series(data):
-    # F_1 a nonzero integer and y-degree at most n - 1 at x^n, as reversion needs
-    order = data.draw(st.integers(1, 6))
-    rows = integer_rows(data.draw, order, 0, lag=1)
-    rows[1] = [data.draw(st.sampled_from([-2, -1, 1, 2])), 0]
-    f = BivariateSeries(order, rows)
+def test_reverse_twice_is_identity_on_rational_series(data):
+    f = draw_reversible(data.draw, data.draw(st.integers(1, 6)))
     assert series_reverse_x(series_reverse_x(f)) == f
+
+
+def outcome(op, *args):
+    """The rows op(*args) returns, or the message of the ValueError it raises."""
+    try:
+        return op(*args).rows
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fraction_free_ops_equal_literal_references(data):
+    order = data.draw(st.integers(0, 8))
+    a, b = draw_series(data.draw, order), draw_series(data.draw, order)
+    f0, f1 = draw_series(data.draw, order, 0), draw_series(data.draw, order, 1)
+    assert series_mul(a, b).rows == literal_series_mul(a, b).rows
+    assert series_exp(f0).rows == literal_series_exp(f0).rows
+    assert series_log(f1).rows == literal_series_log(f1).rows
+    # an arbitrary inner series may push the result out of the triangle: both raise alike
+    assert outcome(series_compose_shared_y, a, f0) == outcome(literal_series_compose_shared_y, a, f0)
+    if order >= 1:
+        g = draw_reversible(data.draw, order)
+        assert series_reverse_x(g).rows == literal_series_reverse_x(g).rows
+        assert outcome(series_compose_shared_y, a, g) == outcome(literal_series_compose_shared_y, a, g)
+
+
+def test_compose_leaving_the_triangle_raises():
+    # F has y^1 at x^2, and ((1 + y) x)^2 adds two more powers of y at x^2
+    inner = BivariateSeries(4, [[0], [1, 1]] + [[0] * (n + 1) for n in range(2, 5)])
+    with pytest.raises(ValueError, match="triangular invariant violated"):
+        series_compose_shared_y(build_F(4), inner)
 
 
 def test_lagrange_shares_nothing_with_coefficient_solving(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the verification report machinery."""
 
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,19 @@ def test_flagged_items_present_with_evidence(default_report):
 
 def test_default_report_matches_golden_text(default_report):
     assert default_report.render() == EXPECTED_O12.read_text(encoding="utf-8")
+
+
+def test_surjection_inner_equals_literal_fraction_sum():
+    def literal(k, m, j):
+        return sum(
+            Fraction((-1) ** i) * Fraction(m - i) ** (k - 1) / (factorial(i) * factorial(j - i))
+            for i in range(j + 1)
+        )
+
+    for k in range(1, 9):
+        for m in range(17):
+            for j in range(k):
+                assert verify._surjection_inner(k, m, j) == literal(k, m, j)
 
 
 def test_corrupted_stirling_table_is_localized():
