@@ -39,10 +39,11 @@ USAGE_ERROR = 2
 # ~2.7 s in egf_exp), each with a peak RSS of at most 40 MiB, on a 2-vCPU
 # host.
 TABLE_MAX_N = 150
-# Largest `spm verify --order`.  A cold run takes about 0.5 s at order 16,
-# 0.75 s at 24 and 1.1 s with a peak RSS of 19 MiB at 30, on a 2-vCPU host.
-# Past 30 the series composition's integers grow long and the cost
-# steepens: run_verify() takes 2.6 s at order 40 and 10 s at 50.
+# Largest `spm verify --order`.  A cold run takes about 0.35 s at order 16,
+# 0.5 s at 24 and 1 s with a peak RSS of 19 MiB at 30, on a 2-vCPU host;
+# both inversion routes run at the full order.  Past 30 the series
+# composition's integers grow long and the cost steepens: run_verify()
+# takes 2.9 s at order 40 and 11 s at 50.
 VERIFY_MAX_ORDER = 30
 
 

@@ -345,26 +345,17 @@ def _composition_sums(parts, max_sum: int):
     for 0 <= k <= s <= max_sum, where parts[j] is an integer y-polynomial of
     degree at most j + 1.
 
-    One depth-first walk visits every composition once: a child appends one
-    part j to its parent and multiplies the parent's product by parts[j].
+    Compositions are grouped by their last part j, so
+    sums[s][k] = sum_j sums[s-j][k-1] parts[j]: O(max_sum^3) polynomial
+    products, where listing the compositions would take 2^(max_sum-1).
     """
     sums = [[[0] * (s + k + 1) for k in range(s + 1)] for s in range(max_sum + 1)]
-    sums[0][0][0] = 1  # the empty composition, the root of the walk
-    stack = [(0, 0, [1])]
-    while stack:
-        s, k, prod = stack.pop()
-        for j in range(1, max_sum - s + 1):
-            child = []
-            _pmac(child, prod, parts[j])
-            acc = sums[s + j][k + 1]
-            for i, v in enumerate(child):
-                acc[i] += v
-            stack.append((s + j, k + 1, child))
+    sums[0][0][0] = 1  # the empty composition
+    for s in range(1, max_sum + 1):
+        for k in range(1, s + 1):
+            for j in range(1, s - k + 2):  # sums[s-j][k-1] needs k-1 <= s-j
+                _pmac(sums[s][k], sums[s - j][k - 1], parts[j])
     return sums
-
-
-# lagrange_invert walks 2^(order-1) compositions: 0.02 s at 12, 0.07 s at 14 (Python 3.11)
-LAGRANGE_MAX_ORDER = 14
 
 
 def lagrange_invert(f: BivariateSeries) -> BivariateSeries:
@@ -376,13 +367,11 @@ def lagrange_invert(f: BivariateSeries) -> BivariateSeries:
         G_n = F_1^{-n} sum_{k=1}^{n-1} (-1)^k (n+k-1)!/k!
                   sum_{j_1+...+j_k = n-1} prod_i hat F_{j_i} / j_i!
 
-    and G_1 = 1/F_1.  The inner sums come from one walk over all
-    compositions, sharing prefixes, with integer numerators over a common
-    denominator; this route shares no code with series_reverse_x.
-    Orders above LAGRANGE_MAX_ORDER raise ValueError before any work.
+    and G_1 = 1/F_1.  The inner sums over compositions come from
+    _composition_sums, a dynamic program on the last part, in integer
+    numerators over a common denominator: O(order^3) polynomial products.
+    This route shares no code with series_reverse_x.
     """
-    if f.order > LAGRANGE_MAX_ORDER:
-        raise ValueError(f"lagrange_invert is capped at order {LAGRANGE_MAX_ORDER}, got {f.order}")
     _check_reversible(f)
     n_max = f.order
     rows, d = _lift(f.rows)

@@ -25,8 +25,8 @@ from . import oracle
 from .combinum import assoc_stirling1, binomial, double_factorial, h_value, stirling2
 from .config import RunConfig
 from .powerseries import (
-    LAGRANGE_MAX_ORDER,
     BivariateSeries,
+    _lift,
     build_F,
     count_coefficient,
     exp_minus_one,
@@ -191,17 +191,19 @@ def check_stirling_alternating_lemma(stirling2_fn=None) -> CheckResult:
 
 
 @cache
-def _surjection_inner(k: int, m: int, j: int) -> Fraction:
-    # sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!) = sum_i (-1)^i C(j, i) (m-i)^(k-1) / j!,
-    # one Fraction over j!; shared by every n
-    return Fraction(
-        sum((-1) ** i * comb(j, i) * (m - i) ** (k - 1) for i in range(j + 1)), factorial(j)
+def _surjection_inner(k: int, m: int, j: int) -> int:
+    # sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!) as an integer over (k-1)!, for j < k:
+    # (k-1)!/j! sum_i (-1)^i C(j, i) (m-i)^(k-1); shared by every n
+    return factorial(k - 1) // factorial(j) * sum(
+        (-1) ** i * comb(j, i) * (m - i) ** (k - 1) for i in range(j + 1)
     )
 
 
 def _surjection_sum(s2, k: int, n: int, m: int) -> Fraction:
-    # sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!)
-    return sum(s2(n + 1, m - j) * _surjection_inner(k, m, j) for j in range(k))
+    # sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!), summed over (k-1)!
+    return Fraction(
+        sum(s2(n + 1, m - j) * _surjection_inner(k, m, j) for j in range(k)), factorial(k - 1)
+    )
 
 
 def check_stirling_surjection_lemma(stirling2_fn=None) -> CheckResult:
@@ -246,23 +248,29 @@ def _reciprocal_product_poly(m: int, k: int) -> tuple[Fraction, ...]:
     # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1),
     # by the last part j: P(m, k) = sum_j P(m-j, k-1) (1 + y^j) / (j+1) with
     # P(0, 0) = 1; cached, since two checks, the printed-variant flag and the
-    # recursion itself read it
+    # recursion itself read it.  (m+k)! P(m, k) is an integer y-polynomial, as
+    # prod (j_i + 1)! divides (m+k)!, so the sum runs in integers over (m+k)!:
+    # (m+k)! / (j+1) = C(m+k, j+1) j! (m-j+k-1)!
     if k == 0:
         return (Fraction(1),) if m == 0 else (Fraction(0),) * (m + 1)
-    out = [Fraction(0)] * (m + 1)
+    out = [0] * (m + 1)
     for j in range(1, m - k + 2):
+        w, den = comb(m + k, j + 1) * factorial(j), factorial(m - j + k - 1)
         for a, c in enumerate(_reciprocal_product_poly(m - j, k - 1)):
             if c:
-                w = c / (j + 1)
-                out[a] += w
-                out[a + j] += w
-    return tuple(out)
+                wc = w * c.numerator * (den // c.denominator)
+                out[a] += wc
+                out[a + j] += wc
+    den = factorial(m + k)
+    return tuple(Fraction(c, den) for c in out)
 
 
 def _reciprocal_lemma(m: int, k: int) -> tuple[Fraction, ...]:
-    # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)
+    # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p), with every H(l, p), l <= m and
+    # p <= k, lifted to an integer numerator over their lcm d
+    h, d = _lift([[h_value(l, p) for p in range(k + 1)] for l in range(m + 1)])
     return tuple(
-        sum(binomial(k, p) * h_value(l, p) * h_value(m - l, k - p) for p in range(k + 1))
+        Fraction(sum(binomial(k, p) * h[l][p] * h[m - l][k - p] for p in range(k + 1)), d * d)
         for l in range(m + 1)
     )
 
@@ -270,13 +278,16 @@ def _reciprocal_lemma(m: int, k: int) -> tuple[Fraction, ...]:
 def _reciprocal_corollary(m: int, k: int, top: int) -> tuple[Fraction, ...]:
     # (k!/top!) sum_l y^l sum_p C(top, l+p) D(l+p, p) D(m-l+k-p, k-p); top = m+k is
     # the corrected form, top = m-k the printed one
+    scale, den = factorial(k), factorial(top)
     return tuple(
-        Fraction(factorial(k), factorial(top))
-        * sum(
-            binomial(top, l + p)
-            * assoc_stirling1(l + p, p)
-            * assoc_stirling1(m - l + k - p, k - p)
-            for p in range(k + 1)
+        Fraction(
+            scale * sum(
+                binomial(top, l + p)
+                * assoc_stirling1(l + p, p)
+                * assoc_stirling1(m - l + k - p, k - p)
+                for p in range(k + 1)
+            ),
+            den,
         )
         for l in range(m + 1)
     )
@@ -350,16 +361,14 @@ def check_exp_log_roundtrip(order: int) -> CheckResult:
 
 
 def check_inversion_routes(order: int) -> CheckResult:
-    # the inversion formula's cost caps the order of the log-series comparison
-    f_order = min(order, LAGRANGE_MAX_ORDER)
     rng = random.Random(_RANDOM_SEED)
-    cases = [("the log-series", build_F(f_order))] + [
+    cases = [("the log-series", build_F(order))] + [
         (f"random series #{trial}", _random_reversible_series(rng, min(order, 10)))
         for trial in range(5)
     ]
     return _result(
         "series-inversion-route-agreement", "coefficient solving = explicit inversion formula",
-        f"log-series at order {f_order}; 5 seeded random series at order <= 10",
+        f"log-series at order {order}; 5 seeded random series at order <= 10",
         _first_mismatch((f"routes disagree on {name}", partial(series_reverse_x, f),
                          partial(lagrange_invert, f)) for name, f in cases),
     )
@@ -497,11 +506,12 @@ def check_gf_identities(order: int) -> list[CheckResult]:
 
 
 def check_stirling_convolution() -> CheckResult:
+    e = cache(e_closed)  # one E(m, l) per m for every n; local, so a patched e_closed is seen
     return _result(
         "counts-stirling-convolution", "sum_m S2(n, m) E(m, l) = C(n, l)", "2 <= n <= 20",
         _first_failure(
             _triangle(2, 20),
-            lambda n, l: sum(stirling2(n, m) * e_closed(m, l) for m in range(1, n + 1)),
+            lambda n, l: sum(stirling2(n, m) * e(m, l) for m in range(1, n + 1)),
             c_closed, "n, l",
         ),
     )

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from spmatroids import powerseries
 from spmatroids.combinum import compositions
 from spmatroids.powerseries import (
-    LAGRANGE_MAX_ORDER,
     BivariateSeries,
     build_F,
     count_coefficient,
@@ -454,13 +453,25 @@ def test_lagrange_shares_nothing_with_coefficient_solving(monkeypatch):
     assert powerseries.lagrange_invert(f) == expected
 
 
-def test_lagrange_refuses_orders_above_cap_before_any_work(monkeypatch):
-    def no_walk(*args):
-        raise AssertionError("composition walk started")
+def test_lagrange_matches_reverse_at_order_30():
+    f = build_F(30)
+    assert lagrange_invert(f) == series_reverse_x(f)
 
-    monkeypatch.setattr(powerseries, "_composition_sums", no_walk)
-    with pytest.raises(ValueError, match=f"capped at order {LAGRANGE_MAX_ORDER}"):
-        lagrange_invert(build_F(LAGRANGE_MAX_ORDER + 1))
+
+def test_lagrange_work_is_cubic_in_the_order(monkeypatch):
+    # a walk over the compositions of every s <= 19 makes 2^19 - 1 = 524,287 products
+    order = 20
+    calls = 0
+    real = powerseries._pmac
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(powerseries, "_pmac", counted)
+    lagrange_invert(build_F(order))
+    assert 0 < calls <= order**3
 
 
 def test_two_sided_inverse():

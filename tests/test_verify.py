@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from spmatroids import powerseries, verify
-from spmatroids.combinum import compositions, stirling2
+from spmatroids import verify
+from spmatroids.combinum import assoc_stirling1, binomial, compositions, h_value, stirling2
 from spmatroids.config import RunConfig
 from spmatroids.verify import check_inversion_routes, run_verify
 
@@ -46,9 +46,52 @@ def test_surjection_inner_equals_literal_fraction_sum():
         )
 
     for k in range(1, 9):
+        scale = factorial(k - 1)  # _surjection_inner is an integer over (k-1)!
         for m in range(17):
             for j in range(k):
-                assert verify._surjection_inner(k, m, j) == literal(k, m, j)
+                assert Fraction(verify._surjection_inner(k, m, j), scale) == literal(k, m, j)
+
+
+def test_surjection_sum_equals_literal_fraction_sum():
+    # the check's whole (k, n, m) grid, against Fractions added one term at a time
+    def literal(k, n, m):
+        return sum(
+            stirling2(n + 1, m - j)
+            * sum(
+                Fraction((-1) ** i * (m - i) ** (k - 1), factorial(i) * factorial(j - i))
+                for i in range(j + 1)
+            )
+            for j in range(k)
+        )
+
+    for k in range(1, 9):
+        for n in range(9):
+            for m in range(n + k + 1):
+                assert verify._surjection_sum(stirling2, k, n, m) == literal(k, n, m), (k, n, m)
+
+
+def test_reciprocal_lemma_and_corollary_equal_literal_fraction_sums():
+    for m in range(11):
+        for k in range(11):
+            lemma = tuple(
+                sum(
+                    binomial(k, p) * h_value(l, p) * h_value(m - l, k - p)
+                    for p in range(k + 1)
+                )
+                for l in range(m + 1)
+            )
+            corollary = tuple(
+                Fraction(factorial(k), factorial(m + k))
+                * sum(
+                    binomial(m + k, l + p)
+                    * assoc_stirling1(l + p, p)
+                    * assoc_stirling1(m - l + k - p, k - p)
+                    for p in range(k + 1)
+                )
+                for l in range(m + 1)
+            )
+            assert verify._reciprocal_lemma(m, k) == lemma, (m, k)
+            assert verify._reciprocal_corollary(m, k, m + k) == corollary, (m, k)
 
 
 def test_corrupted_stirling_table_is_localized():
@@ -104,12 +147,10 @@ def test_planted_fault_is_reported_exactly(monkeypatch, fault):
     assert failed == PLANTED_FAULTS[fault]
 
 
-def test_inversion_routes_compare_at_the_lagrange_cap(monkeypatch):
-    monkeypatch.setattr(powerseries, "LAGRANGE_MAX_ORDER", 10)
-    monkeypatch.setattr(verify, "LAGRANGE_MAX_ORDER", 10)
-    result = check_inversion_routes(11)
+def test_inversion_routes_compare_at_the_full_order():
+    result = check_inversion_routes(20)
     assert result.status == "pass"
-    assert result.ranges.startswith("log-series at order 10;")
+    assert result.ranges.startswith("log-series at order 20;")
 
 
 def test_low_order_config_reported_as_such():
