@@ -87,7 +87,7 @@ class BivariateSeries:
     def __init__(self, order: int, rows):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        rows = tuple(tuple(Fraction(c) for c in row) for row in rows)
+        rows = tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in rows)
         if len(rows) != order + 1:
             raise ValueError(f"expected {order + 1} rows, got {len(rows)}")
         for n, row in enumerate(rows):

@@ -16,21 +16,19 @@ identity S = exp(E), and A from S by the substitution A = S(e^x - 1, y) e^x
 
     A(n, k) = sum_{j=k}^{n} S2(n+1, j+1) S(j, k).
 
-Tables are built in exact integers throughout, each family in O(N^3)
-arithmetic operations but S, which applies egf_exp to the integer E rows.
-Every integer route to the rows lives here; powerseries holds only the
+Tables are built in exact integers, each family in O(N^3) operations but
+S, which applies egf_exp to the integer E rows; powerseries holds only the
 Fraction reference kernel.  C and G rows are their closed forms entry by
-entry, each reading the combinum S2 and D memo rows directly.  E rows come
-from the column route _e_rows, which reads every inner sum of the E closed
-form, a scaled backward difference of t^e, off layers built by the Leibniz
-rule for backward differences (_leibniz_layer); e_closed evaluates the same
-closed form one entry at a time and is the reference that verify and the
-tests check the rows against.  A = exp(C) is no longer a route, only a
-cross-check: verify and the tests compare the A rows with the Fraction
-reference series_exp(C).  Each family's rows are built once per process
-and memoised, so S reuses the E rows and A the S rows.  The *_series
-builders wrap those rows as Fraction series (raw = count / n!) for the
-identity checks.
+entry over the combinum S2 and D memo rows.  E rows come from the column
+route _e_rows: each inner sum of the E closed form is a scaled backward
+difference of t^e, read off layers built by the Leibniz rule
+(_leibniz_layer).  e_closed is the reference they are checked against: it
+evaluates the printed sum a row at a time, outer loop over q = k - p so the
+entries of a row share their powers and binomials, and memoises each row,
+so a lone cold entry costs its whole row.  A = exp(C) is only a
+cross-check against the Fraction series_exp(C).  Each family's rows are
+built once per process, so S reuses the E rows and A the S rows; the
+*_series builders wrap them as Fraction series (raw = count / n!).
 """
 
 from __future__ import annotations
@@ -39,8 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial
+from operator import mul
 
-from .combinum import _assoc_rows, _stirling2_rows, assoc_stirling1, double_factorial, stirling2
+from .combinum import _assoc_rows, _stirling2_rows, double_factorial
 from .powerseries import BivariateSeries
 
 FAMILIES = ("E", "C", "A", "S", "G")
@@ -75,62 +74,65 @@ class TriangularCountTable:
         return self.rows[n - self.start_n]
 
     def value(self, n: int, k: int) -> int:
-        if not self.start_n <= n <= self.max_n:
-            raise ValueError(f"row {n} outside table range")
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n - self.start_n][k]
+        row = self.row(n)
+        return row[k] if 0 <= k <= n else 0
+
+
+_E_CLOSED: dict[int, tuple[int, ...]] = {}  # n -> row n of e_closed, one whole tuple
 
 
 def e_closed(n: int, k: int) -> int:
     """Number of simple series-parallel matroids on n elements of rank k.
 
-    Evaluates, with r = 2k - n,
+    Evaluates, with r = 2k - n and D = assoc_stirling1, in exact integers
 
         E(2k-r, k) = sum_{p=1}^{r} D(2k-p-1, k-p)
-                     sum_{i=0}^{r-p} (-1)^(i+p+1) (2k-p-i)^(k-p-1) / (i! (r-p-i)!)
+                     sum_{i=0}^{r-p} (-1)^(i+p+1) (2k-p-i)^(k-p-1) / (i! (r-p-i)!).
 
-    where D is assoc_stirling1, in exact integers: each 1/(i! (r-p-i)!) is
-    written as binomial(r-p, i) (r-1)!/(r-p)! over the common denominator
-    (r-1)!, and the sum is divided by (r-1)! once at the end, raising if
-    the remainder is nonzero.  Terms with a vanishing D factor are skipped
-    before the power is formed, so the only negative exponent ever reached
-    is 1^(-1) in the (n, k) = (1, 1) base case.  Returns 0 for k = 0,
-    k > n, or n >= 2k > 0.
-
-    This is the entry-by-entry reference: tables take their E rows from
-    the column route _e_rows, which tests assert equal to this function.
+    Returns 0 for k = 0, k > n, or n >= 2k > 0 without building anything;
+    else reads row n, evaluated whole once and kept in _E_CLOSED, so one cold
+    entry costs its row (e_closed(300, 200) ~1.7 s, ~0.05 s entry by entry).
+    The reference for the column route _e_rows and the inversion e_from_c.
     """
-    if n < 1 or k < 1 or k > n:
+    if n < 1 or k < 1 or k > n or 2 * k <= n:
         return 0
-    r = 2 * k - n
-    if r < 1:
-        return 0
-    denominator = factorial(r - 1)
-    total = 0
-    for p in range(1, r + 1):
-        d = assoc_stirling1(2 * k - p - 1, k - p)
-        if d == 0:
-            continue
-        e = k - p - 1
-        inner = 0
-        for i in range(r - p + 1):
-            base = 2 * k - p - i
-            if e >= 0:
-                power = base ** e
-            elif base == 1:
-                power = 1  # 1^(-1), reached only at (n, k) = (1, 1)
-            else:
-                raise ValueError(f"non-integral power {base}^({e}) at (n, k) = ({n}, {k})")
-            term = comb(r - p, i) * power
-            inner += -term if (i + p) % 2 == 0 else term
-        total += d * (denominator // factorial(r - p)) * inner
-    value, remainder = divmod(total, denominator)
-    if remainder:
-        raise ValueError(
-            f"non-integral E value at (n, k) = ({n}, {k}): {Fraction(total, denominator)}"
-        )
-    return value
+    if n not in _E_CLOSED:
+        _E_CLOSED[n] = _e_closed_row(n)
+    return _E_CLOSED[n][k]
+
+
+def _e_closed_row(n: int) -> tuple[int, ...]:
+    """Row n >= 1 of the e_closed sum, over the denominators (r-1)!.
+
+    Outer loop q = k - p, m = r - p: entry k adds the sign, D(k+q-1, q) and
+    (r-1)!/m! times sum_i (-1)^i C(m, i) (n+m-i)^(q-1), so all k share the
+    powers (n+j)^(q-1), each the previous q's times its base, and the signed
+    binomial rows of Pascal's rule.  q = 0 is the only negative exponent, and
+    D(k-1, 0) vanishes but at (1, 1), where the power is 1^(-1).
+    """
+    d_rows = _assoc_rows(2 * n - 2)
+    fact = [factorial(i) for i in range(n)]
+    totals = [0] * (n + 1)
+    if d_rows[n - 1][0]:  # q = 0 reaches only k = n, with the power n^(-1)
+        if n != 1:
+            raise ValueError(f"non-integral power {n}^(-1) at (n, k) = ({n}, {n})")
+        totals[1] = d_rows[0][0]
+    signed, powers = [(1,)], [1, 1]  # signed[m][i] = (-1)^i C(m, i); powers[j] = (n+j)^(q-1)
+    for q in range(1, n):
+        signed.append(tuple(a - b for a, b in zip(signed[-1] + (0,), (0,) + signed[-1])))
+        for k in range(max(n - q, q + 1), n + 1):
+            m = k + q - n
+            term = d_rows[k + q - 1][q] * (fact[2 * k - n - 1] // fact[m])
+            term *= sum(map(mul, signed[m], powers[m::-1]))
+            totals[k] += term if (k - q) % 2 else -term
+        powers = [v * (n + j) for j, v in enumerate(powers)] + [(n + q + 1) ** q]
+    row = [0] * (n + 1)
+    for k in range(n // 2 + 1, n + 1):
+        row[k], remainder = divmod(totals[k], fact[2 * k - n - 1])
+        if remainder:
+            raise ValueError(f"non-integral E value at (n, k) = ({n}, {k}): "
+                             f"{Fraction(totals[k], fact[2 * k - n - 1])}")
+    return tuple(row)
 
 
 def _leibniz_layer(above: list[list[int]], d: int, levels: int) -> list[list[int]]:
@@ -250,21 +252,20 @@ def e_from_c(max_n: int) -> TriangularCountTable:
 
     Solves C(n, l) = sum_{m=l}^{n} S2(n, m) E(m, l) for E by forward
     substitution (S2(n, n) = 1), seeding row 1 with the coloop convention
-    E(1, 0) = 0, E(1, 1) = 1.  The result must agree with e_closed entrywise.
+    E(1, 0) = 0, E(1, 1) = 1, and reading S2 and the rows already solved
+    by index.  The result must agree with e_closed entrywise.
     """
     if max_n < 1:
         raise ValueError("e_from_c needs max_n >= 1")
-    e: dict[tuple[int, int], int] = {(1, 0): 0, (1, 1): 1}
+    s2 = _stirling2_rows(max_n)
+    rows = [(0,), (0, 1)]  # rows[m] = (E(m, 0), ..., E(m, m)); row 0 is never read
     for n in range(2, max_n + 1):
-        for l in range(n + 1):
-            acc = c_closed(n, l)
-            for m in range(max(l, 1), n):
-                acc -= stirling2(n, m) * e.get((m, l), 0)
-            e[(n, l)] = acc
-    rows = tuple(
-        tuple(e.get((n, l), 0) for l in range(n + 1)) for n in range(1, max_n + 1)
-    )
-    return TriangularCountTable("E", 1, rows)
+        weights = s2[n]
+        rows.append(tuple(
+            c_closed(n, l) - sum(weights[m] * rows[m][l] for m in range(max(l, 1), n))
+            for l in range(n + 1)
+        ))
+    return TriangularCountTable("E", 1, tuple(rows[1:]))
 
 
 def e_special(n: int, k: int, r: int) -> int:

@@ -1,7 +1,9 @@
 """Tests for the closed-form count families and their conversions."""
 
+import ast
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,71 @@ def test_e_closed_odd_row_double_factorial_form():
         expected = double_factorial(2 * k - 1) * Fraction(2 * k - 1) ** (k - 3)
         assert expected.denominator == 1
         assert e_closed(2 * k - 1, k) == int(expected)
+
+
+def literal_e_closed(n, k):
+    # the printed sum entry by entry, over one common denominator (r-1)!
+    if n < 1 or k < 1 or k > n:
+        return 0
+    r = 2 * k - n
+    if r < 1:
+        return 0
+    denominator = factorial(r - 1)
+    total = 0
+    for p in range(1, r + 1):
+        d = assoc_stirling1(2 * k - p - 1, k - p)
+        if d == 0:
+            continue
+        e = k - p - 1
+        inner = 0
+        for i in range(r - p + 1):
+            power = (2 * k - p - i) ** e if e >= 0 else 1  # 1^(-1) only at (1, 1)
+            term = comb(r - p, i) * power
+            inner += -term if (i + p) % 2 == 0 else term
+        total += d * (denominator // factorial(r - p)) * inner
+    value, remainder = divmod(total, denominator)
+    assert remainder == 0, (n, k)
+    return value
+
+
+def test_e_closed_matches_literal_sum(monkeypatch):
+    monkeypatch.setattr(spcounts, "_E_CLOSED", {})
+    for n in range(61):
+        for k in range(-1, n + 2):
+            assert e_closed(n, k) == literal_e_closed(n, k), (n, k)
+
+
+@pytest.mark.parametrize("n", [80, 100])
+def test_e_closed_row_matches_literal_sum(n):
+    assert spcounts._e_closed_row(n) == tuple(literal_e_closed(n, k) for k in range(n + 1))
+
+
+def test_e_closed_vanishing_entries_build_no_row(monkeypatch):
+    monkeypatch.setattr(spcounts, "_E_CLOSED", {})
+    assert e_closed(300, 150) == e_closed(300, 0) == e_closed(300, 301) == 0
+    assert spcounts._E_CLOSED == {}
+
+
+def _names_in(function):
+    # every name and attribute a top-level function of spcounts refers to
+    tree = ast.parse(Path(spcounts.__file__).read_text(encoding="utf-8"))
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+E_CLOSED_FORBIDDEN = {"_leibniz_layer", "_e_rows", "e_from_c", "c_closed", "_count_rows"}
+
+
+@pytest.mark.parametrize("route, forbidden", [
+    ("e_closed", E_CLOSED_FORBIDDEN),
+    ("_e_closed_row", E_CLOSED_FORBIDDEN),
+    ("e_from_c", {"e_closed", "_e_closed_row", "_E_CLOSED"}),
+])
+def test_e_routes_share_nothing(route, forbidden):
+    # the closed form and the inversion of C are independent routes to E
+    assert _names_in(route).isdisjoint(forbidden)
 
 
 def test_c_closed_pinned_values():
@@ -316,11 +383,20 @@ def test_e_closed_raises_on_non_integral_sum(monkeypatch):
     # Integer D factors always give an integral sum (the inner sums are
     # finite differences), so a corrupted rational D factor stands in for
     # an upstream error: the final exact division must refuse it.
-    monkeypatch.setattr(
-        spcounts, "assoc_stirling1", lambda n, k: Fraction(1, 3) if k > 0 else 0
-    )
+    monkeypatch.setattr(spcounts, "_E_CLOSED", {})
+    monkeypatch.setattr(spcounts, "_assoc_rows", lambda n: {
+        m: tuple(Fraction(1, 3) if k else 0 for k in range(m + 1)) for m in range(n + 1)
+    })
     with pytest.raises(ValueError, match="non-integral E value"):
         e_closed(5, 3)
+
+
+def test_e_closed_raises_on_negative_power_above_one(monkeypatch):
+    # a nonzero D(n-1, 0) at n >= 2 would reach n^(-1), which is not an integer
+    monkeypatch.setattr(spcounts, "_E_CLOSED", {})
+    monkeypatch.setattr(spcounts, "_assoc_rows", lambda n: {m: (1,) * (m + 1) for m in range(n + 1)})
+    with pytest.raises(ValueError, match=r"non-integral power 3\^\(-1\) at \(n, k\) = \(3, 3\)"):
+        e_closed(3, 2)
 
 
 def test_count_coefficient_on_family_series():
