@@ -30,7 +30,7 @@ from .oeis import (
     parse_bfile,
     render_bfile,
 )
-from .spcounts import FAMILIES, TriangularCountTable, build_tables
+from .spcounts import FAMILIES, FAMILY_START_N, TriangularCountTable, build_tables
 from .verify import run_verify
 
 USAGE_ERROR = 2
@@ -68,8 +68,6 @@ def render_json(table: TriangularCountTable) -> str:
 
 def run_table(family: str, max_n: int, fmt: str) -> str:
     """Render one family's triangle in the requested format."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     if max_n < 1:
         raise ValueError(f"--max-n: table needs max_n >= 1, got {max_n}")
     if max_n > TABLE_MAX_N:
@@ -95,48 +93,32 @@ def _refuse_fixture_path(option: str, path: Path | None) -> None:
 
 
 def run_oracle(max_n: int, compare: bool, dump_path: Path | None) -> tuple[str, int]:
-    """Enumerate up to max_n, print per-(n, k) counts, optionally diff tables."""
+    """Print each family's enumerated rows, from its first row to max_n,
+    and with `compare` diff them against the formula tables in the same pass."""
     _refuse_fixture_path("--dump", dump_path)
     if max_n > oracle.HARD_CAP:
         raise ValueError(f"--max-n: oracle max_n capped at {oracle.HARD_CAP}, got {max_n}")
     if max_n < 1:
         raise ValueError(f"--max-n: oracle needs max_n >= 1, got {max_n}")
     lines = [f"exhaustive enumeration up to n = {max_n}"]
-    rows: dict[str, dict[int, list[int]]] = {"C": {}, "E": {}, "A": {}, "S": {}}
-    for n in range(1, max_n + 1):
-        c_row, e_row = oracle.connected_counts(n)
-        rows["C"][n] = c_row
-        rows["E"][n] = e_row
-    for n in range(max_n + 1):
-        a_row, s_row = oracle.quasi_counts(n)
-        rows["A"][n] = a_row
-        rows["S"][n] = s_row
+    mismatches = []
     for family in ("C", "E", "A", "S"):
-        for n in sorted(rows[family]):
-            values = " ".join(str(v) for v in rows[family][n])
-            lines.append(f"{family} n={n}: {values}")
-    status = 0
-    if compare:
-        mismatches = []
-        for family in ("C", "E", "A", "S"):
-            table = build_tables(max_n, family)
-            for n in sorted(rows[family]):
-                if n < table.start_n:
-                    continue
-                got = rows[family][n]
-                want = list(table.row(n))
-                if got != want:
-                    mismatches.append(f"{family} n={n}: enumerated {got}, formula {want}")
-        if mismatches:
-            lines.append("COMPARE: MISMATCH")
-            lines.extend("  " + m for m in mismatches)
-            status = 1
-        else:
-            lines.append("COMPARE: formula tables match enumeration for all four families")
+        start = FAMILY_START_N[family]
+        rows = oracle.count_rows(family, max_n)[start:]
+        wants = build_tables(max_n, family).rows if compare else rows
+        for n, (got, want) in enumerate(zip(rows, wants), start):
+            lines.append(f"{family} n={n}: " + " ".join(map(str, got)))
+            if got != list(want):
+                mismatches.append(f"{family} n={n}: enumerated {got}, formula {list(want)}")
+    if mismatches:
+        lines.append("COMPARE: MISMATCH")
+        lines.extend("  " + m for m in mismatches)
+    elif compare:
+        lines.append("COMPARE: formula tables match enumeration for all four families")
     if dump_path is not None:
         dump_path.write_text(oracle.dump_catalog(max_n), encoding="utf-8")
         lines.append(f"catalog dumped to {dump_path}")
-    return "\n".join(lines) + "\n", status
+    return "\n".join(lines) + "\n", 1 if mismatches else 0
 
 
 def run_oeis_compare(
@@ -151,7 +133,13 @@ def run_oeis_compare(
         path = fetch_bfile(sequence_id, bfile_path(config, sequence_id))
     if not path.exists():
         raise ValueError(f"b-file not found: {path} (use --fetch or --bfile)")
-    entries = parse_bfile(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"b-file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    entries = parse_bfile(text)
     table = build_tables(config.truncation_order, mapping.family)
     report = compare_with_bfile(mapping, table, entries)
     return report.render(), 0 if report.ok else 1

@@ -54,14 +54,6 @@ def render_bfile(table: TriangularCountTable) -> str:
     return "\n".join(f"{idx} {value}" for idx, value in enumerate(values, start=1)) + "\n"
 
 
-def _oracle_row(family: str, n: int) -> list[int]:
-    if family in ("C", "E"):
-        c_row, e_row = oracle.connected_counts(n)
-        return c_row if family == "C" else e_row
-    a_row, s_row = oracle.quasi_counts(n)
-    return a_row if family == "A" else s_row
-
-
 @dataclass
 class OeisReport:
     sequence_id: str
@@ -112,23 +104,21 @@ def compare_with_bfile(
 ) -> OeisReport:
     """Compare b-file entries against a table through the index mapping.
 
-    The mapping is first sanity-checked against brute-force rows for
-    n <= 4; with zero validated entries or any validation mismatch the
-    comparison refuses to pass.
+    The mapping is first sanity-checked against the family's brute-force
+    rows, `oracle.count_rows`, for n <= ORACLE_VALIDATION_MAX_N; with zero
+    validated entries or any validation mismatch the comparison refuses to
+    pass.  A family the oracle does not count raises ValueError.
     """
     if not entries:
         return OeisReport(
             mapping.id, mapping.family, False, 0, 0, None, "empty b-file"
         )
     first_index = entries[0][0]
-    oracle_rows = {
-        n: _oracle_row(mapping.family, n)
-        for n in range(mapping.row_offset, ORACLE_VALIDATION_MAX_N + 1)
-    }
+    oracle_rows = oracle.count_rows(mapping.family, ORACLE_VALIDATION_MAX_N)
     validated = 0
     for idx, value in entries:
         n, k = mapping.position(idx - first_index)
-        if n in oracle_rows:
+        if n <= ORACLE_VALIDATION_MAX_N:
             if value != oracle_rows[n][k]:
                 return OeisReport(
                     mapping.id,

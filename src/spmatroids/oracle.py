@@ -11,7 +11,8 @@ so nothing is deduplicated.  A parent's series and parallel classes come
 from two masks per element filled in one pass over its bases, and the
 pairs and simplicity of each extension follow from them.  A matroid is its
 set of basis masks, and counts per (ground size, rank) are read off the
-catalog.  Everything here is independent of the closed formulas, which is
+catalog; the direct-sum families follow from them by a labelled product.
+Everything here is independent of the closed formulas, which is
 the point: the two routes validate each other.
 """
 
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import comb
 from typing import Iterator
 
 HARD_CAP = 8
@@ -172,81 +173,42 @@ def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
     return _CATALOG[n]
 
 
-def connected_counts(n: int) -> tuple[list[int], list[int]]:
-    """Per-rank counts over the catalog: (all connected, simple connected)."""
-    c_row = [0] * (n + 1)
-    e_row = [0] * (n + 1)
-    for entry in enumerate_connected(n):
-        c_row[entry.sig.rank] += 1
-        if entry.simple:
-            e_row[entry.sig.rank] += 1
-    return c_row, e_row
+def count_rows(family: str, max_n: int) -> list[list[int]]:
+    """Counts by rank on [n] for n = 0 .. max_n of family C, E, A or S.
 
+    C counts every catalog entry by rank and E only the simple ones; row 0
+    of both is [0].  A and S count direct sums of C and of E matroids, so
+    they follow by the labelled product on the block that holds label n:
 
-@lru_cache(maxsize=None)
-def _block_rank_vectors(b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (all, simple-only) counts per rank for connected matroids on b elements
-    all_v = [0] * (b + 1)
-    simple_v = [0] * (b + 1)
-    for entry in enumerate_connected(b):
-        all_v[entry.sig.rank] += 1
-        if entry.simple:
-            simple_v[entry.sig.rank] += 1
-    return tuple(all_v), tuple(simple_v)
+        A_0 = 1,  A_n = sum_{m=1}^{n} C(n-1, m-1) C_m A_{n-m}
 
-
-def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    # the partitions of n into parts <= largest, parts in nonincreasing order
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-
-
-def quasi_counts(n: int) -> tuple[list[int], list[int]]:
-    """Counts of (all, simple) quasi series-parallel matroids on [n] by rank.
-
-    Each set partition of [n] carries any connected series-parallel matroid
-    on each block (simple ones only for the simple count), and ranks add
-    over blocks.  The term depends only on the block sizes, so the sum runs
-    over integer partitions lambda of n, each convolved once and weighted by
-    the n! / (prod lambda_i! prod mult!) set partitions of that shape.
-    n = 0 gives the empty matroid, counted once at rank 0.
+    where C_m A_{n-m} multiplies two rank polynomials; S is the same sum
+    over E.  n = 0 gives the empty matroid, counted once at rank 0.
     """
-    if n < 0:
-        raise ValueError("quasi_counts needs n >= 0")
-    if n > HARD_CAP:
-        raise ValueError(f"enumeration capped at n = {HARD_CAP}, got {n}")
-    a_row = [0] * (n + 1)
-    s_row = [0] * (n + 1)
-    for shape in _partitions(n, n):
-        weight = factorial(n)
-        conv_a = [1]
-        conv_s = [1]
-        for b in shape:
-            weight //= factorial(b)
-            vec_a, vec_s = _block_rank_vectors(b)
-            conv_a = _convolve(conv_a, vec_a)
-            conv_s = _convolve(conv_s, vec_s)
-        for b in set(shape):
-            weight //= factorial(shape.count(b))
-        for r, v in enumerate(conv_a):
-            a_row[r] += weight * v
-        for r, v in enumerate(conv_s):
-            s_row[r] += weight * v
-    return a_row, s_row
-
-
-def _convolve(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+    if family not in ("C", "E", "A", "S"):
+        raise ValueError(f"unknown oracle family {family!r}; expected C, E, A or S")
+    if max_n < 0:
+        raise ValueError(f"count_rows needs max_n >= 0, got {max_n}")
+    if family in ("A", "S"):
+        blocks = count_rows("C" if family == "A" else "E", max_n)
+        rows = [[1]]
+        for n in range(1, max_n + 1):
+            row = [0] * (n + 1)
+            for m in range(1, n + 1):
+                weight = comb(n - 1, m - 1)
+                for i, b in enumerate(blocks[m]):
+                    for j, r in enumerate(rows[n - m]):
+                        row[i + j] += weight * b * r
+            rows.append(row)
+        return rows
+    rows = [[0]]
+    for n in range(1, max_n + 1):
+        row = [0] * (n + 1)
+        for entry in enumerate_connected(n):
+            if family == "C" or entry.simple:
+                row[entry.sig.rank] += 1
+        rows.append(row)
+    return rows
 
 
 def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:

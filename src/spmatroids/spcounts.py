@@ -27,8 +27,8 @@ evaluates the printed sum a row at a time, outer loop over q = k - p so the
 entries of a row share their powers and binomials, and memoises each row,
 so a lone cold entry costs its whole row.  A = exp(C) is only a
 cross-check against the Fraction series_exp(C).  Each family's rows are
-built once per process, so S reuses the E rows and A the S rows; the
-*_series builders wrap them as Fraction series (raw = count / n!).
+built once per process, so S reuses the E rows and A the S rows;
+count_series wraps them as a Fraction series (raw = count / n!).
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ def e_special(n: int, k: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# count rows and series builders
+# count rows and their series
 # ---------------------------------------------------------------------------
 
 # family -> the longest rows _count_rows has built in this process.  Row n
@@ -389,32 +389,12 @@ def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
     return rows[:max_n + 1]
 
 
-def _series(rows) -> BivariateSeries:
-    # raw coefficients count / n!
+def count_series(family: str, order: int) -> BivariateSeries:
+    """A family's rows up to `order` as a Fraction series, raw = count / n!."""
+    rows = _count_rows(family, order)
     return BivariateSeries(
-        len(rows) - 1,
-        [[Fraction(c, factorial(n)) for c in row] for n, row in enumerate(rows)],
+        order, [[Fraction(c, factorial(n)) for c in row] for n, row in enumerate(rows)]
     )
-
-
-def e_series(order: int) -> BivariateSeries:
-    return _series(_count_rows("E", order))
-
-
-def c_series(order: int) -> BivariateSeries:
-    return _series(_count_rows("C", order))
-
-
-def g_series(order: int) -> BivariateSeries:
-    return _series(_count_rows("G", order))
-
-
-def s_series(order: int) -> BivariateSeries:
-    return _series(_count_rows("S", order))
-
-
-def a_series(order: int) -> BivariateSeries:
-    return _series(_count_rows("A", order))
 
 
 def build_tables(max_n: int, family: str) -> TriangularCountTable:

@@ -16,9 +16,10 @@ table built from the set of every submask of every basis.  `rank_table`,
 oracle's against, and `k4_signature` is the M(K4) literal the tests feed
 to both.
 
-Before the sum over integer partitions, `quasi_counts` summed over every
-set partition of [n], convolving the block vectors once per partition.
-`set_partitions` and `quasi_counts` keep that sum.
+Before the labelled product on the block that holds label n, the oracle's
+A and S rows summed over every set partition of [n], convolving the C and
+E block vectors once per partition.  `set_partitions` and `quasi_counts`
+keep that sum.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator
 
 from spmatroids.oracle import (
     MatroidSignature,
-    connected_counts,
+    count_rows,
     parallel_extension,
     series_extension,
 )
@@ -208,14 +209,14 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 def quasi_counts(n: int) -> tuple[list[int], list[int]]:
     """(all, simple) quasi series-parallel counts on [n] by rank, summed over
     every set partition of [n] with a connected matroid on each block."""
+    c, e = count_rows("C", n), count_rows("E", n)
     a_row = [0] * (n + 1)
     s_row = [0] * (n + 1)
     for part in set_partitions(list(range(1, n + 1))):
         conv_a, conv_s = [1], [1]
         for block in part:
-            vec_a, vec_s = connected_counts(len(block))
-            conv_a = _convolve(conv_a, vec_a)
-            conv_s = _convolve(conv_s, vec_s)
+            conv_a = _convolve(conv_a, c[len(block)])
+            conv_s = _convolve(conv_s, e[len(block)])
         a_row = [x + y for x, y in zip(a_row, conv_a)]
         s_row = [x + y for x, y in zip(s_row, conv_s)]
     return a_row, s_row

@@ -232,14 +232,19 @@ def test_oeis_unknown_id(capsys):
     assert "no sequence mapping" in err
 
 
-def test_oeis_parse_error_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "payload, message",
+    [(b"1 1\ngarbage\n", "line 2"), (b"\xff\xfe1 2\n", "b-file {path} is not UTF-8")],
+    ids=["garbage-line", "not-utf8"],
+)
+def test_oeis_parse_error_is_usage_error(tmp_path, capsys, payload, message):
     bad = tmp_path / "bad.txt"
-    bad.write_text("1 1\ngarbage\n")
+    bad.write_bytes(payload)
     code, _, err = run_cli(
         capsys, "oeis", "--id", "A140945", "--bfile", str(bad)
     )
     assert code == 2
-    assert "line 2" in err
+    assert message.format(path=bad) in err
 
 
 def test_oeis_fetch_malformed_payload_leaves_fixture(fixtures_copy, monkeypatch, capsys):

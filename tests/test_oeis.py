@@ -90,6 +90,15 @@ def test_corrupted_value_is_reported():
     assert "FIRST MISMATCH" in report.render()
 
 
+def test_mapping_for_a_family_the_oracle_does_not_count_is_refused():
+    # a G mapping fed the S table's entries used to be validated against S rows
+    config = RunConfig()
+    entries = parse_bfile(bfile_path(config, "A361353").read_text(encoding="utf-8"))
+    mapping = SequenceMapping("AXG", "G", row_offset=0)
+    with pytest.raises(ValueError, match="family 'G'"):
+        compare_with_bfile(mapping, build_tables(12, "S"), entries)
+
+
 def test_empty_bfile_refused():
     mapping = DEFAULT_SEQUENCE_MAP["A140945"]
     table = build_tables(6, "C")

@@ -16,13 +16,12 @@ from spmatroids.oracle import (
     HARD_CAP,
     MatroidSignature,
     check_basis_exchange,
-    connected_counts,
+    count_rows,
     direct_sum,
     dump_catalog,
     enumerate_connected,
     minor_check,
     parallel_extension,
-    quasi_counts,
     series_extension,
 )
 
@@ -271,13 +270,15 @@ def test_mk4_test_is_sixteen_bases_without_a_parallel_pair():
 
 def test_connected_counts_row_seven():
     # pinned from the graph-based enumeration this oracle replaced
-    assert connected_counts(7)[0] == [0, 1, 301, 2450, 2450, 301, 1, 0]
+    assert count_rows("C", 7)[7] == [0, 1, 301, 2450, 2450, 301, 1, 0]
 
 
 def test_enumerate_small():
-    assert connected_counts(1) == ([1, 1], [0, 1])
-    assert connected_counts(3) == ([0, 1, 1, 0], [0, 0, 1, 0])
-    c4, e4 = connected_counts(4)
+    c, e = count_rows("C", 4), count_rows("E", 4)
+    assert (c[0], e[0]) == ([0], [0])
+    assert (c[1], e[1]) == ([1, 1], [0, 1])
+    assert (c[3], e[3]) == ([0, 1, 1, 0], [0, 0, 1, 0])
+    c4, e4 = c[4], e[4]
     assert c4 == [0, 1, 6, 1, 0]
     assert e4 == [0, 0, 0, 1, 0]
     assert sum(c4) == 8
@@ -289,7 +290,15 @@ def test_enumerate_caps():
     with pytest.raises(ValueError):
         enumerate_connected(0)
     with pytest.raises(ValueError):
-        quasi_counts(9)
+        count_rows("A", 9)
+
+
+def test_count_rows_refuses_unknown_family_and_negative_max_n():
+    with pytest.raises(ValueError, match="family 'G'"):
+        count_rows("G", 4)
+    for family in ("C", "A"):
+        with pytest.raises(ValueError, match="max_n >= 0"):
+            count_rows(family, -1)
 
 
 def test_lossless_level_dedup():
@@ -324,8 +333,7 @@ def test_partners_from_cover_and_miss_masks():
 
 
 def test_catalog_rank_multiset_duality():
-    for n in range(1, 7):
-        c_row, _ = connected_counts(n)
+    for c_row in count_rows("C", 6)[1:]:
         assert c_row == c_row[::-1]
 
 
@@ -342,16 +350,18 @@ def test_rank_of_subset():
 
 
 def test_quasi_counts():
-    assert quasi_counts(0) == ([1], [1])
-    assert quasi_counts(2) == ([1, 3, 1], [0, 0, 1])
-    a3, s3 = quasi_counts(3)
+    a, s = count_rows("A", 3), count_rows("S", 3)
+    assert (a[0], s[0]) == ([1], [1])
+    assert (a[2], s[2]) == ([1, 3, 1], [0, 0, 1])
+    a3, s3 = a[3], s[3]
     assert s3 == [0, 0, 1, 1]
     assert a3 == [1, 7, 7, 1]
 
 
 def test_quasi_counts_match_set_partition_sum():
+    a, s = count_rows("A", HARD_CAP), count_rows("S", HARD_CAP)
     for n in range(HARD_CAP + 1):
-        assert quasi_counts(n) == oracle_reference.quasi_counts(n), n
+        assert (a[n], s[n]) == oracle_reference.quasi_counts(n), n
 
 
 def test_minor_check_identity_cases():

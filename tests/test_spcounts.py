@@ -14,17 +14,14 @@ from spmatroids.combinum import assoc_stirling1, double_factorial, stirling2
 from spmatroids.powerseries import BivariateSeries, count_coefficient, series_exp
 from spmatroids.spcounts import (
     TriangularCountTable,
-    a_series,
     build_tables,
     c_closed,
-    c_series,
+    count_series,
     e_closed,
     e_from_c,
-    e_series,
     e_special,
     egf_exp,
     g_closed,
-    s_series,
 )
 
 
@@ -369,10 +366,10 @@ def test_build_tables_rows():
         build_tables(4, "X")
 
 
-@pytest.mark.parametrize("family, closed_series", [("A", c_series), ("S", e_series)])
-def test_quasi_tables_match_series_exp_route(family, closed_series):
+@pytest.mark.parametrize("family, connected", [("A", "C"), ("S", "E")])
+def test_quasi_tables_match_series_exp_route(family, connected):
     # the integer binomial-convolution table against the Fraction reference
-    reference = series_exp(closed_series(20))
+    reference = series_exp(count_series(connected, 20))
     table = build_tables(20, family)
     for n in range(21):
         for k in range(n + 1):
@@ -400,11 +397,11 @@ def test_e_closed_raises_on_negative_power_above_one(monkeypatch):
 
 
 def test_count_coefficient_on_family_series():
-    a = a_series(4)
+    a = count_series("A", 4)
     assert count_coefficient(a, 2, 1) == 3
-    s = s_series(4)
+    s = count_series("S", 4)
     assert count_coefficient(s, 3, 2) == 1
-    e = e_series(4)
+    e = count_series("E", 4)
     assert count_coefficient(e, 4, 3) == 1
 
 
