@@ -21,15 +21,8 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .config import RunConfig
-from .oeis import (
-    BFileParseError,
-    bfile_path,
-    compare_with_bfile,
-    fetch_bfile,
-    parse_bfile,
-    render_bfile,
-)
+from .config import RunConfig, default_fixtures_dir
+from .oeis import bfile_path, compare_with_bfile, fetch_bfile, parse_bfile, render_bfile
 from .spcounts import FAMILIES, FAMILY_START_N, TriangularCountTable, build_tables
 from .verify import run_verify
 
@@ -45,6 +38,9 @@ TABLE_MAX_N = 150
 # composition's integers grow long and the cost steepens: run_verify()
 # takes 2.9 s at order 40 and 11 s at 50.
 VERIFY_MAX_ORDER = 30
+# `spm oeis` compares the b-file against the table to this n: every
+# committed b-file ends at row 12.
+OEIS_TABLE_MAX_N = 12
 
 
 def render_csv(table: TriangularCountTable) -> str:
@@ -87,7 +83,7 @@ def _refuse_fixture_path(option: str, path: Path | None) -> None:
     of the tool can overwrite a committed fixture."""
     if path is None:
         return
-    fixtures = RunConfig().fixtures_dir.resolve()
+    fixtures = default_fixtures_dir().resolve()
     if path.resolve().is_relative_to(fixtures):
         raise ValueError(f"{option}: refusing to write {path} inside the fixtures directory")
 
@@ -121,10 +117,9 @@ def run_oracle(max_n: int, compare: bool, dump_path: Path | None) -> tuple[str, 
     return "\n".join(lines) + "\n", 1 if mismatches else 0
 
 
-def run_oeis_compare(
-    sequence_id: str, bfile: Path | None, fetch: bool, config: RunConfig
-) -> tuple[str, int]:
+def run_oeis_compare(sequence_id: str, bfile: Path | None, fetch: bool) -> tuple[str, int]:
     """Compare one sequence's b-file against the formula table."""
+    config = RunConfig()
     mapping = config.sequence_map.get(sequence_id)
     if mapping is None:
         raise ValueError(f"no sequence mapping configured for {sequence_id!r}")
@@ -134,13 +129,14 @@ def run_oeis_compare(
     if not path.exists():
         raise ValueError(f"b-file not found: {path} (use --fetch or --bfile)")
     try:
-        text = path.read_text(encoding="utf-8")
+        entries = parse_bfile(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"b-file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
-    entries = parse_bfile(text)
-    table = build_tables(config.truncation_order, mapping.family)
+    except ValueError as exc:  # BFileParseError, which names the line
+        raise ValueError(f"b-file {path}: {exc}") from None
+    table = build_tables(OEIS_TABLE_MAX_N, mapping.family)
     report = compare_with_bfile(mapping, table, entries)
     return report.render(), 0 if report.ok else 1
 
@@ -193,15 +189,13 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return 0
         if args.command == "verify":
+            if args.order < 1:
+                raise ValueError(f"--order: verify needs order >= 1, got {args.order}")
             if args.order > VERIFY_MAX_ORDER:
                 raise ValueError(
                     f"--order: verify order capped at {VERIFY_MAX_ORDER}, got {args.order}"
                 )
-            try:
-                config = RunConfig(truncation_order=args.order)
-            except ValueError as exc:
-                raise ValueError(f"--order: {exc}") from exc
-            report = run_verify(config)
+            report = run_verify(args.order)
             sys.stdout.write(report.render())
             return 0 if report.ok else 1
         if args.command == "oracle":
@@ -209,14 +203,10 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
             return status
         if args.command == "oeis":
-            config = RunConfig()
-            text, status = run_oeis_compare(args.id, args.bfile, args.fetch, config)
+            text, status = run_oeis_compare(args.id, args.bfile, args.fetch)
             sys.stdout.write(text)
             return status
         parser.error(f"unknown command {args.command!r}")
-    except BFileParseError as exc:
-        sys.stderr.write(f"error: b-file parse failure: {exc}\n")
-        return USAGE_ERROR
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

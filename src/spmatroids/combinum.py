@@ -2,8 +2,8 @@
 
 Double factorials, binomial coefficients, Stirling numbers of the second
 kind, derangement numbers refined by cycle count (the unsigned
-associated Stirling numbers of the first kind), reciprocal composition
-sums and compositions.  Everything is exact: integers are unbounded and
+associated Stirling numbers of the first kind) and reciprocal composition
+sums.  Everything is exact: integers are unbounded and
 rational values are fractions.Fraction.
 
 All functions are pure.  Memo tables are grown with idempotent writes of
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator
 
 __all__ = [
     "binomial",
@@ -23,7 +22,6 @@ __all__ = [
     "stirling2",
     "assoc_stirling1",
     "h_value",
-    "compositions",
 ]
 
 # Memo rows are appended in order from the seed rows below, so each memo
@@ -129,19 +127,4 @@ def h_value(m: int, k: int) -> Fraction:
     if m < 0 or k < 0 or k > m:
         return Fraction(0)
     return _h_row(m)[k]
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield all ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 

@@ -1,5 +1,5 @@
-"""Run configuration: the truncation order, the fixtures directory, and
-the per-sequence index mapping used for OEIS b-file comparison."""
+"""Run configuration for OEIS b-file comparison: the fixtures directory and
+the per-sequence index mapping."""
 
 from __future__ import annotations
 
@@ -46,14 +46,7 @@ def default_fixtures_dir() -> Path:
 
 @dataclass(frozen=True)
 class RunConfig:
-    truncation_order: int = 12
     fixtures_dir: Path = field(default_factory=default_fixtures_dir)
     sequence_map: dict[str, SequenceMapping] = field(
         default_factory=lambda: dict(DEFAULT_SEQUENCE_MAP)
     )
-
-    def __post_init__(self):
-        if self.truncation_order < 1:
-            raise ValueError(
-                f"truncation_order must be at least 1, got {self.truncation_order}"
-            )

@@ -19,13 +19,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, lcm
 
 from . import oracle
 from .combinum import assoc_stirling1, binomial, double_factorial, h_value, stirling2
-from .config import RunConfig
 from .powerseries import (
     BivariateSeries,
+    _composition_sums,
     _lift,
     build_F,
     count_coefficient,
@@ -172,8 +173,7 @@ def check_assoc_closed_forms() -> CheckResult:
     )
 
 
-def check_stirling_alternating_lemma(stirling2_fn=None) -> CheckResult:
-    s2 = stirling2_fn or stirling2
+def check_stirling_alternating_lemma() -> CheckResult:
     return _result(
         "stirling-alternating-lemma",
         "sum_p (-1)^(l+p) C(m+p, l+p) D(l+p, p) = S2(m+1, m-l+1)", "0 <= l <= m <= 12",
@@ -183,7 +183,7 @@ def check_stirling_alternating_lemma(stirling2_fn=None) -> CheckResult:
                 (-1) ** (l + p) * binomial(m + p, l + p) * assoc_stirling1(l + p, p)
                 for p in range(l + 1)
             ),
-            lambda m, l: s2(m + 1, m - l + 1),
+            lambda m, l: stirling2(m + 1, m - l + 1),
             "m, l",
         ),
     )
@@ -198,23 +198,21 @@ def _surjection_inner(k: int, m: int, j: int) -> int:
     )
 
 
-def _surjection_sum(s2, k: int, n: int, m: int) -> Fraction:
+def _surjection_sum(k: int, n: int, m: int) -> Fraction:
     # sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!), summed over (k-1)!
-    return Fraction(
-        sum(s2(n + 1, m - j) * _surjection_inner(k, m, j) for j in range(k)), factorial(k - 1)
-    )
+    total = sum(stirling2(n + 1, m - j) * _surjection_inner(k, m, j) for j in range(k))
+    return Fraction(total, factorial(k - 1))
 
 
-def check_stirling_surjection_lemma(stirling2_fn=None) -> CheckResult:
-    s2 = stirling2_fn or stirling2
+def check_stirling_surjection_lemma() -> CheckResult:
     return _result(
         "stirling-surjection-lemma",
         "S2(n+k, m) = sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!)",
         "1 <= k <= 8, 0 <= n <= 8, 0 <= m <= n+k",
         _first_failure(
             ((k, n, m) for k in range(1, 9) for n in range(9) for m in range(n + k + 1)),
-            lambda k, n, m: Fraction(s2(n + k, m)),
-            lambda k, n, m: _surjection_sum(s2, k, n, m),
+            lambda k, n, m: Fraction(stirling2(n + k, m)),
+            _surjection_sum,
             "k, n, m",
         ),
     )
@@ -242,26 +240,29 @@ def check_h_vs_derangements() -> CheckResult:
     )
 
 
+# The reciprocal checks cover m, k <= 10, so every part j of a composition
+# has j + 1 dividing L = lcm(2..11).
+_RECIPROCAL_MAX = 10
+_PART_LCM = lcm(*range(2, _RECIPROCAL_MAX + 2))
+
+
 @cache
+def _reciprocal_composition_sums():
+    # sums[m][k] = L^k * sum over compositions of m into k parts of
+    # prod (1 + y^j_i) / (j_i + 1): the parts (L/(j+1)) (1 + y^j) are integral
+    parts = {}
+    for j in range(1, _RECIPROCAL_MAX + 1):
+        w = _PART_LCM // (j + 1)
+        parts[j] = [w] + [0] * (j - 1) + [w]
+    return _composition_sums(parts, _RECIPROCAL_MAX)
+
+
 def _reciprocal_product_poly(m: int, k: int) -> tuple[Fraction, ...]:
-    # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1),
-    # by the last part j: P(m, k) = sum_j P(m-j, k-1) (1 + y^j) / (j+1) with
-    # P(0, 0) = 1; cached, since two checks, the printed-variant flag and the
-    # recursion itself read it.  (m+k)! P(m, k) is an integer y-polynomial, as
-    # prod (j_i + 1)! divides (m+k)!, so the sum runs in integers over (m+k)!:
-    # (m+k)! / (j+1) = C(m+k, j+1) j! (m-j+k-1)!
-    if k == 0:
-        return (Fraction(1),) if m == 0 else (Fraction(0),) * (m + 1)
-    out = [0] * (m + 1)
-    for j in range(1, m - k + 2):
-        w, den = comb(m + k, j + 1) * factorial(j), factorial(m - j + k - 1)
-        for a, c in enumerate(_reciprocal_product_poly(m - j, k - 1)):
-            if c:
-                wc = w * c.numerator * (den // c.denominator)
-                out[a] += wc
-                out[a + j] += wc
-    den = factorial(m + k)
-    return tuple(Fraction(c, den) for c in out)
+    # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1)
+    if k > m:
+        return (Fraction(0),) * (m + 1)
+    den = _PART_LCM**k
+    return tuple(Fraction(c, den) for c in _reciprocal_composition_sums()[m][k][: m + 1])
 
 
 def _reciprocal_lemma(m: int, k: int) -> tuple[Fraction, ...]:
@@ -296,7 +297,7 @@ def check_reciprocal_composition_lemma() -> CheckResult:
     return _result(
         "reciprocal-composition-lemma",
         "sum prod (1+y^j_i)/(j_i+1) = sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)", "m, k <= 10",
-        _first_failure(((m, k) for m in range(11) for k in range(11)),
+        _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2),
                        _reciprocal_product_poly, _reciprocal_lemma, "m, k", _AT),
     )
 
@@ -306,7 +307,7 @@ def check_reciprocal_corollary_corrected() -> CheckResult:
         "reciprocal-corollary-corrected",
         "composition product = (k!/(m+k)!) sum_l y^l sum_p C(m+k, l+p) D(l+p,p) D(m-l+k-p,k-p)",
         "m, k <= 10",
-        _first_failure(((m, k) for m in range(11) for k in range(11)), _reciprocal_product_poly,
+        _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2), _reciprocal_product_poly,
                        lambda m, k: _reciprocal_corollary(m, k, m + k), "m, k", _AT),
     )
 
@@ -555,20 +556,15 @@ def flag_r2_special_case() -> CheckResult:
 # suite driver
 # ---------------------------------------------------------------------------
 
-def run_verify(config: RunConfig | None = None, *, stirling2_fn=None) -> VerificationReport:
-    """Run every identity suite and return the assembled report.
-
-    `stirling2_fn` substitutes the Stirling-number routine inside the two
-    Stirling lemma checks; it exists so tests can demonstrate that a
-    corrupted table is caught and localized.
-    """
-    order = (config or RunConfig()).truncation_order
+def run_verify(order: int) -> VerificationReport:
+    """Run every identity suite, the series checks at truncation order
+    `order`, and return the assembled report."""
     return VerificationReport([  # the check table, in report order
         check_assoc_recursion(),
         check_assoc_vanishing(),
         check_assoc_closed_forms(),
-        check_stirling_alternating_lemma(stirling2_fn),
-        check_stirling_surjection_lemma(stirling2_fn),
+        check_stirling_alternating_lemma(),
+        check_stirling_surjection_lemma(),
         check_h_recursion(),
         check_h_vs_derangements(),
         check_reciprocal_composition_lemma(),

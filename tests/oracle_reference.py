@@ -20,6 +20,10 @@ Before the labelled product on the block that holds label n, the oracle's
 A and S rows summed over every set partition of [n], convolving the C and
 E block vectors once per partition.  `set_partitions` and `quasi_counts`
 keep that sum.
+
+`compositions` lists the compositions of an integer, for the literal
+composition sums that the tests check the dynamic programs of combinum,
+powerseries and verify against.
 """
 
 from __future__ import annotations
@@ -184,6 +188,21 @@ def k4_signature() -> MatroidSignature:
         0b000111, 0b001101, 0b001110, 0b010011, 0b010110, 0b011001, 0b011010, 0b011100,
         0b100011, 0b100101, 0b101001, 0b101010, 0b101100, 0b110001, 0b110010, 0b110100,
     ))
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Yield all ordered tuples of `parts` positive integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

@@ -202,12 +202,14 @@ def test_verify_order_below_one_is_config_error(capsys, order):
     code, out, err = run_cli(capsys, "verify", "--order", order)
     assert code == 2
     assert out == ""
-    assert "--order" in err and f"got {order}" in err
+    assert err.startswith("error: --order: ")
+    assert f"got {order}" in err
+    assert "truncation" not in err  # the message names the option, not a config field
     assert "series x" not in err
 
 
 def test_verify_order_above_cap_is_config_error(capsys, monkeypatch):
-    def refuse(config):
+    def refuse(order):
         raise AssertionError("verify ran past the --order cap")
 
     monkeypatch.setattr("spmatroids.cli.run_verify", refuse)
@@ -233,18 +235,20 @@ def test_oeis_unknown_id(capsys):
 
 
 @pytest.mark.parametrize(
-    "payload, message",
-    [(b"1 1\ngarbage\n", "line 2"), (b"\xff\xfe1 2\n", "b-file {path} is not UTF-8")],
+    "payload, messages",
+    [(b"1 1\ngarbage\n", ("b-file {path}", "line 2")),
+     (b"\xff\xfe1 2\n", ("b-file {path} is not UTF-8",))],
     ids=["garbage-line", "not-utf8"],
 )
-def test_oeis_parse_error_is_usage_error(tmp_path, capsys, payload, message):
+def test_oeis_parse_error_is_usage_error(tmp_path, capsys, payload, messages):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(payload)
     code, _, err = run_cli(
         capsys, "oeis", "--id", "A140945", "--bfile", str(bad)
     )
     assert code == 2
-    assert message.format(path=bad) in err
+    for message in messages:
+        assert message.format(path=bad) in err
 
 
 def test_oeis_fetch_malformed_payload_leaves_fixture(fixtures_copy, monkeypatch, capsys):

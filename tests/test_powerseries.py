@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_reference import compositions
 from spmatroids import powerseries
-from spmatroids.combinum import compositions
 from spmatroids.powerseries import (
     BivariateSeries,
     build_F,

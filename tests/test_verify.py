@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from oracle_reference import compositions
 from spmatroids import verify
-from spmatroids.combinum import assoc_stirling1, binomial, compositions, h_value, stirling2
-from spmatroids.config import RunConfig
+from spmatroids.combinum import assoc_stirling1, binomial, h_value, stirling2
 from spmatroids.verify import check_inversion_routes, run_verify
 
 EXPECTED_O12 = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "verify-o12.txt"
@@ -67,7 +67,7 @@ def test_surjection_sum_equals_literal_fraction_sum():
     for k in range(1, 9):
         for n in range(9):
             for m in range(n + k + 1):
-                assert verify._surjection_sum(stirling2, k, n, m) == literal(k, n, m), (k, n, m)
+                assert verify._surjection_sum(k, n, m) == literal(k, n, m), (k, n, m)
 
 
 def test_reciprocal_lemma_and_corollary_equal_literal_fraction_sums():
@@ -94,21 +94,6 @@ def test_reciprocal_lemma_and_corollary_equal_literal_fraction_sums():
             assert verify._reciprocal_corollary(m, k, m + k) == corollary, (m, k)
 
 
-def test_corrupted_stirling_table_is_localized():
-    def corrupt(n, k):
-        if (n, k) == (9, 4):
-            return stirling2(n, k) + 1
-        return stirling2(n, k)
-
-    report = run_verify(stirling2_fn=corrupt)
-    assert not report.ok
-    failed = {c.name: c for c in report.checks if c.status == "fail"}
-    assert "stirling-alternating-lemma" in failed
-    assert "(m, l)" in failed["stirling-alternating-lemma"].detail
-    rendered = report.render()
-    assert "FAIL" in rendered
-
-
 # One value of a combinatorial or count routine is raised by 1 inside the
 # verify module; each row lists the (name, detail) of every check that must
 # fail, in report order.
@@ -118,6 +103,11 @@ PLANTED_FAULTS = {
         ("stirling-alternating-lemma", "first failure at (m, l) = (5, 5): 0 != 1"),
         ("reciprocal-sum-vs-derangements", "first failure at (n, k) = (7, 2): 11/30 != 185/504"),
         ("reciprocal-corollary-corrected", "first failure at (m, k) = (5, 2)"),
+    ],
+    ("stirling2", (9, 4)): [
+        ("stirling-alternating-lemma", "first failure at (m, l) = (8, 5): 7770 != 7771"),
+        ("stirling-surjection-lemma", "first failure at (k, n, m) = (2, 7, 4): 7771 != 7770"),
+        ("counts-stirling-convolution", "first failure at (n, l) = (9, 3): 112036 != 112035"),
     ],
     ("h_value", (5, 3)): [
         ("reciprocal-sum-recursion", "first failure at (n, k) = (8, 3): 65/6 != 17/6"),
@@ -142,7 +132,7 @@ def test_planted_fault_is_reported_exactly(monkeypatch, fault):
     name, at = fault
     real = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda *args: real(*args) + 1 if args == at else real(*args))
-    report = run_verify(RunConfig(truncation_order=3))
+    report = run_verify(3)
     failed = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
     assert failed == PLANTED_FAULTS[fault]
 
@@ -154,7 +144,7 @@ def test_inversion_routes_compare_at_the_full_order():
 
 
 def test_low_order_config_reported_as_such():
-    report = run_verify(RunConfig(truncation_order=3))
+    report = run_verify(3)
     assert report.ok
     series_checks = [c for c in report.checks if c.name.startswith("gf-")]
     assert series_checks
