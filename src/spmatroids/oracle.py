@@ -12,6 +12,10 @@ from two masks per element filled in one pass over its bases, and the
 pairs and simplicity of each extension follow from them.  A matroid is its
 set of basis masks, and counts per (ground size, rank) are read off the
 catalog; the direct-sum families follow from them by a labelled product.
+The excluded-minor test works on byte-per-subset tables: one integer holds
+a byte for every subset of the ground set, so the rank table and the
+U_{2,4} test (a set of rank r - 2 under four hyperplanes) take a few
+shifts per element instead of a Python loop over subsets.
 Everything here is independent of the closed formulas, which is
 the point: the two routes validate each other.
 """
@@ -19,17 +23,14 @@ the point: the two routes validate each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 HARD_CAP = 8
 
 
-@dataclass(frozen=True)
-class MatroidSignature:
+class MatroidSignature(NamedTuple):
     """Canonical matroid on ground set {1..ground_size}: the sorted basis masks.
 
     Bit i of a mask stands for element i + 1.  Signature equality is matroid
@@ -41,8 +42,7 @@ class MatroidSignature:
     bases: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     sig: MatroidSignature
     simple: bool
 
@@ -169,7 +169,9 @@ def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
         entries = [CatalogEntry(MatroidSignature(2, 1, (1, 2)), False)]  # U_{1,2}
     else:
         entries = _reverse_search(enumerate_connected(n - 1), n)
-    _CATALOG[n] = tuple(sorted(entries, key=lambda e: (e.sig.rank, e.sig.bases)))
+    # within one n the ground sizes are equal and the bases unique, so the
+    # tuple order is (rank, bases)
+    _CATALOG[n] = tuple(sorted(entries))
     return _CATALOG[n]
 
 
@@ -225,45 +227,103 @@ def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
 # excluded-minor characterization
 # ---------------------------------------------------------------------------
 
-def _rank_table(m: MatroidSignature) -> list[int]:
-    """Rank of every subset, indexed by mask.
+_LATTICES: dict[int, tuple] = {}
 
-    The bases are marked in a bytearray and closed downward in one pass from
-    the top mask, so a mask is marked iff it is independent.  The greedy
-    independent subset g(s) of s, taking elements in increasing order, is
-    g(s - top) + top if that set is independent and g(s - top) otherwise,
-    where top is the largest element of s.  It is a basis of s, so the rank
-    of s is its size.
+
+def _lattice(n: int) -> tuple[list[int], list[int], int, list[list[int]], bytes]:
+    """The subset lattice of [n] as byte masks, built on first use per n.
+
+    A lattice value is one integer with a byte per subset mask s, at bits
+    8s to 8s + 7, so one shift by 8 << i moves every subset's byte onto the
+    subset with or without element i.  lack[i] and has[i] are 0xFF at the
+    subsets without and with element i, and low is 2^(|s| - 1) at every
+    nonempty s.  by_size[k] lists the k-subset masks in increasing order,
+    and bit_length maps each byte to its bit length.
+    """
+    if n not in _LATTICES:
+        full = int.from_bytes(b"\xff" * (1 << n), "little")
+        lack = [
+            int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (1 << (n - 1 - i)), "little")
+            for i in range(n)
+        ]
+        low = int.from_bytes(bytes((1 << s.bit_count()) >> 1 for s in range(1 << n)), "little")
+        by_size = [[] for _ in range(n + 1)]
+        for s in range(1 << n):
+            by_size[s.bit_count()].append(s)
+        bit_length = bytes(b.bit_length() for b in range(256))
+        _LATTICES[n] = (lack, [full ^ x for x in lack], low, by_size, bit_length)
+    return _LATTICES[n]
+
+
+def _rank_table(m: MatroidSignature) -> list[int]:
+    """Rank of every subset, indexed by mask, from whole-lattice integer ops.
+
+    The bases are marked 0xFF and closed downward, one shift per element:
+    a subset is marked iff it lies in a basis, that is iff it is
+    independent.  Each independent nonempty I then gets the byte
+    2^(|I| - 1), and an upward closure ORs into every s the bytes of the
+    independent sets inside it.  Bit k - 1 of the byte at s is thus set iff
+    s holds an independent k-set, so the rank of s, the size of its largest
+    independent subset, is the byte's bit length.  Neither the rank field
+    nor any order of the bases is read.
     """
     n = m.ground_size
-    independent = bytearray(1 << n)
+    lack, has, low, _, bit_length = _lattice(n)
+    marks = bytearray(1 << n)
     for b in m.bases:
-        independent[b] = 1
-    for s in range((1 << n) - 1, 0, -1):
-        if independent[s]:
-            rest = s
-            while rest:
-                low = rest & -rest
-                independent[s ^ low] = 1
-                rest ^= low
-    greedy = [0]
+        marks[b] = 255
+    indep = int.from_bytes(marks, "little")
     for i in range(n):
-        top = 1 << i
-        greedy += [g | top if independent[g | top] else g for g in greedy]
-    return [g.bit_count() for g in greedy]
+        indep |= indep >> (8 << i) & lack[i]
+    sizes = indep & low
+    for i in range(n):
+        sizes |= sizes << (8 << i) & has[i]
+    return list(sizes.to_bytes(1 << n, "little").translate(bit_length))
 
 
-def _independent_sets(n: int, rk: list[int], size: int) -> list[int]:
-    """Masks of the independent sets with `size` elements."""
-    return [
-        k for k in map(sum, combinations([1 << i for i in range(n)], size))
-        if rk[k] == size
-    ]
+def _marking(rank: int, byte: int) -> bytes:
+    # translation table sending rank to byte and every other value to 0
+    return bytes(rank) + bytes((byte,)) + bytes(255 - rank)
 
 
-def _points(n: int, rk: list[int], k: int, most: int) -> list[int]:
+def _has_u24_minor(n: int, rk: list[int]) -> bool:
+    """True iff some minor is U_{2,4}: iff some set of rank r - 2 lies in
+    at least four hyperplanes.
+
+    Each U_{2,4} minor is M/K restricted to four elements, with K
+    independent and |K| = r - 2 (the reduction of `minor_check`).  The
+    points of M/K, its rank-1 flats, are the sets H - cl(K) for the
+    hyperplanes H of M that hold K, so M/K has four points, no two
+    parallel, iff K lies in four hyperplanes.  Conversely a set X of rank
+    r - 2 in four hyperplanes holds an independent K of r - 2 elements, and
+    the hyperplanes above X are above K.
+
+    Over the whole lattice at once: the rank r - 1 sets are marked 1, and
+    the hyperplanes are those with no one-larger superset of the same rank
+    (one shift per element).  A superset sum, again one shift per element,
+    counts the hyperplanes above every subset.  A byte never carries: the
+    hyperplanes are an antichain, so at most C(8, 4) = 70 of them lie
+    above a set.  The count reaches 4 iff it meets 0xFC.
+    """
+    r = rk[-1]
+    if n < 4 or r < 2:
+        return False
+    lack = _lattice(n)[0]
+    table = bytes(rk)
+    level = int.from_bytes(table.translate(_marking(r - 1, 1)), "little")
+    below = int.from_bytes(table.translate(_marking(r - 2, 0xFC)), "little")
+    grown = 0
+    for i in range(n):
+        grown |= level >> (8 << i) & lack[i]
+    counts = level & ~grown
+    for i in range(n):
+        counts += counts >> (8 << i) & lack[i]
+    return counts & below != 0
+
+
+def _points(n: int, rk: list[int], k: int) -> list[int]:
     """One element of each parallel class of non-loops of M/K, as bit
-    masks in increasing order, stopping once `most` are found.
+    masks in increasing order.
 
     An element i is a non-loop of M/K iff rk(K + i) = rk(K) + 1, and two
     non-loops are parallel in M/K iff together they add only 1 to rk(K).
@@ -278,22 +338,7 @@ def _points(n: int, rk: list[int], k: int, most: int) -> list[int]:
                     break
             else:
                 points.append(1 << i)
-                if len(points) == most:
-                    break
     return points
-
-
-def _has_u24_minor(n: int, rk: list[int]) -> bool:
-    """True iff some minor is U_{2,4}.
-
-    Each such minor is M/K restricted to four elements, with K independent
-    and |K| = r - 2, so that M/K has rank 2.  The four elements are then
-    non-loops of M/K, no two of them parallel, and any four such will do.
-    """
-    size = rk[-1] - 2
-    if n < 4 or size < 0:
-        return False
-    return any(len(_points(n, rk, k, 4)) == 4 for k in _independent_sets(n, rk, size))
 
 
 def _has_mk4_minor(n: int, rk: list[int]) -> bool:
@@ -312,9 +357,11 @@ def _has_mk4_minor(n: int, rk: list[int]) -> bool:
     size = rk[-1] - 3
     if n < 6 or size < 0:
         return False
-    for k in _independent_sets(n, rk, size):
-        three = rk[k] + 3
-        for six in combinations(_points(n, rk, k, n), 6):
+    for k in _lattice(n)[3][size]:
+        if rk[k] != size:
+            continue
+        three = size + 3
+        for six in combinations(_points(n, rk, k), 6):
             bases = sum(1 for a, b, c in combinations(six, 3) if rk[a | b | c | k] == three)
             if bases == 16:
                 return True
@@ -340,18 +387,16 @@ def minor_check(m: MatroidSignature) -> bool:
     return not _has_u24_minor(n, rk) and not _has_mk4_minor(n, rk)
 
 
-@lru_cache(maxsize=1 << HARD_CAP)
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of `mask`, in increasing order.
+class _BitsByLoop(dict):
+    """bits[mask]: the indices of the set bits of mask, in increasing order,
+    found by a loop on first use; for ground sets past the `_BITS` table."""
 
-    Cached per mask: every mask up to the enumeration cap fits, and larger
-    ground sizes only evict."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        out = self[mask] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        return out
+
+
+_BITS: list[tuple[int, ...]] = []  # the same for every mask below 1 << HARD_CAP, filled on first use
 
 
 def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 40) -> bool:
@@ -360,9 +405,20 @@ def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 
     Each pick is rng.choice's draw written out (CPython's
     _randbelow_with_getrandbits: getrandbits(len.bit_length()) until below
     len), so the rng advances exactly as three rng.choice calls per trial
-    would, without their per-call overhead.
+    would, without their per-call overhead.  A matroid has a basis, so an
+    empty basis tuple fails at once, with no draw.
     """
     bases = m.bases
+    if not bases:
+        return False
+    if m.ground_size > HARD_CAP:
+        bits = _BitsByLoop()
+    else:
+        if not _BITS:
+            _BITS.append(())
+            for i in range(HARD_CAP):
+                _BITS.extend([t + (i,) for t in _BITS])
+        bits = _BITS
     base_set = set(bases)
     getrandbits = rng.getrandbits
     n_bases = len(bases)
@@ -379,13 +435,13 @@ def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 
         out_bits = b1 & ~b2
         if not out_bits:
             continue
-        outs = _bits(out_bits)
+        outs = bits[out_bits]
         n_outs = len(outs)
         i = getrandbits(n_outs.bit_length())
         while i >= n_outs:
             i = getrandbits(n_outs.bit_length())
         stripped = b1 & ~(1 << outs[i])
-        for f in _bits(b2 & ~b1):
+        for f in bits[b2 & ~b1]:
             if stripped | 1 << f in base_set:
                 break
         else:

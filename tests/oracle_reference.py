@@ -16,6 +16,12 @@ table built from the set of every submask of every basis.  `rank_table`,
 oracle's against, and `k4_signature` is the M(K4) literal the tests feed
 to both.
 
+Before the hyperplane count, the oracle's U_{2,4} test contracted each
+independent set K of r - 2 elements and looked for four points of M/K, no
+two parallel.  `has_u24_minor_by_points` keeps that test, with its
+`independent_sets` and `points`, to check the oracle's bit-parallel one
+against.
+
 Before the labelled product on the block that holds label n, the oracle's
 A and S rows summed over every set partition of [n], convolving the C and
 E block vectors once per partition.  `set_partitions` and `quasi_counts`
@@ -150,6 +156,49 @@ def has_u24_minor(n: int, rk: list[int]) -> bool:
             if all(rk[p | kmask] - rk_k == 2 for p in pair_masks):
                 return True
     return False
+
+
+def independent_sets(n: int, rk: list[int], size: int) -> list[int]:
+    """Masks of the independent sets with `size` elements."""
+    return [
+        k for k in map(sum, combinations([1 << i for i in range(n)], size))
+        if rk[k] == size
+    ]
+
+
+def points(n: int, rk: list[int], k: int, most: int) -> list[int]:
+    """One element of each parallel class of non-loops of M/K, as bit
+    masks in increasing order, stopping once `most` are found.
+
+    An element i is a non-loop of M/K iff rk(K + i) = rk(K) + 1, and two
+    non-loops are parallel in M/K iff together they add only 1 to rk(K).
+    """
+    one, two = rk[k] + 1, rk[k] + 2
+    found = []
+    for i in range(n):
+        ki = k | 1 << i
+        if rk[ki] == one:
+            for p in found:
+                if rk[ki | p] != two:
+                    break
+            else:
+                found.append(1 << i)
+                if len(found) == most:
+                    break
+    return found
+
+
+def has_u24_minor_by_points(n: int, rk: list[int]) -> bool:
+    """True iff some minor is U_{2,4}.
+
+    Each such minor is M/K restricted to four elements, with K independent
+    and |K| = r - 2, so that M/K has rank 2.  The four elements are then
+    non-loops of M/K, no two of them parallel, and any four such will do.
+    """
+    size = rk[-1] - 2
+    if n < 4 or size < 0:
+        return False
+    return any(len(points(n, rk, k, 4)) == 4 for k in independent_sets(n, rk, size))
 
 
 def has_mk4_minor(n: int, rk: list[int]) -> bool:

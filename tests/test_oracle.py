@@ -2,6 +2,7 @@
 
 import ast
 import random
+from functools import cache
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -117,6 +118,14 @@ def test_submasks_ascend_over_every_submask():
         assert list(oracle_reference.submasks(mask)) == want
 
 
+def test_rank_table_ignores_the_rank_field():
+    # U_{2,4}'s bases under a wrong rank field give U_{2,4}'s rank table
+    for rank in (1, 3):
+        wrong = MatroidSignature(4, rank, U24.bases)
+        assert oracle._rank_table(wrong) == oracle_reference.rank_table(wrong)
+        assert oracle._rank_table(wrong) == oracle._rank_table(U24)
+
+
 def test_rank_table_matches_reference_on_every_catalog_matroid():
     catalog = [e.sig for n in range(1, 8) for e in enumerate_connected(n)]
     assert len(catalog) == 6041
@@ -171,6 +180,30 @@ def test_minor_search_matches_reference_off_the_series_parallel_class():
         if not u24:
             assert oracle._has_mk4_minor(n, rk) == oracle_reference.has_mk4_minor(n, rk), m
         assert not minor_check(m), m
+
+
+def test_u24_hyperplane_count_matches_point_search():
+    # the bit-parallel test against the contraction-point search it replaced
+    cases = {
+        "catalog n <= 7": [e.sig for n in range(1, 8) for e in enumerate_connected(n)],
+        "catalog n = 8": random.Random(8).sample([e.sig for e in enumerate_connected(8)], 300),
+        "not series-parallel": NOT_SERIES_PARALLEL,
+        "six-label rank 3": _six_label_rank3(),
+        "uniform": [_uniform(r, n) for n in range(HARD_CAP + 1) for r in range(n + 1)],
+    }
+    with_u24 = {}
+    for name, sigs in cases.items():
+        with_u24[name] = 0
+        for m in sigs:
+            n, rk = m.ground_size, oracle._rank_table(m)
+            got = oracle._has_u24_minor(n, rk)
+            assert got == oracle_reference.has_u24_minor_by_points(n, rk), (name, m)
+            with_u24[name] += got
+    # U_{r,n} has a U_{2,4} minor iff 2 <= r <= n - 2: 1+2+3+4+5 of them
+    assert with_u24 == {
+        "catalog n <= 7": 0, "catalog n = 8": 0, "not series-parallel": 84,
+        "six-label rank 3": 30, "uniform": 15,
+    }
 
 
 def test_minor_check_at_the_cap():
@@ -234,8 +267,20 @@ def _exchange_holds(bases):
     )
 
 
+@cache
+def _six_label_rank3():
+    # every rank-3 matroid on six labels with 16 bases
+    triples = [sum(1 << i for i in t) for t in combinations(range(6), 3)]
+    matroids = []
+    for dependent in combinations(triples, 4):
+        bases = tuple(t for t in triples if t not in dependent)
+        if _exchange_holds(bases):
+            matroids.append(MatroidSignature(6, 3, bases))
+    return matroids
+
+
 def test_mk4_test_is_sixteen_bases_without_a_parallel_pair():
-    # Every rank-3 matroid on six labels with 16 bases, against the literal
+    # The 60 rank-3 matroids on six labels with 16 bases, against the literal
     # canonical form: the least sorted basis tuple over all 720 relabellings.
     relabel = [
         [sum(1 << p[i] for i in range(6) if m >> i & 1) for m in range(64)]
@@ -246,12 +291,7 @@ def test_mk4_test_is_sixteen_bases_without_a_parallel_pair():
         return min(tuple(sorted(table[b] for b in bases)) for table in relabel)
 
     mk4 = canonical(k4_signature().bases)
-    triples = [sum(1 << i for i in t) for t in combinations(range(6), 3)]
-    matroids = []
-    for dependent in combinations(triples, 4):
-        bases = tuple(t for t in triples if t not in dependent)
-        if _exchange_holds(bases):
-            matroids.append(MatroidSignature(6, 3, bases))
+    matroids = _six_label_rank3()
     assert len(matroids) == 60
     with_u24 = wrong_without_precondition = 0
     for m in matroids:
@@ -402,6 +442,14 @@ def test_basis_exchange_rejects_non_matroid():
     assert not check_basis_exchange(fake, rng, trials=200)
 
 
+def test_basis_exchange_fails_an_empty_basis_tuple_without_a_draw():
+    for ground_size in (3, 14):  # below and past HARD_CAP
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert not check_basis_exchange(MatroidSignature(ground_size, 1, ()), rng)
+        assert rng.getstate() == state
+
+
 def ground_loop_basis_exchange(m, rng, trials=40):
     # the candidate lists built by a loop over the whole ground set
     base_set = set(m.bases)
@@ -423,6 +471,8 @@ def ground_loop_basis_exchange(m, rng, trials=40):
 def test_basis_exchange_draws_as_ground_loop_reference():
     # same verdict and the same rng draws, so every seeded sweep is unchanged
     sigs = [entry.sig for n in range(1, 7) for entry in enumerate_connected(n)]
+    for n in (7, HARD_CAP):  # up to the edge of the bit table
+        sigs += [e.sig for e in random.Random(n).sample(enumerate_connected(n), 100)]
     sigs.append(MatroidSignature(4, 2, (0b0011, 0b1100)))
     for seed, sig in enumerate(sigs):
         fast, slow = random.Random(seed), random.Random(seed)
