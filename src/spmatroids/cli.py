@@ -16,7 +16,6 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -53,6 +52,8 @@ def render_csv(table: TriangularCountTable) -> str:
 
 
 def render_json(table: TriangularCountTable) -> str:
+    import json  # only `spm table --format json` loads it
+
     obj = {
         "family": table.family,
         "start_n": table.start_n,

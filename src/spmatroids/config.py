@@ -4,12 +4,11 @@ the per-sequence index mapping."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SequenceMapping:
+class SequenceMapping(NamedTuple):
     """How a b-file's linear indices map onto a triangular count table.
 
     Entries are read row by row: the first data line corresponds to
@@ -44,9 +43,24 @@ def default_fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    fixtures_dir: Path = field(default_factory=default_fixtures_dir)
-    sequence_map: dict[str, SequenceMapping] = field(
-        default_factory=lambda: dict(DEFAULT_SEQUENCE_MAP)
-    )
+class _RunConfigFields(NamedTuple):
+    fixtures_dir: Path
+    sequence_map: dict[str, SequenceMapping]
+
+
+class RunConfig(_RunConfigFields):
+    """Defaults are made per instance: `default_fixtures_dir()`, read when
+    the config is made, and a fresh copy of DEFAULT_SEQUENCE_MAP."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        fixtures_dir: Path | None = None,
+        sequence_map: dict[str, SequenceMapping] | None = None,
+    ):
+        return super().__new__(
+            cls,
+            default_fixtures_dir() if fixtures_dir is None else fixtures_dir,
+            dict(DEFAULT_SEQUENCE_MAP) if sequence_map is None else sequence_map,
+        )

@@ -9,8 +9,8 @@ wrong row/column offset can never produce a false PASS.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import oracle
 from .config import RunConfig, SequenceMapping
@@ -54,8 +54,7 @@ def render_bfile(table: TriangularCountTable) -> str:
     return "\n".join(f"{idx} {value}" for idx, value in enumerate(values, start=1)) + "\n"
 
 
-@dataclass
-class OeisReport:
+class OeisReport(NamedTuple):
     sequence_id: str
     family: str
     mapping_validated: bool

@@ -33,11 +33,11 @@ count_series wraps them as a Fraction series (raw = count / n!).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial
 from operator import mul
+from typing import NamedTuple
 
 from .combinum import _assoc_rows, _stirling2_rows, double_factorial
 from .powerseries import BivariateSeries
@@ -48,21 +48,25 @@ FAMILIES = ("E", "C", "A", "S", "G")
 FAMILY_START_N = {"E": 1, "C": 1, "A": 0, "S": 0, "G": 1}
 
 
-@dataclass(frozen=True)
-class TriangularCountTable:
-    """A count family as rows indexed by ground-set size n, columns by rank k."""
-
+class _TableFields(NamedTuple):
     family: str
     start_n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            n = self.start_n + i
+
+class TriangularCountTable(_TableFields):
+    """A count family as rows indexed by ground-set size n, columns by rank k."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, start_n: int, rows: tuple[tuple[int, ...], ...]):
+        for i, row in enumerate(rows):
+            n = start_n + i
             if len(row) != n + 1:
                 raise ValueError(f"row for n = {n} must have {n + 1} entries")
             if any(v < 0 for v in row):
                 raise ValueError(f"negative count in row n = {n}: {row}")
+        return super().__new__(cls, family, start_n, rows)
 
     @property
     def max_n(self) -> int:

@@ -16,11 +16,11 @@ never fail the run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from . import oracle
 from .combinum import assoc_stirling1, binomial, double_factorial, h_value, stirling2
@@ -58,8 +58,7 @@ _RANDOM_SEED = 20240814
 _NONNEGATIVITY_MAX_N = 30
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "flagged"
     identity: str
@@ -74,9 +73,8 @@ class CheckResult:
         return line
 
 
-@dataclass
-class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+class VerificationReport(NamedTuple):
+    checks: tuple[CheckResult, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -559,7 +557,7 @@ def flag_r2_special_case() -> CheckResult:
 def run_verify(order: int) -> VerificationReport:
     """Run every identity suite, the series checks at truncation order
     `order`, and return the assembled report."""
-    return VerificationReport([  # the check table, in report order
+    return VerificationReport((  # the check table, in report order
         check_assoc_recursion(),
         check_assoc_vanishing(),
         check_assoc_closed_forms(),
@@ -586,4 +584,4 @@ def run_verify(order: int) -> VerificationReport:
         check_e_vanishing(),
         check_table_nonnegativity(),
         flag_r2_special_case(),
-    ])
+    ))

@@ -299,9 +299,12 @@ def test_oeis_fetch_http_error_is_usage_error(fixtures_copy, monkeypatch, capsys
     assert {p.name: p.read_bytes() for p in fixtures_copy.iterdir()} == before
 
 
-def test_import_loads_no_network_modules():
+def test_import_loads_no_network_dataclasses_or_json():
     # A fresh interpreter, compared against its own start-up modules, so a
-    # `site` that preloads modules cannot hide or fake an import.
+    # `site` that preloads modules cannot hide or fake an import.  Only
+    # `spm oeis --fetch` needs the network stack and only `--format json`
+    # needs json; `dataclasses` (and through it `inspect`) would cost a
+    # quarter of the import time of every command.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -314,6 +317,9 @@ def test_import_loads_no_network_modules():
     )
     added = set(result.stdout.split())
     assert "spmatroids.cli" in added
-    network = ("urllib.request", "http.client", "ssl", "socket", "email")
-    loaded = sorted(m for m in added if any(m == n or m.startswith(n + ".") for n in network))
+    forbidden = (
+        "urllib.request", "http.client", "ssl", "socket", "email",
+        "dataclasses", "inspect", "json",
+    )
+    loaded = sorted(m for m in added if any(m == n or m.startswith(n + ".") for n in forbidden))
     assert loaded == []

@@ -116,6 +116,21 @@ def test_fixtures_dir_env_override(tmp_path, monkeypatch):
     assert default_fixtures_dir().name == "fixtures"
 
 
+def test_run_config_defaults_are_made_per_instance(tmp_path, monkeypatch):
+    # read at construction, not at import
+    monkeypatch.setenv("SPM_FIXTURES", str(tmp_path))
+    a, b = RunConfig(), RunConfig()
+    assert a.fixtures_dir == b.fixtures_dir == tmp_path
+    assert a.sequence_map == b.sequence_map == DEFAULT_SEQUENCE_MAP
+    assert a.sequence_map is not b.sequence_map
+    assert a.sequence_map is not DEFAULT_SEQUENCE_MAP
+    assert b.sequence_map is not DEFAULT_SEQUENCE_MAP
+    del a.sequence_map["A140945"]
+    assert "A140945" in b.sequence_map and "A140945" in DEFAULT_SEQUENCE_MAP
+    explicit = RunConfig(fixtures_dir=tmp_path / "other", sequence_map={})
+    assert (explicit.fixtures_dir, explicit.sequence_map) == (tmp_path / "other", {})
+
+
 def test_fetch_bfile_writes_only_parsed_payloads(tmp_path, monkeypatch):
     import io
     import urllib.request

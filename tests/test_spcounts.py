@@ -415,3 +415,12 @@ def test_table_type_validation():
     assert t.value(3, 9) == 0
     with pytest.raises(ValueError):
         t.row(0)
+
+
+def test_table_fields_are_read_only():
+    t = build_tables(3, "C")
+    with pytest.raises(AttributeError):
+        t.rows = ((0, 0),)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert t == build_tables(3, "C")

@@ -174,3 +174,12 @@ def test_reciprocal_product_poly_matches_composition_walk():
     for m in range(9):
         for k in range(9):
             assert verify._reciprocal_product_poly(m, k) == _product_poly_by_compositions(m, k), (m, k)
+
+
+def test_check_result_fields_are_read_only(default_report):
+    check = default_report.checks[0]
+    with pytest.raises(AttributeError):
+        check.status = "fail"
+    with pytest.raises(AttributeError):
+        check.extra = 1
+    assert default_report.ok
