@@ -10,8 +10,11 @@ lie in a series or parallel pair.  This reaches each matroid exactly once,
 so nothing is deduplicated.  A parent's series and parallel classes come
 from two masks per element filled in one pass over its bases, and the
 pairs and simplicity of each extension follow from them.  A matroid is its
-set of basis masks, and counts per (ground size, rank) are read off the
-catalog; the direct-sum families follow from them by a labelled product.
+sorted tuple of basis masks.  Label n is the top bit, above every mask of
+the parent, so an extension writes its bases already in order and only a
+relabelled copy is sorted.  Counts per (ground size, rank) are read off
+each catalog level in one pass; the direct-sum families follow from them
+by a labelled product.
 The excluded-minor test works on byte-per-subset tables: one integer holds
 a byte for every subset of the ground set, so the rank table and the
 U_{2,4} test (a set of rank r - 2 under four hyperplanes) take a few
@@ -25,6 +28,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 HARD_CAP = 8
@@ -47,17 +51,29 @@ class CatalogEntry(NamedTuple):
     simple: bool
 
 
-def parallel_extension(bases: frozenset[int], e: int, f: int) -> frozenset[int]:
-    """Add label f parallel to element e: the bases B and B - e + f for e in B."""
+def parallel_extension(bases: tuple[int, ...], e: int, f: int) -> tuple[int, ...]:
+    """Add label f parallel to element e: the bases B and B - e + f for e in B.
+
+    If `bases` is sorted and f lies above every element, so is the result:
+    the new masks all hold f and so follow every old one, and taking the
+    fixed bit e away from masks that all hold it keeps their order.  The
+    map B -> B - e + f is injective, so no basis is repeated.
+    """
     eb, fb = 1 << (e - 1), 1 << (f - 1)
-    return bases | {(b ^ eb) | fb for b in bases if b & eb}
+    return bases + tuple([(b ^ eb) | fb for b in bases if b & eb])
 
 
-def series_extension(bases: frozenset[int], e: int, f: int) -> frozenset[int]:
-    """Add label f in series with element e: the bases B + f, and B + e for e
-    not in B."""
+def series_extension(bases: tuple[int, ...], e: int, f: int) -> tuple[int, ...]:
+    """Add label f in series with element e: the bases B + e for e not in B,
+    and B + f.
+
+    If `bases` is sorted and f lies above every element, so is the result:
+    the first group lies below f and the second above it, and adding a fixed
+    bit that no mask of a group holds keeps its order.  Both maps are
+    injective and the groups disjoint, so no basis is repeated.
+    """
     eb, fb = 1 << (e - 1), 1 << (f - 1)
-    return frozenset([b | fb for b in bases] + [b | eb for b in bases if not b & eb])
+    return tuple([b | eb for b in bases if not b & eb] + [b | fb for b in bases])
 
 
 def _partners(bases, n: int) -> tuple[list[int], list[int]]:
@@ -82,14 +98,19 @@ def _partners(bases, n: int) -> tuple[list[int], list[int]]:
     return [full ^ c for c in cover], [full ^ m for m in miss]
 
 
-def _without(masks: list[int], e: int) -> int:
-    # The pairs among masks that survive once element e leaves them.
-    eb = 1 << e
-    out = 0
-    for j, mask in enumerate(masks):
-        if j != e:
-            out |= mask & ~eb
-    return out
+def _unions(masks: list[int]) -> tuple[int, list[int]]:
+    """The union of all masks, and for each e the union of every mask but
+    masks[e], from one prefix and one suffix pass."""
+    others = []
+    below = 0
+    for mask in masks:
+        others.append(below)
+        below |= mask
+    above = 0
+    for e in range(len(masks) - 1, -1, -1):
+        others[e] |= above
+        above |= masks[e]
+    return below, others
 
 
 def _reverse_search(parents, n: int) -> Iterator[CatalogEntry]:
@@ -112,35 +133,42 @@ def _reverse_search(parents, n: int) -> Iterator[CatalogEntry]:
     n to e's parallel class and breaks every series pair at e (a cocircuit
     through e gains n); adding n in series is the dual.  A connected matroid
     on at least two elements is simple iff it has no parallel pair.
+
+    Nothing is sorted but the relabelled copies.  The parent's bases are a
+    sorted tuple and label n is the top bit, above every parent mask, so
+    `parallel_extension` and `series_extension` write M's bases in order,
+    each once.  A swap of n with f reorders the masks, so each copy is
+    mapped through a table of all 2^n masks, built once per f, and sorted.
     """
     top = 1 << (n - 1)
-    for parent in parents:
-        bases = frozenset(parent.sig.bases)
-        rank = parent.sig.rank
+    relabel = []  # relabel[f](b): mask b with labels n and f + 1 swapped
+    for f in range(n - 1):
+        swap = top | 1 << f
+        table = [b ^ swap if 0 < b & swap < swap else b for b in range(2 * top)]
+        relabel.append(table.__getitem__)
+    for (_, rank, bases), _ in parents:
         par, ser = _partners(bases, n - 1)
-        par_sp = ser_sp = 0
-        for p, s in zip(par, ser):
-            par_sp |= p
-            ser_sp |= s
+        par_sp, par_others = _unions(par)
+        ser_sp, ser_others = _unions(ser)
         grown = []  # (M, its rank, sp(M) - n, whether M is simple)
         for e in range(n - 1):
             eb = 1 << e
             if not par[e] & (eb - 1):  # e is the least of its parallel class
                 m = parallel_extension(bases, e + 1, n)
-                grown.append((m, rank, par_sp | eb | _without(ser, e), False))
+                grown.append((m, rank, par_sp | eb | ser_others[e], False))
             if not ser[e] & (eb - 1):
                 m = series_extension(bases, e + 1, n)
-                left = _without(par, e)
+                left = par_others[e] & ~eb  # the parallel pairs that survive without e
                 grown.append((m, rank + 1, ser_sp | eb | left, not left))
         for m, rank_m, sp, simple in grown:
             for f in range(sp.bit_length(), n - 1):
-                swap = top | 1 << f
-                relabelled = sorted(b ^ swap if 0 < b & swap < swap else b for b in m)
-                yield CatalogEntry(MatroidSignature(n, rank_m, tuple(relabelled)), simple)
-            yield CatalogEntry(MatroidSignature(n, rank_m, tuple(sorted(m))), simple)
+                copy = tuple(sorted(map(relabel[f], m)))
+                yield CatalogEntry(MatroidSignature(n, rank_m, copy), simple)
+            yield CatalogEntry(MatroidSignature(n, rank_m, m), simple)
 
 
 _CATALOG: dict[int, tuple[CatalogEntry, ...]] = {}
+_LEVEL_COUNTS: dict[int, tuple[list[int], list[int]]] = {}  # n -> (C row, E row) of _CATALOG[n]
 
 
 def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
@@ -150,9 +178,10 @@ def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
     n = 1 gives the loop and the coloop, and n = 2 gives U_{1,2}.  For
     n >= 3 the catalog is built from the one for n - 1 by reverse search
     (`_reverse_search`), which emits each matroid exactly once, so no
-    deduplication is needed.  Each parent's series and parallel classes come
-    from one pass over its bases (`_partners`), and each new matroid's pairs
-    and simplicity follow from its parent's.
+    deduplication is needed, and writes each one's bases already sorted.
+    Each parent's series and parallel classes come from one pass over its
+    bases (`_partners`), and each new matroid's pairs and simplicity follow
+    from its parent's.  The level is then sorted in place by signature.
     """
     if n < 1:
         raise ValueError("enumerate_connected needs n >= 1")
@@ -168,19 +197,34 @@ def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
     elif n == 2:
         entries = [CatalogEntry(MatroidSignature(2, 1, (1, 2)), False)]  # U_{1,2}
     else:
-        entries = _reverse_search(enumerate_connected(n - 1), n)
-    # within one n the ground sizes are equal and the bases unique, so the
-    # tuple order is (rank, bases)
-    _CATALOG[n] = tuple(sorted(entries))
+        entries = list(_reverse_search(enumerate_connected(n - 1), n))
+        # within one n the ground sizes are equal and the bases unique, so
+        # the signature order is (rank, bases)
+        entries.sort(key=itemgetter(0))
+    _CATALOG[n] = tuple(entries)
     return _CATALOG[n]
+
+
+def _level_counts(n: int) -> tuple[list[int], list[int]]:
+    """The catalog entries for [n] and its simple ones, by rank, from one
+    walk of the level, kept per n in _LEVEL_COUNTS."""
+    if n not in _LEVEL_COUNTS:
+        every, simple = [0] * (n + 1), [0] * (n + 1)
+        for (_, rank, _), is_simple in enumerate_connected(n):
+            every[rank] += 1
+            simple[rank] += is_simple
+        _LEVEL_COUNTS[n] = every, simple
+    return _LEVEL_COUNTS[n]
 
 
 def count_rows(family: str, max_n: int) -> list[list[int]]:
     """Counts by rank on [n] for n = 0 .. max_n of family C, E, A or S.
 
     C counts every catalog entry by rank and E only the simple ones; row 0
-    of both is [0].  A and S count direct sums of C and of E matroids, so
-    they follow by the labelled product on the block that holds label n:
+    of both is [0].  Both come from one walk of each catalog level
+    (`_level_counts`), shared by all four families.  A and S count direct
+    sums of C and of E matroids, so they follow by the labelled product on
+    the block that holds label n:
 
         A_0 = 1,  A_n = sum_{m=1}^{n} C(n-1, m-1) C_m A_{n-m}
 
@@ -203,14 +247,8 @@ def count_rows(family: str, max_n: int) -> list[list[int]]:
                         row[i + j] += weight * b * r
             rows.append(row)
         return rows
-    rows = [[0]]
-    for n in range(1, max_n + 1):
-        row = [0] * (n + 1)
-        for entry in enumerate_connected(n):
-            if family == "C" or entry.simple:
-                row[entry.sig.rank] += 1
-        rows.append(row)
-    return rows
+    column = 0 if family == "C" else 1
+    return [[0]] + [list(_level_counts(n)[column]) for n in range(1, max_n + 1)]
 
 
 def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
@@ -388,11 +426,12 @@ def minor_check(m: MatroidSignature) -> bool:
 
 
 class _BitsByLoop(dict):
-    """bits[mask]: the indices of the set bits of mask, in increasing order,
-    found by a loop on first use; for ground sets past the `_BITS` table."""
+    """bits[mask]: the single-bit masks of the set bits of mask, in
+    increasing order, found by a loop on first use; for ground sets past the
+    `_BITS` table."""
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
-        out = self[mask] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        out = self[mask] = tuple(1 << i for i in range(mask.bit_length()) if mask >> i & 1)
         return out
 
 
@@ -417,7 +456,7 @@ def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 
         if not _BITS:
             _BITS.append(())
             for i in range(HARD_CAP):
-                _BITS.extend([t + (i,) for t in _BITS])
+                _BITS.extend([t + (1 << i,) for t in _BITS])
         bits = _BITS
     base_set = set(bases)
     getrandbits = rng.getrandbits
@@ -440,9 +479,9 @@ def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 
         i = getrandbits(n_outs.bit_length())
         while i >= n_outs:
             i = getrandbits(n_outs.bit_length())
-        stripped = b1 & ~(1 << outs[i])
-        for f in bits[b2 & ~b1]:
-            if stripped | 1 << f in base_set:
+        stripped = b1 ^ outs[i]
+        for bit in bits[b2 & ~b1]:
+            if stripped | bit in base_set:
                 break
         else:
             return False
@@ -465,7 +504,7 @@ def dump_catalog(max_n: int) -> str:
     """
     lines = []
     for n in range(1, max_n + 1):
-        for entry in enumerate_connected(n):
-            bases = ",".join(_render_basis(b) for b in entry.sig.bases)
-            lines.append(f"{n} {entry.sig.rank} {int(entry.simple)} {bases}")
+        rendered = [_render_basis(b) for b in range(1 << n)].__getitem__
+        for (_, rank, bases), simple in enumerate_connected(n):
+            lines.append(f"{n} {rank} {int(simple)} {','.join(map(rendered, bases))}")
     return "\n".join(lines) + "\n"

@@ -112,7 +112,9 @@ def _e_closed_row(n: int) -> tuple[int, ...]:
     (r-1)!/m! times sum_i (-1)^i C(m, i) (n+m-i)^(q-1), so all k share the
     powers (n+j)^(q-1), each the previous q's times its base, and the signed
     binomial rows of Pascal's rule.  q = 0 is the only negative exponent, and
-    D(k-1, 0) vanishes but at (1, 1), where the power is 1^(-1).
+    D(k-1, 0) vanishes but at (1, 1), where the power is 1^(-1).  For q >= 1
+    the term at k = n has m = q: the q-th backward difference of t^(q-1),
+    which vanishes like every difference past the degree, so k stops at n - 1.
     """
     d_rows = _assoc_rows(2 * n - 2)
     fact = [factorial(i) for i in range(n)]
@@ -121,15 +123,15 @@ def _e_closed_row(n: int) -> tuple[int, ...]:
         if n != 1:
             raise ValueError(f"non-integral power {n}^(-1) at (n, k) = ({n}, {n})")
         totals[1] = d_rows[0][0]
-    signed, powers = [(1,)], [1, 1]  # signed[m][i] = (-1)^i C(m, i); powers[j] = (n+j)^(q-1)
+    signed, powers = [(1,)], [1]  # signed[m][i] = (-1)^i C(m, i); powers[j] = (n+j)^(q-1)
     for q in range(1, n):
         signed.append(tuple(a - b for a, b in zip(signed[-1] + (0,), (0,) + signed[-1])))
-        for k in range(max(n - q, q + 1), n + 1):
+        for k in range(max(n - q, q + 1), n):
             m = k + q - n
             term = d_rows[k + q - 1][q] * (fact[2 * k - n - 1] // fact[m])
             term *= sum(map(mul, signed[m], powers[m::-1]))
             totals[k] += term if (k - q) % 2 else -term
-        powers = [v * (n + j) for j, v in enumerate(powers)] + [(n + q + 1) ** q]
+        powers = [v * (n + j) for j, v in enumerate(powers)] + [(n + q) ** q]
     row = [0] * (n + 1)
     for k in range(n // 2 + 1, n + 1):
         row[k], remainder = divmod(totals[k], fact[2 * k - n - 1])

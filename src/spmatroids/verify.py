@@ -263,10 +263,18 @@ def _reciprocal_product_poly(m: int, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den) for c in _reciprocal_composition_sums()[m][k][: m + 1])
 
 
+@cache
+def _lifted_h_grid(h):
+    # every H(l, p), l, p <= 10, as integer numerators over their lcm d; keyed
+    # on the H function itself, so a replaced h_value gets a grid of its own
+    grid = range(_RECIPROCAL_MAX + 1)
+    return _lift([[h(l, p) for p in grid] for l in grid])
+
+
 def _reciprocal_lemma(m: int, k: int) -> tuple[Fraction, ...]:
-    # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p), with every H(l, p), l <= m and
-    # p <= k, lifted to an integer numerator over their lcm d
-    h, d = _lift([[h_value(l, p) for p in range(k + 1)] for l in range(m + 1)])
+    # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p), for m, k <= 10, over the
+    # lifted grid of H
+    h, d = _lifted_h_grid(h_value)
     return tuple(
         Fraction(sum(binomial(k, p) * h[l][p] * h[m - l][k - p] for p in range(k + 1)), d * d)
         for l in range(m + 1)

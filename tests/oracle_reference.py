@@ -9,6 +9,11 @@ over every label subset) but obviously complete, so the tests keep it to
 check the generator against.  `rank_of_subset` and `is_simple` are the
 rescanning definitions the generator's one-pass `simple` flag replaces.
 
+Before the sorted-tuple moves, `parallel_extension` and `series_extension`
+took and returned a frozenset of basis masks, and the generator sorted each
+result.  `set_parallel_extension` and `set_series_extension` keep those
+moves to check the sorted-tuple ones against.
+
 Before the rank-lowering search, the excluded-minor test tried every
 contraction set K outside every four- or six-element set T, over a rank
 table built from the set of every submask of every basis.  `rank_table`,
@@ -25,7 +30,8 @@ against.
 Before the labelled product on the block that holds label n, the oracle's
 A and S rows summed over every set partition of [n], convolving the C and
 E block vectors once per partition.  `set_partitions` and `quasi_counts`
-keep that sum.
+keep that sum, over C and E rows that `catalog_rows` recounts from the
+catalog rank by rank.
 
 `compositions` lists the compositions of an integer, for the literal
 composition sums that the tests check the dynamic programs of combinum,
@@ -34,15 +40,29 @@ powerseries and verify against.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterator
 
 from spmatroids.oracle import (
     MatroidSignature,
-    count_rows,
+    enumerate_connected,
     parallel_extension,
     series_extension,
 )
+
+
+def set_parallel_extension(bases: frozenset[int], e: int, f: int) -> frozenset[int]:
+    """Add label f parallel to element e: the bases B and B - e + f for e in B."""
+    eb, fb = 1 << (e - 1), 1 << (f - 1)
+    return bases | {(b ^ eb) | fb for b in bases if b & eb}
+
+
+def set_series_extension(bases: frozenset[int], e: int, f: int) -> frozenset[int]:
+    """Add label f in series with element e: the bases B + f, and B + e for e
+    not in B."""
+    eb, fb = 1 << (e - 1), 1 << (f - 1)
+    return frozenset([b | fb for b in bases] + [b | eb for b in bases if not b & eb])
 
 
 def _ground(bases: frozenset[int]) -> int:
@@ -69,8 +89,8 @@ def extensions(bases: frozenset[int], label: int) -> list[frozenset[int]]:
     out = []
     for e in range(1, ground.bit_length() + 1):
         if ground >> (e - 1) & 1:
-            out.append(parallel_extension(bases, e, label))
-            out.append(series_extension(bases, e, label))
+            out.append(frozenset(parallel_extension(tuple(bases), e, label)))
+            out.append(frozenset(series_extension(tuple(bases), e, label)))
     return out
 
 
@@ -274,10 +294,23 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def catalog_rows(max_n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(C, E) rows for n = 0 .. max_n: the catalog entries for [n] by rank,
+    and the simple ones, each counted on its own; row 0 of both is [0]."""
+    c, e = [[0]], [[0]]
+    for n in range(1, max_n + 1):
+        level = enumerate_connected(n)
+        every = Counter(x.sig.rank for x in level)
+        simple = Counter(x.sig.rank for x in level if x.simple)
+        c.append([every[k] for k in range(n + 1)])
+        e.append([simple[k] for k in range(n + 1)])
+    return c, e
+
+
 def quasi_counts(n: int) -> tuple[list[int], list[int]]:
     """(all, simple) quasi series-parallel counts on [n] by rank, summed over
     every set partition of [n] with a connected matroid on each block."""
-    c, e = count_rows("C", n), count_rows("E", n)
+    c, e = catalog_rows(n)
     a_row = [0] * (n + 1)
     s_row = [0] * (n + 1)
     for part in set_partitions(list(range(1, n + 1))):

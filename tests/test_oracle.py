@@ -1,7 +1,9 @@
 """Tests for the brute-force enumeration oracle."""
 
 import ast
+import hashlib
 import random
+from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracle_reference
 from oracle_reference import closure, extensions, is_simple, k4_signature, rank_of_subset
-from spmatroids import oracle
+from spmatroids import cli, oracle
 from spmatroids.oracle import (
     HARD_CAP,
     MatroidSignature,
@@ -31,7 +33,8 @@ U12 = MatroidSignature(2, 1, (1, 2))
 U24 = MatroidSignature(
     4, 2, tuple(sorted((1 << a) | (1 << b) for a in range(4) for b in range(a + 1, 4)))
 )
-U13_BASES = frozenset((1, 2, 4))  # three parallel elements
+U13 = (1, 2, 4)  # three parallel elements
+U13_BASES = frozenset(U13)
 
 
 def test_signature_base_cases():
@@ -42,7 +45,7 @@ def test_signature_base_cases():
         MatroidSignature(1, 1, (1,)),
     ]
     # the triangle: a third element in series with U12
-    assert series_extension(frozenset(U12.bases), 2, 3) == frozenset(U23.bases)
+    assert frozenset(series_extension(U12.bases, 2, 3)) == frozenset(U23.bases)
 
 
 def test_four_cycle_labelings_all_give_uniform():
@@ -50,9 +53,9 @@ def test_four_cycle_labelings_all_give_uniform():
     # element, induces the uniform rank-3 matroid.
     all_triples = frozenset(0b1111 & ~(1 << i) for i in range(4))
     for a, b, c, d in permutations((1, 2, 3, 4)):
-        triangle = series_extension(frozenset((1 << (a - 1), 1 << (b - 1))), b, c)
+        triangle = series_extension((1 << (a - 1), 1 << (b - 1)), b, c)
         for e in (a, b, c):
-            assert series_extension(triangle, e, d) == all_triples
+            assert frozenset(series_extension(triangle, e, d)) == all_triples
 
 
 def test_extend_two_cycle():
@@ -60,8 +63,9 @@ def test_extend_two_cycle():
     out = extensions(u12, 3)
     assert len(out) == 4  # a parallel and a series move at each of 2 elements
     # parallel extensions all give the triple edge, series all give triangles
-    assert [parallel_extension(u12, e, 3) for e in (1, 2)] == [U13_BASES] * 2
-    assert [series_extension(u12, e, 3) for e in (1, 2)] == [frozenset(U23.bases)] * 2
+    assert [frozenset(parallel_extension(U12.bases, e, 3)) for e in (1, 2)] == [U13_BASES] * 2
+    u23 = frozenset(U23.bases)
+    assert [frozenset(series_extension(U12.bases, e, 3)) for e in (1, 2)] == [u23] * 2
     assert set(out) == {U13_BASES, frozenset(U23.bases)}
 
 
@@ -77,15 +81,15 @@ def test_extend_single_edge_terminal():
 
 def test_subdivided_triple_edge_bases():
     # triple edge {1,2,3}, element 4 in series with 3: bases 13,14,23,24,34
-    bases = series_extension(U13_BASES, 3, 4)
+    bases = series_extension(U13, 3, 4)
     want = {0b0101, 0b1001, 0b0110, 0b1010, 0b1100}
-    assert bases == want
+    assert frozenset(bases) == want
     sig = MatroidSignature(4, 2, tuple(sorted(bases)))
     assert rank_of_subset(sig, 0b0011) == 1  # {1, 2} is a parallel class
     assert not is_simple(sig)
 
 
-def _dual(bases: frozenset[int], ground: int) -> frozenset[int]:
+def _dual(bases, ground: int) -> frozenset[int]:
     return frozenset(ground ^ b for b in bases)
 
 
@@ -99,9 +103,9 @@ def test_series_is_dual_of_parallel(data):
     e = data.draw(st.integers(1, m.ground_size))
     f = data.draw(st.integers(m.ground_size + 1, 8))
     ground = (1 << m.ground_size) - 1
-    bases = frozenset(m.bases)
-    via_dual = _dual(parallel_extension(_dual(bases, ground), e, f), ground | 1 << (f - 1))
-    assert series_extension(bases, e, f) == via_dual
+    dual_bases = tuple(_dual(m.bases, ground))
+    via_dual = _dual(parallel_extension(dual_bases, e, f), ground | 1 << (f - 1))
+    assert frozenset(series_extension(m.bases, e, f)) == via_dual
 
 
 def test_rank_table_matches_rank_of_subset():
@@ -151,11 +155,11 @@ COLOOP = MatroidSignature(1, 1, (1,))
 
 def _with_one_more_element(m):
     # m, its series and parallel extensions at each element, m + loop, m + coloop
-    n, bases = m.ground_size, frozenset(m.bases)
+    n = m.ground_size
     out = [m, direct_sum(m, LOOP), direct_sum(m, COLOOP)]
     for e in range(1, n + 1):
-        par = parallel_extension(bases, e, n + 1)
-        ser = series_extension(bases, e, n + 1)
+        par = parallel_extension(m.bases, e, n + 1)
+        ser = series_extension(m.bases, e, n + 1)
         out.append(MatroidSignature(n + 1, m.rank, tuple(sorted(par))))
         out.append(MatroidSignature(n + 1, m.rank + 1, tuple(sorted(ser))))
     return out
@@ -357,6 +361,66 @@ def test_reverse_search_emits_each_closure_matroid_once():
         assert len(emitted) == len(set(emitted)), n
 
 
+def test_catalog_levels_are_in_signature_order():
+    # every entry's bases strictly increase, and each level is in (rank, bases) order
+    for n in range(1, HARD_CAP + 1):
+        level = enumerate_connected(n)
+        for entry in level:
+            bases = entry.sig.bases
+            assert all(a < b for a, b in zip(bases, bases[1:])), entry
+        keys = [(e.sig.rank, e.sig.bases) for e in level]
+        assert all(a < b for a, b in zip(keys, keys[1:])), n
+
+
+@pytest.mark.parametrize("n, sha256", [
+    (7, "4973c1c82aad7f4d3e0edd5510c31cc2ab6de7470b50c33c6763e6cb7f065f4d"),
+    (8, "71270faedd183a490022151e250da4e26c5843ed8f3d29acd1ded569f14c5990"),
+])
+def test_dump_catalog_digest_is_pinned(n, sha256):
+    # pinned from the generator that sorted every extension it built
+    assert hashlib.sha256(dump_catalog(n).encode()).hexdigest() == sha256
+
+
+def test_sorted_tuple_moves_equal_set_moves():
+    # every parent with n <= 7 and every e: the same bases as the set-valued
+    # moves, written in increasing order when the new label is the top one
+    for n in range(1, 8):
+        for entry in enumerate_connected(n):
+            bases = entry.sig.bases
+            for e in range(1, n + 1):
+                for move, set_move in [
+                    (parallel_extension, oracle_reference.set_parallel_extension),
+                    (series_extension, oracle_reference.set_series_extension),
+                ]:
+                    got = move(bases, e, n + 1)
+                    assert frozenset(got) == set_move(frozenset(bases), e, n + 1), (entry, e)
+                    assert all(a < b for a, b in zip(got, got[1:])), (entry, e)
+
+
+def test_connected_count_rows_equal_a_literal_recount(monkeypatch):
+    # A and S are checked against the set-partition sum over the same recount
+    # in test_quasi_counts_match_set_partition_sum
+    monkeypatch.setattr(oracle, "_LEVEL_COUNTS", {})
+    c, e = oracle_reference.catalog_rows(HARD_CAP)
+    assert (count_rows("C", HARD_CAP), count_rows("E", HARD_CAP)) == (c, e)
+
+
+def test_run_oracle_walks_each_catalog_level_once(monkeypatch):
+    walks = Counter()
+
+    class Level(tuple):
+        def __iter__(self):
+            walks[self[0].sig.ground_size] += 1
+            return super().__iter__()
+
+    levels = {n: Level(enumerate_connected(n)) for n in range(1, 8)}
+    monkeypatch.setattr(oracle, "_CATALOG", levels)
+    monkeypatch.setattr(oracle, "_LEVEL_COUNTS", {})
+    text, status = cli.run_oracle(7, True, None)
+    assert status == 0 and text.endswith("match enumeration for all four families\n")
+    assert walks == {n: 1 for n in range(1, 8)}
+
+
 def test_simple_flag_matches_rescan():
     for n in range(1, 8):
         for entry in enumerate_connected(n):
@@ -366,7 +430,7 @@ def test_simple_flag_matches_rescan():
 def test_partners_from_cover_and_miss_masks():
     # U_{1,3} plus 4 in series with 3: {1, 2} is the only parallel pair and
     # {3, 4} the only series pair
-    bases = series_extension(U13_BASES, 3, 4)
+    bases = series_extension(U13, 3, 4)
     par, ser = oracle._partners(bases, 4)
     assert par == [0b0010, 0b0001, 0, 0]
     assert ser == [0, 0, 0b1000, 0b0100]
@@ -491,6 +555,32 @@ def test_basis_exchange_above_the_cap():
         assert check_basis_exchange(m, fast, trials=200)
         assert ground_loop_basis_exchange(m, slow, trials=200)
         assert fast.getstate() == slow.getstate()
+
+
+def test_basis_exchange_draws_as_ground_loop_reference_above_the_cap():
+    # seeded direct sums with ground size 9 to 12, past the bit table, some
+    # with the non-matroid of test_basis_exchange_rejects_non_matroid as a
+    # summand: the same verdict and the same rng draws as the reference
+    fake = MatroidSignature(4, 2, (0b0011, 0b1100))
+    rng = random.Random(912)
+
+    def pick(n):
+        return rng.choice(enumerate_connected(n)).sig
+
+    verdicts = Counter()
+    for ground_size in range(HARD_CAP + 1, 13):
+        for _ in range(6):
+            n1 = rng.randint(ground_size - 7, 7)
+            for m in (direct_sum(pick(n1), pick(ground_size - n1)),
+                      direct_sum(fake, pick(ground_size - 4))):
+                assert m.ground_size == ground_size
+                seed = rng.getrandbits(32)
+                fast, slow = random.Random(seed), random.Random(seed)
+                verdict = check_basis_exchange(m, fast, trials=100)
+                assert verdict == ground_loop_basis_exchange(m, slow, trials=100), m
+                assert fast.getstate() == slow.getstate()
+                verdicts[verdict] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
 def test_dump_catalog_format():
