@@ -26,10 +26,10 @@ from .spcounts import FAMILIES, FAMILY_START_N, TriangularCountTable, build_tabl
 from .verify import run_verify
 
 USAGE_ERROR = 2
-# Largest `spm table --max-n`.  A cold build at n = 150 takes about 0.5 s
-# for E, 0.7 s for C or G and 3.3 s for S or A, the slowest (both spend
-# ~2.7 s in egf_exp), each with a peak RSS of at most 40 MiB, on a 2-vCPU
-# host.
+# Largest `spm table --max-n`.  A cold `spm table` at n = 150 takes about
+# 0.4 s for E (0.2 s of it building the rows), 0.7 s for C or G and 3.3 s
+# for S or A, the slowest (both spend ~2.7 s in egf_exp), each with a peak
+# RSS of at most 40 MiB, on a 2-vCPU host.
 TABLE_MAX_N = 150
 # Largest `spm verify --order`.  A cold run takes about 0.35 s at order 16,
 # 0.5 s at 24 and 1 s with a peak RSS of 19 MiB at 30, on a 2-vCPU host;
@@ -63,12 +63,17 @@ def render_json(table: TriangularCountTable) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_range(option: str, command: str, name: str, value: int, cap: int) -> None:
+    """Raise, naming the user's option, unless 1 <= value <= cap."""
+    if value < 1:
+        raise ValueError(f"{option}: {command} needs {name} >= 1, got {value}")
+    if value > cap:
+        raise ValueError(f"{option}: {command} {name} capped at {cap}, got {value}")
+
+
 def run_table(family: str, max_n: int, fmt: str) -> str:
     """Render one family's triangle in the requested format."""
-    if max_n < 1:
-        raise ValueError(f"--max-n: table needs max_n >= 1, got {max_n}")
-    if max_n > TABLE_MAX_N:
-        raise ValueError(f"--max-n: table max_n capped at {TABLE_MAX_N}, got {max_n}")
+    _check_range("--max-n", "table", "max_n", max_n, TABLE_MAX_N)
     table = build_tables(max_n, family)
     if fmt == "csv":
         return render_csv(table)
@@ -93,10 +98,7 @@ def run_oracle(max_n: int, compare: bool, dump_path: Path | None) -> tuple[str, 
     """Print each family's enumerated rows, from its first row to max_n,
     and with `compare` diff them against the formula tables in the same pass."""
     _refuse_fixture_path("--dump", dump_path)
-    if max_n > oracle.HARD_CAP:
-        raise ValueError(f"--max-n: oracle max_n capped at {oracle.HARD_CAP}, got {max_n}")
-    if max_n < 1:
-        raise ValueError(f"--max-n: oracle needs max_n >= 1, got {max_n}")
+    _check_range("--max-n", "oracle", "max_n", max_n, oracle.HARD_CAP)
     lines = [f"exhaustive enumeration up to n = {max_n}"]
     mismatches = []
     for family in ("C", "E", "A", "S"):
@@ -181,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "table":
             _refuse_fixture_path("--out", args.out)
@@ -190,12 +191,7 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return 0
         if args.command == "verify":
-            if args.order < 1:
-                raise ValueError(f"--order: verify needs order >= 1, got {args.order}")
-            if args.order > VERIFY_MAX_ORDER:
-                raise ValueError(
-                    f"--order: verify order capped at {VERIFY_MAX_ORDER}, got {args.order}"
-                )
+            _check_range("--order", "verify", "order", args.order, VERIFY_MAX_ORDER)
             report = run_verify(args.order)
             sys.stdout.write(report.render())
             return 0 if report.ok else 1
@@ -203,15 +199,13 @@ def main(argv=None) -> int:
             text, status = run_oracle(args.max_n, args.compare, args.dump)
             sys.stdout.write(text)
             return status
-        if args.command == "oeis":
-            text, status = run_oeis_compare(args.id, args.bfile, args.fetch)
-            sys.stdout.write(text)
-            return status
-        parser.error(f"unknown command {args.command!r}")
+        # "oeis" is all that is left: the subparsers are required
+        text, status = run_oeis_compare(args.id, args.bfile, args.fetch)
+        sys.stdout.write(text)
+        return status
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -19,24 +19,22 @@ identity S = exp(E), and A from S by the substitution A = S(e^x - 1, y) e^x
 Tables are built in exact integers, each family in O(N^3) operations but
 S, which applies egf_exp to the integer E rows; powerseries holds only the
 Fraction reference kernel.  C and G rows are their closed forms entry by
-entry over the combinum S2 and D memo rows.  E rows come from the column
-route _e_rows: each inner sum of the E closed form is a scaled backward
-difference of t^e, read off layers built by the Leibniz rule
-(_leibniz_layer).  e_closed is the reference they are checked against: it
-evaluates the printed sum a row at a time, outer loop over q = k - p so the
-entries of a row share their powers and binomials, and memoises each row,
-so a lone cold entry costs its whole row.  A = exp(C) is only a
-cross-check against the Fraction series_exp(C).  Each family's rows are
-built once per process, so S reuses the E rows and A the S rows;
-count_series wraps them as a Fraction series (raw = count / n!).
+entry over the combinum S2 and D memo rows.  E has one route, the cached
+_e_row(n): each inner sum of the E closed form is a scaled backward
+difference of t^e, and the Leibniz rule for those differences never leaves
+the row, so row n is built alone in O(n^2) integer products.  e_closed and
+the E table both read it; e_from_c, which inverts C, is the independent
+second route.  A = exp(C) is only a cross-check against the Fraction
+series_exp(C).  Each family's rows are built once per process, so S reuses
+the E rows and A the S rows; count_series wraps them as a Fraction series
+(raw = count / n!).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from functools import cache
 from math import comb, factorial
-from operator import mul
 from typing import NamedTuple
 
 from .combinum import _assoc_rows, _stirling2_rows, double_factorial
@@ -82,131 +80,66 @@ class TriangularCountTable(_TableFields):
         return row[k] if 0 <= k <= n else 0
 
 
-_E_CLOSED: dict[int, tuple[int, ...]] = {}  # n -> row n of e_closed, one whole tuple
-
-
 def e_closed(n: int, k: int) -> int:
     """Number of simple series-parallel matroids on n elements of rank k.
 
-    Evaluates, with r = 2k - n and D = assoc_stirling1, in exact integers
+    The printed sum, with r = 2k - n and D = assoc_stirling1,
 
         E(2k-r, k) = sum_{p=1}^{r} D(2k-p-1, k-p)
                      sum_{i=0}^{r-p} (-1)^(i+p+1) (2k-p-i)^(k-p-1) / (i! (r-p-i)!).
 
     Returns 0 for k = 0, k > n, or n >= 2k > 0 without building anything;
-    else reads row n, evaluated whole once and kept in _E_CLOSED, so one cold
-    entry costs its row (e_closed(300, 200) ~1.7 s, ~0.05 s entry by entry).
-    The reference for the column route _e_rows and the inversion e_from_c.
+    else reads row n of _e_row, the one route to E rows.
     """
     if n < 1 or k < 1 or k > n or 2 * k <= n:
         return 0
-    if n not in _E_CLOSED:
-        _E_CLOSED[n] = _e_closed_row(n)
-    return _E_CLOSED[n][k]
+    return _e_row(n)[k]
 
 
-def _e_closed_row(n: int) -> tuple[int, ...]:
-    """Row n >= 1 of the e_closed sum, over the denominators (r-1)!.
+@cache
+def _e_row(n: int) -> tuple[int, ...]:
+    """Row n >= 1 of the e_closed sum, alone, in exact integers.
 
-    Outer loop q = k - p, m = r - p: entry k adds the sign, D(k+q-1, q) and
-    (r-1)!/m! times sum_i (-1)^i C(m, i) (n+m-i)^(q-1), so all k share the
-    powers (n+j)^(q-1), each the previous q's times its base, and the signed
-    binomial rows of Pascal's rule.  q = 0 is the only negative exponent, and
-    D(k-1, 0) vanishes but at (1, 1), where the power is 1^(-1).  For q >= 1
-    the term at k = n has m = q: the q-th backward difference of t^(q-1),
-    which vanishes like every difference past the degree, so k stops at n - 1.
+    Fix k and p and set e = k - p - 1, m = r - p and x = 2k - p.  The inner
+    sum sum_i (-1)^i C(m, i) (x - i)^e / m! is h(e, m, x) = nabla^m t^e (x) / m!,
+    the scaled m-th backward difference of t^e.  The product rule for
+    backward differences (Graham, Knuth & Patashnik, Concrete Mathematics,
+    sec. 2.6), applied m times with nabla t = 1 and nabla^2 t = 0, gives the
+    Leibniz recurrence
+
+        h(e, m, x) = x h(e-1, m, x) + h(e-1, m-1, x-1),   h(m, m, x) = 1.
+
+    Both terms on the right keep x - m = n, so a row closes on itself: with
+    j = e - m = n - 1 - k, fixed by k, and diag_j[m] = h(m + j, m, m + n),
+
+        diag_0[m] = 1,   diag_j[m] = (m + n) diag_{j-1}[m] + diag_j[m-1],
+
+    one running pass per diagonal, and with p = r - m
+
+        E(n, n-1-j) = sum_{m<r} (-1)^(r-m+1) D(n+m-1, j+m+1) diag_j[m].
+
+    Differences past m = e vanish, so p = k contributes nothing and
+    E(n, n) = 0 for n >= 2; row 1 is the coloop, the 1^(-1) term, set
+    directly.  No division: every value is an integer by construction.
     """
-    d_rows = _assoc_rows(2 * n - 2)
-    fact = [factorial(i) for i in range(n)]
-    totals = [0] * (n + 1)
-    if d_rows[n - 1][0]:  # q = 0 reaches only k = n, with the power n^(-1)
-        if n != 1:
-            raise ValueError(f"non-integral power {n}^(-1) at (n, k) = ({n}, {n})")
-        totals[1] = d_rows[0][0]
-    signed, powers = [(1,)], [1]  # signed[m][i] = (-1)^i C(m, i); powers[j] = (n+j)^(q-1)
-    for q in range(1, n):
-        signed.append(tuple(a - b for a, b in zip(signed[-1] + (0,), (0,) + signed[-1])))
-        for k in range(max(n - q, q + 1), n):
-            m = k + q - n
-            term = d_rows[k + q - 1][q] * (fact[2 * k - n - 1] // fact[m])
-            term *= sum(map(mul, signed[m], powers[m::-1]))
-            totals[k] += term if (k - q) % 2 else -term
-        powers = [v * (n + j) for j, v in enumerate(powers)] + [(n + q) ** q]
+    if n == 1:
+        return (0, 1)
+    d = _assoc_rows(2 * n - 4)
     row = [0] * (n + 1)
-    for k in range(n // 2 + 1, n + 1):
-        row[k], remainder = divmod(totals[k], fact[2 * k - n - 1])
-        if remainder:
-            raise ValueError(f"non-integral E value at (n, k) = ({n}, {k}): "
-                             f"{Fraction(totals[k], fact[2 * k - n - 1])}")
+    diag = [1] * (n - 2)  # diag_0, as long as its r = n - 2
+    for j in range((n - 1) // 2):
+        r = n - 2 - 2 * j  # k = n - 1 - j, r = 2k - n
+        if j:  # diag_{j-1} becomes diag_j in place over the first r entries
+            acc = 0
+            for m in range(r):
+                acc += (m + n) * diag[m]
+                diag[m] = acc
+        total = 0
+        for m in range(r):
+            term = d[n + m - 1][j + m + 1] * diag[m]
+            total += term if (r - m) % 2 else -term
+        row[n - 1 - j] = total
     return tuple(row)
-
-
-def _leibniz_layer(above: list[list[int]], d: int, levels: int) -> list[list[int]]:
-    """One offset layer of h(e, m, x) = nabla^m t^e (x) / m!, from the one above.
-
-    A layer for offset d and width w holds, for each level e, the row
-    H[e] = [h(e, e - j, e + d) for j = 0 .. min(e, w - 1)].  Given the
-    layer for offset d + 1 of width w - 1 with at least levels - 1 levels,
-    this returns the layer for offset d of width w with `levels` levels.
-    The product rule for backward differences (Graham, Knuth & Patashnik,
-    Concrete Mathematics, sec. 2.6), applied m times with nabla t = 1 and
-    nabla^2 t = 0, is the Leibniz rule
-    nabla^m (t v)(x) = x nabla^m v(x) + m nabla^(m-1) v(x-1); with
-    v = t^(e-1) it gives
-
-        h(e, m, x) = x h(e-1, m, x) + h(e-1, m-1, x-1),   h(0, 0, x) = 1,
-
-    where h(e-1, m, x) is column j - 1 of the layer above at level e - 1
-    and h(e-1, m-1, x-1) column j of this one.  Integers by construction:
-    no division.
-    """
-    layer = [[1]]
-    for e in range(1, levels):
-        x = e + d
-        prev = layer[-1]
-        layer.append([prev[0]] + [
-            x * up + here for up, here in zip_longest(above[e - 1], prev[1:], fillvalue=0)
-        ])
-    return layer
-
-
-def _e_rows(max_n: int) -> tuple[tuple[int, ...], ...]:
-    """Normalized E rows for n = 0 .. max_n, built column by column.
-
-    Fix k and p in the e_closed sum and set x = 2k - p, e = k - p - 1 and
-    m = r - p.  The inner sum sum_i (-1)^i C(m, i) (x - i)^e is the m-th
-    backward difference of t^e at x, so with h(e, m, x) = nabla^m t^e (x) / m!
-
-        E(2k-r, k) = sum_{p=1}^{r} (-1)^(p+1) D(2k-p-1, k-p) h(e, m, x).
-
-    Differences past m = e vanish, so p = k and every m > e contribute
-    nothing.  Column k reads h at the offset x - e = k + 1 for the levels
-    e = 0 .. k - 2, and row n = x - m = k + 1 + (e - m), so rows n <= max_n
-    need only e - m <= max_n - k - 1.  _leibniz_layer builds each offset
-    layer from the one above it, from the top offset max_n down to 3; only
-    the layer above is kept.  The single coloop E(1, 1) = 1 (the 1^(-1) term of
-    e_closed) is set directly.
-    """
-    rows = [[0] * (n + 1) for n in range(max_n + 1)]
-    if max_n >= 1:
-        rows[1][1] = 1
-    d_rows = _assoc_rows(2 * max_n)
-    above: list[list[int]] = [[]] * max_n  # width 0: nothing lies above offset max_n
-    for d in range(max_n, 2, -1):
-        k = d - 1
-        layer = _leibniz_layer(above, d, d - 2)
-        column = [0] * (max_n - d + 1)
-        for e, values in enumerate(layer):
-            # p = k - 1 - e: the sign (-1)^(p+1) and D(2k-p-1, k-p) = D(k+e, e+1)
-            coefficient = d_rows[k + e][e + 1]
-            if (k - e) % 2:
-                coefficient = -coefficient
-            for j, v in enumerate(values):
-                column[j] += coefficient * v
-        for j, v in enumerate(column):
-            rows[d + j][k] = v
-        above = layer
-    return tuple(tuple(row) for row in rows)
 
 
 def c_closed(n: int, l: int) -> int:
@@ -385,7 +318,7 @@ def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
         elif family == "S":
             rows = egf_exp(_count_rows("E", max_n))
         elif family == "E":
-            rows = _e_rows(max_n)
+            rows = ((0,),) + tuple(_e_row(n) for n in range(1, max_n + 1))
         else:
             fn = {"C": c_closed, "G": g_closed}[family]
             rows = ((0,),) + tuple(

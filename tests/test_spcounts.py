@@ -1,6 +1,7 @@
 """Tests for the closed-form count families and their conversions."""
 
 import ast
+import functools
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -76,22 +77,31 @@ def literal_e_closed(n, k):
     return value
 
 
-def test_e_closed_matches_literal_sum(monkeypatch):
-    monkeypatch.setattr(spcounts, "_E_CLOSED", {})
+@pytest.fixture
+def cold_e_row(monkeypatch):
+    """An empty _e_row cache for one test; the shared warm one is restored after."""
+    monkeypatch.setattr(spcounts, "_e_row", functools.cache(spcounts._e_row.__wrapped__))
+
+
+def test_e_closed_matches_literal_sum(cold_e_row):
     for n in range(61):
         for k in range(-1, n + 2):
             assert e_closed(n, k) == literal_e_closed(n, k), (n, k)
 
 
 @pytest.mark.parametrize("n", [80, 100])
-def test_e_closed_row_matches_literal_sum(n):
-    assert spcounts._e_closed_row(n) == tuple(literal_e_closed(n, k) for k in range(n + 1))
+def test_e_closed_row_matches_literal_sum(cold_e_row, n):
+    assert spcounts._e_row(n) == tuple(literal_e_closed(n, k) for k in range(n + 1))
 
 
-def test_e_closed_vanishing_entries_build_no_row(monkeypatch):
-    monkeypatch.setattr(spcounts, "_E_CLOSED", {})
+def test_cold_e_closed_builds_only_its_row(cold_e_row):
+    assert e_closed(300, 200) == literal_e_closed(300, 200)
+    assert spcounts._e_row.cache_info().currsize == 1
+
+
+def test_e_closed_vanishing_entries_build_no_row(cold_e_row):
     assert e_closed(300, 150) == e_closed(300, 0) == e_closed(300, 301) == 0
-    assert spcounts._E_CLOSED == {}
+    assert spcounts._e_row.cache_info().currsize == 0
 
 
 def _names_in(function):
@@ -103,13 +113,13 @@ def _names_in(function):
     }
 
 
-E_CLOSED_FORBIDDEN = {"_leibniz_layer", "_e_rows", "e_from_c", "c_closed", "_count_rows"}
+E_CLOSED_FORBIDDEN = {"e_from_c", "c_closed", "_count_rows", "_stirling2_rows"}
 
 
 @pytest.mark.parametrize("route, forbidden", [
     ("e_closed", E_CLOSED_FORBIDDEN),
-    ("_e_closed_row", E_CLOSED_FORBIDDEN),
-    ("e_from_c", {"e_closed", "_e_closed_row", "_E_CLOSED"}),
+    ("_e_row", E_CLOSED_FORBIDDEN),
+    ("e_from_c", {"e_closed", "_e_row"}),
 ])
 def test_e_routes_share_nothing(route, forbidden):
     # the closed form and the inversion of C are independent routes to E
@@ -169,70 +179,39 @@ def cold_rows(monkeypatch):
     monkeypatch.setattr(spcounts, "_ROWS", {})
 
 
-def test_e_rows_match_e_closed():
-    rows = spcounts._e_rows(60)
-    assert len(rows) == 61
-    for n in range(61):
-        for k in range(n + 1):
-            assert rows[n][k] == e_closed(n, k), (n, k)
-
-
 def test_e_rows_match_e_from_c():
-    assert spcounts._e_rows(100)[1:] == e_from_c(100).rows
-
-
-def test_leibniz_layers_are_scaled_backward_differences():
-    # h(e, m, x) = nabla^m t^e (x) / m! from the layers _e_rows builds, against
-    # the alternating sum; the sum must divide exactly by m!
-    layers, above = {}, [[]] * 12
-    for d in range(26, 2, -1):
-        above = layers[d] = spcounts._leibniz_layer(above, d, 13)
-    for d in range(3, 15):
-        for e in range(13):
-            for m in range(e + 1):
-                total = sum((-1) ** i * comb(m, i) * (e + d - i) ** e for i in range(m + 1))
-                q, remainder = divmod(total, factorial(m))
-                assert remainder == 0
-                assert layers[d][e][e - m] == q, (d, e, m)
+    assert build_tables(100, "E").rows == e_from_c(100).rows
 
 
 @pytest.mark.parametrize("family", ["E", "S", "A"])
-def test_row_memo_prefix_equals_cold_build(cold_rows, family, monkeypatch):
+def test_row_memo_prefix_equals_cold_build(cold_rows, cold_e_row, family, monkeypatch):
     build_tables(60, family)
     assert len(spcounts._ROWS[family]) == 61
     warm = spcounts._count_rows(family, 13)
     monkeypatch.setattr(spcounts, "_ROWS", {})
+    monkeypatch.setattr(spcounts, "_e_row", functools.cache(spcounts._e_row.__wrapped__))
     spcounts._count_rows(family, 12)
     # a longer request than the memo holds rebuilds and replaces the entry
     assert warm == spcounts._count_rows(family, 13)
     assert len(spcounts._ROWS[family]) == 14
 
 
-def test_s_reuses_memoised_e_rows(cold_rows, monkeypatch):
-    calls = []
-    real = spcounts._e_rows
-
-    def counted(max_n):
-        calls.append(max_n)
-        return real(max_n)
-
-    monkeypatch.setattr(spcounts, "_e_rows", counted)
+def test_s_reuses_memoised_e_rows(cold_rows, cold_e_row):
     e = build_tables(60, "E")
     s = build_tables(60, "S")
-    assert calls == [60]
+    info = spcounts._e_row.cache_info()
+    assert (info.misses, info.hits) == (60, 0)
     assert e.row(5) == (0, 0, 0, 15, 1, 0) and s.row(4) == (0, 0, 0, 5, 1)
 
 
-def test_a_reuses_memoised_s_rows(cold_rows, monkeypatch):
+def test_a_reuses_memoised_s_rows(cold_rows, cold_e_row, monkeypatch):
     calls = []
-    for name in ("_e_rows", "egf_exp"):
-        real = getattr(spcounts, name)
-        monkeypatch.setattr(
-            spcounts, name, lambda arg, real=real, name=name: calls.append(name) or real(arg)
-        )
+    real = spcounts.egf_exp
+    monkeypatch.setattr(spcounts, "egf_exp", lambda rows: calls.append(len(rows)) or real(rows))
     build_tables(60, "S")
     a = build_tables(60, "A")
-    assert calls == ["_e_rows", "egf_exp"]
+    info = spcounts._e_row.cache_info()
+    assert calls == [61] and (info.misses, info.hits) == (60, 0)
     assert a.row(3) == (1, 7, 7, 1)
 
 
@@ -374,26 +353,6 @@ def test_quasi_tables_match_series_exp_route(family, connected):
     for n in range(21):
         for k in range(n + 1):
             assert table.value(n, k) == count_coefficient(reference, n, k), (n, k)
-
-
-def test_e_closed_raises_on_non_integral_sum(monkeypatch):
-    # Integer D factors always give an integral sum (the inner sums are
-    # finite differences), so a corrupted rational D factor stands in for
-    # an upstream error: the final exact division must refuse it.
-    monkeypatch.setattr(spcounts, "_E_CLOSED", {})
-    monkeypatch.setattr(spcounts, "_assoc_rows", lambda n: {
-        m: tuple(Fraction(1, 3) if k else 0 for k in range(m + 1)) for m in range(n + 1)
-    })
-    with pytest.raises(ValueError, match="non-integral E value"):
-        e_closed(5, 3)
-
-
-def test_e_closed_raises_on_negative_power_above_one(monkeypatch):
-    # a nonzero D(n-1, 0) at n >= 2 would reach n^(-1), which is not an integer
-    monkeypatch.setattr(spcounts, "_E_CLOSED", {})
-    monkeypatch.setattr(spcounts, "_assoc_rows", lambda n: {m: (1,) * (m + 1) for m in range(n + 1)})
-    with pytest.raises(ValueError, match=r"non-integral power 3\^\(-1\) at \(n, k\) = \(3, 3\)"):
-        e_closed(3, 2)
 
 
 def test_count_coefficient_on_family_series():
