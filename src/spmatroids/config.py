@@ -1,5 +1,5 @@
 """Run configuration for OEIS b-file comparison: the fixtures directory and
-the per-sequence index mapping."""
+the family each sequence lists."""
 
 from __future__ import annotations
 
@@ -9,30 +9,18 @@ from typing import NamedTuple
 
 
 class SequenceMapping(NamedTuple):
-    """How a b-file's linear indices map onto a triangular count table.
-
-    Entries are read row by row: the first data line corresponds to
-    (n, k) = (row_offset, 0), and row n carries the columns 0 .. n.
-    """
+    """An OEIS sequence and the count family whose rows its b-file lists,
+    in the layout `oeis.render_bfile` writes."""
 
     id: str
     family: str
-    row_offset: int
-
-    def position(self, offset: int) -> tuple[int, int]:
-        """(n, k) of the entry `offset` lines after the first data line."""
-        n = self.row_offset
-        while offset > n:  # skip whole rows of n + 1 entries
-            offset -= n + 1
-            n += 1
-        return n, offset
 
 
 DEFAULT_SEQUENCE_MAP: dict[str, SequenceMapping] = {
-    "A140945": SequenceMapping("A140945", "C", row_offset=1),
-    "A361355": SequenceMapping("A361355", "E", row_offset=1),
-    "A359985": SequenceMapping("A359985", "A", row_offset=0),
-    "A361353": SequenceMapping("A361353", "S", row_offset=0),
+    "A140945": SequenceMapping("A140945", "C"),
+    "A361355": SequenceMapping("A361355", "E"),
+    "A359985": SequenceMapping("A359985", "A"),
+    "A361353": SequenceMapping("A361353", "S"),
 }
 
 

@@ -1,9 +1,10 @@
 """OEIS b-file parsing, rendering, and table comparison.
 
 A b-file is a plain-text sequence dump with one `index value` pair per
-line; `#` starts a comment.  Before any comparison verdict the configured
-index mapping is validated against exhaustively enumerated rows, so a
-wrong row/column offset can never produce a false PASS.
+line; `#` starts a comment.  Its entries are a family's rows in order, the
+layout `render_bfile` writes.  Before any comparison verdict the first rows
+are checked against exhaustively enumerated ones, so a shifted b-file can
+never produce a false PASS.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 from . import oracle
 from .config import RunConfig, SequenceMapping
-from .spcounts import TriangularCountTable
+from .spcounts import FAMILY_START_N, TriangularCountTable
 
 ORACLE_VALIDATION_MAX_N = 4
 FETCH_TIMEOUT_S = 30.0
@@ -101,54 +102,37 @@ def compare_with_bfile(
     table: TriangularCountTable,
     entries: list[tuple[int, int]],
 ) -> OeisReport:
-    """Compare b-file entries against a table through the index mapping.
-
-    The mapping is first sanity-checked against the family's brute-force
-    rows, `oracle.count_rows`, for n <= ORACLE_VALIDATION_MAX_N; with zero
-    validated entries or any validation mismatch the comparison refuses to
-    pass.  A family the oracle does not count raises ValueError.
+    """Compare b-file entries against a table in one pass, read in
+    `render_bfile`'s layout: the family's rows in order from row
+    FAMILY_START_N[family].  Entries with n <= ORACLE_VALIDATION_MAX_N are
+    checked against the family's brute-force rows, `oracle.count_rows`; an
+    empty b-file or any mismatch there refuses to pass.  A family the
+    oracle does not count raises ValueError.
     """
+    def refuse(note: str, validated: int = 0) -> OeisReport:
+        return OeisReport(mapping.id, mapping.family, False, validated, 0, None, note)
+
     if not entries:
-        return OeisReport(
-            mapping.id, mapping.family, False, 0, 0, None, "empty b-file"
-        )
-    first_index = entries[0][0]
+        return refuse("empty b-file")
     oracle_rows = oracle.count_rows(mapping.family, ORACLE_VALIDATION_MAX_N)
-    validated = 0
+    validated = compared = 0
+    first_mismatch = None
+    n, k = FAMILY_START_N[mapping.family], 0
     for idx, value in entries:
-        n, k = mapping.position(idx - first_index)
         if n <= ORACLE_VALIDATION_MAX_N:
             if value != oracle_rows[n][k]:
-                return OeisReport(
-                    mapping.id,
-                    mapping.family,
-                    False,
-                    validated,
-                    0,
-                    None,
+                return refuse(
                     f"index {idx} -> (n, k) = ({n}, {k}): b-file has {value}, "
                     f"enumeration gives {oracle_rows[n][k]}",
+                    validated,
                 )
             validated += 1
-    if validated == 0:
-        return OeisReport(
-            mapping.id,
-            mapping.family,
-            False,
-            0,
-            0,
-            None,
-            "no b-file entries fall in the enumeration range",
-        )
-    compared = 0
-    first_mismatch = None
-    for idx, value in entries:
-        n, k = mapping.position(idx - first_index)
         if table.start_n <= n <= table.max_n:
             compared += 1
             want = table.value(n, k)
             if value != want and first_mismatch is None:
                 first_mismatch = (idx, n, k, value, want)
+        n, k = (n, k + 1) if k < n else (n + 1, 0)
     return OeisReport(
         mapping.id, mapping.family, True, validated, compared, first_mismatch
     )

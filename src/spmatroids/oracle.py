@@ -425,17 +425,9 @@ def minor_check(m: MatroidSignature) -> bool:
     return not _has_u24_minor(n, rk) and not _has_mk4_minor(n, rk)
 
 
-class _BitsByLoop(dict):
-    """bits[mask]: the single-bit masks of the set bits of mask, in
-    increasing order, found by a loop on first use; for ground sets past the
-    `_BITS` table."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        out = self[mask] = tuple(1 << i for i in range(mask.bit_length()) if mask >> i & 1)
-        return out
-
-
-_BITS: list[tuple[int, ...]] = []  # the same for every mask below 1 << HARD_CAP, filled on first use
+# _BITS[mask]: the single-bit masks of the set bits of mask, in increasing
+# order; doubled on demand to cover every mask of the largest ground set seen
+_BITS: list[tuple[int, ...]] = [()]
 
 
 def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 40) -> bool:
@@ -444,20 +436,18 @@ def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 
     Each pick is rng.choice's draw written out (CPython's
     _randbelow_with_getrandbits: getrandbits(len.bit_length()) until below
     len), so the rng advances exactly as three rng.choice calls per trial
-    would, without their per-call overhead.  A matroid has a basis, so an
-    empty basis tuple fails at once, with no draw.
+    would, without their per-call overhead.  The elements of a set are read
+    from the one `_BITS` table, first grown to 2^ground_size entries.  A
+    matroid has a basis, so an empty basis tuple fails at once, with no
+    draw.
     """
     bases = m.bases
     if not bases:
         return False
-    if m.ground_size > HARD_CAP:
-        bits = _BitsByLoop()
-    else:
-        if not _BITS:
-            _BITS.append(())
-            for i in range(HARD_CAP):
-                _BITS.extend([t + (1 << i,) for t in _BITS])
-        bits = _BITS
+    bits = _BITS
+    while len(bits) < 1 << m.ground_size:
+        bit = len(bits)  # 1 << i once the table holds every mask below it
+        bits.extend([t + (bit,) for t in bits])
     base_set = set(bases)
     getrandbits = rng.getrandbits
     n_bases = len(bases)

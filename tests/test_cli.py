@@ -221,11 +221,15 @@ def test_verify_order_above_cap_is_config_error(capsys, monkeypatch):
     assert "capped" in err and f"got {order}" in err
 
 
+EXPECTED_TABLES = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "tables-n60.json"
+
+
 def test_oeis_fixture_comparison(capsys):
+    golden = json.loads(EXPECTED_TABLES.read_text(encoding="utf-8"))["bfile_reports"]
     for sid in ("A140945", "A361355", "A359985", "A361353"):
         code, out, _ = run_cli(capsys, "oeis", "--id", sid)
         assert code == 0, sid
-        assert "PASS" in out
+        assert out == golden[sid], sid
 
 
 def test_oeis_unknown_id(capsys):

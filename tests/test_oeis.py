@@ -40,17 +40,6 @@ def test_render_parse_roundtrip():
     assert values == flat
 
 
-def test_mapping_position():
-    m = SequenceMapping("A140945", "C", row_offset=1)
-    assert m.position(0) == (1, 0)
-    assert m.position(1) == (1, 1)
-    assert m.position(2) == (2, 0)
-    assert m.position(5) == (3, 0)
-    m0 = SequenceMapping("A359985", "A", row_offset=0)
-    assert m0.position(0) == (0, 0)
-    assert m0.position(1) == (1, 0)
-
-
 def test_fixture_comparison_passes_for_all_sequences():
     config = RunConfig()
     for sid, mapping in DEFAULT_SEQUENCE_MAP.items():
@@ -66,15 +55,25 @@ def test_fixture_comparison_passes_for_all_sequences():
         assert "PASS" in report.render()
 
 
-def test_wrong_offset_mapping_refuses_to_pass():
+def test_shifted_bfile_refuses_to_pass():
+    # the entries are read from the family's first row, whatever their
+    # indices, so a b-file that starts late is caught by the enumeration check
     config = RunConfig()
-    wrong = SequenceMapping("A140945", "C", row_offset=2)
+    mapping = DEFAULT_SEQUENCE_MAP["A140945"]
     entries = parse_bfile(bfile_path(config, "A140945").read_text(encoding="utf-8"))
     table = build_tables(12, "C")
-    report = compare_with_bfile(wrong, table, entries)
-    assert not report.mapping_validated
-    assert not report.ok
-    assert "refusing" in report.render()
+    for shifted in (entries[2:], entries[1:]):  # first row (n = 1), first entry missing
+        report = compare_with_bfile(mapping, table, shifted)
+        assert not report.mapping_validated
+        assert not report.ok
+        assert "refusing" in report.render()
+
+
+@pytest.mark.parametrize("sequence_id", sorted(DEFAULT_SEQUENCE_MAP))
+def test_rendered_table_passes_comparison(sequence_id):
+    mapping = DEFAULT_SEQUENCE_MAP[sequence_id]
+    table = build_tables(12, mapping.family)
+    assert compare_with_bfile(mapping, table, parse_bfile(render_bfile(table))).ok
 
 
 def test_corrupted_value_is_reported():
@@ -95,9 +94,11 @@ def test_mapping_for_a_family_the_oracle_does_not_count_is_refused():
     # a G mapping fed the S table's entries used to be validated against S rows
     config = RunConfig()
     entries = parse_bfile(bfile_path(config, "A361353").read_text(encoding="utf-8"))
-    mapping = SequenceMapping("AXG", "G", row_offset=0)
+    mapping = SequenceMapping("AXG", "G")
     with pytest.raises(ValueError, match="family 'G'"):
         compare_with_bfile(mapping, build_tables(12, "S"), entries)
+    # an empty b-file is refused before the oracle is asked
+    assert not compare_with_bfile(mapping, build_tables(12, "G"), []).ok
 
 
 def test_empty_bfile_refused():

@@ -535,7 +535,7 @@ def ground_loop_basis_exchange(m, rng, trials=40):
 def test_basis_exchange_draws_as_ground_loop_reference():
     # same verdict and the same rng draws, so every seeded sweep is unchanged
     sigs = [entry.sig for n in range(1, 7) for entry in enumerate_connected(n)]
-    for n in (7, HARD_CAP):  # up to the edge of the bit table
+    for n in (7, HARD_CAP):  # up to the enumeration cap
         sigs += [e.sig for e in random.Random(n).sample(enumerate_connected(n), 100)]
     sigs.append(MatroidSignature(4, 2, (0b0011, 0b1100)))
     for seed, sig in enumerate(sigs):
@@ -558,7 +558,7 @@ def test_basis_exchange_above_the_cap():
 
 
 def test_basis_exchange_draws_as_ground_loop_reference_above_the_cap():
-    # seeded direct sums with ground size 9 to 12, past the bit table, some
+    # seeded direct sums with ground size 9 to 12, past HARD_CAP, some
     # with the non-matroid of test_basis_exchange_rejects_non_matroid as a
     # summand: the same verdict and the same rng draws as the reference
     fake = MatroidSignature(4, 2, (0b0011, 0b1100))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracle_reference import compositions
-from spmatroids import verify
+from spmatroids import spcounts, verify
 from spmatroids.combinum import assoc_stirling1, binomial, h_value, stirling2
 from spmatroids.verify import check_inversion_routes, run_verify
 
@@ -135,6 +135,29 @@ def test_planted_fault_is_reported_exactly(monkeypatch, fault):
     report = run_verify(3)
     failed = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
     assert failed == PLANTED_FAULTS[fault]
+
+
+# One family's count rows get +1 at (n, k) = (9, 4), and run_verify(12) must
+# fail exactly these checks, each with detail "coefficient mismatch".  The E
+# fault leaves gf-simple-exponential passing: S is rebuilt from the faulty E
+# rows, so S = exp(E) still holds.
+PLANTED_TABLE_FAULTS = {
+    "E": ["gf-quasi-exponential", "gf-connected-substitution"],
+    "S": ["gf-simple-exponential", "gf-quasi-exponential"],
+    "A": ["gf-quasi-exponential", "gf-quasi-substitution"],
+    "C": ["gf-quasi-exponential", "gf-connected-substitution", "gf-integral-identity"],
+    "G": ["gf-integral-identity", "gf-inverse-closed-form"],
+}
+
+
+@pytest.mark.parametrize("family", PLANTED_TABLE_FAULTS)
+def test_planted_table_fault_is_reported_exactly(monkeypatch, family):
+    rows = [list(row) for row in spcounts._count_rows(family, 12)]
+    rows[9][4] += 1
+    monkeypatch.setattr(spcounts, "_ROWS", {family: tuple(map(tuple, rows))})
+    report = run_verify(12)
+    failed = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
+    assert failed == [(name, "coefficient mismatch") for name in PLANTED_TABLE_FAULTS[family]]
 
 
 def test_inversion_routes_compare_at_the_full_order():
