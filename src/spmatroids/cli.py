@@ -27,9 +27,9 @@ from .verify import run_verify
 
 USAGE_ERROR = 2
 # Largest `spm table --max-n`.  A cold `spm table` at n = 150 takes about
-# 0.4 s for E (0.2 s of it building the rows), 0.7 s for C or G and 3.3 s
-# for S or A, the slowest (both spend ~2.7 s in egf_exp), each with a peak
-# RSS of at most 40 MiB, on a 2-vCPU host.
+# 0.3 s for E (0.1 s of it building the rows), 0.3-0.5 s for C or G and
+# 1.6-2.4 s for S or A, the slowest (both spend ~1.5 s in egf_exp), each
+# with a peak RSS of at most 26 MiB, on a 2-vCPU host.
 TABLE_MAX_N = 150
 # Largest `spm verify --order`.  A cold run takes about 0.35 s at order 16,
 # 0.5 s at 24 and 1 s with a peak RSS of 19 MiB at 30, on a 2-vCPU host;

@@ -6,15 +6,19 @@ associated Stirling numbers of the first kind) and reciprocal composition
 sums.  Everything is exact: integers are unbounded and
 rational values are fractions.Fraction.
 
-All functions are pure.  Memo tables are grown with idempotent writes of
-immutable rows, so concurrent readers always observe values identical to a
-single-threaded run.
+All functions are pure.  S2(b + c, b) and D(k + c, k) are memoised by
+diagonal c, as spcounts reads them, only as far as asked for, and by
+iteration, so a cold call at a large index needs no deep stack.  Growth is
+locked and only lengthens lists, so lock-free readers see serial values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import add, mul
+from threading import Lock
 
 __all__ = [
     "binomial",
@@ -24,12 +28,9 @@ __all__ = [
     "h_value",
 ]
 
-# Memo rows are appended in order from the seed rows below, so each memo
-# holds exactly rows 0 .. len - 1.  Growing them by iteration, never by
-# recursion, lets a cold call at a large index run without exhausting the
-# stack.
-_STIRLING2_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
-_ASSOC_ROWS: dict[int, tuple[int, ...]] = {0: (1,), 1: (0, 0)}
+_S2_DIAGS: list[list[int]] = [[1]]
+_D_DIAGS: list[list[int]] = [[1]]
+_GROWTH = Lock()
 _H_ROWS: dict[int, tuple[Fraction, ...]] = {0: (Fraction(1),)}
 
 
@@ -53,40 +54,50 @@ def double_factorial(n: int) -> int:
     return result
 
 
-def _stirling2_rows(n: int) -> dict[int, tuple[int, ...]]:
-    # the S2 memo grown to hold rows 0 .. n, where row[k] = S2(n, k)
-    rows = _STIRLING2_ROWS
-    while len(rows) <= n:
-        m = len(rows)
-        prev = rows[m - 1]
-        rows[m] = tuple(
-            (prev[k - 1] if k >= 1 else 0) + k * (prev[k] if k < m else 0)
-            for k in range(m + 1)
-        )
-    return rows
+def _s2_diagonals(c: int, length: int) -> list[list[int]]:
+    """The S2 memo, with each of diagonals 0 .. c at least `length` long."""
+    diags = _S2_DIAGS
+    if c < len(diags) and len(diags[c]) >= length:
+        return diags
+    with _GROWTH:
+        diags += ([0] for _ in range(len(diags), c + 1))  # S2(i, 0) = 0 for i >= 1
+        # lengths never rise with i, so the short diagonals are lo .. c
+        lo = next((i for i in range(c, 0, -1) if len(diags[i - 1]) >= length), 0)
+        for i in range(lo, c + 1):
+            # S2(b+i, b) = S2(b+i-1, b-1) + b S2(b+i-1, b), summed on from the last
+            # entry; zeros stand in for the diagonal before 0
+            diag, start, prev = diags[i], len(diags[i]), diags[i - 1] if i else [0] * length
+            diag[start - 1:] = accumulate(
+                map(mul, range(start, length), prev[start:length]), initial=diag[-1])
+    return diags
+
+
+def _s2_row(m: int) -> list[int]:
+    """(S2(m, 0), ..., S2(m, m)) from the diagonals, longest first so each grows once."""
+    return [_s2_diagonals(m - k, k + 1)[m - k][k] for k in range(m, -1, -1)][::-1]
 
 
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k nonempty blocks; S2(0,0) = 1."""
-    if n < 0 or k < 0 or k > n:
+    if k < 0 or k > n:
         return 0
-    return _stirling2_rows(n)[n][k]
+    return _s2_diagonals(n - k, k + 1)[n - k][k]
 
 
-def _assoc_rows(n: int) -> dict[int, tuple[int, ...]]:
-    # the D memo grown to hold rows 0 .. n, where row[k] = number of
-    # derangements of [n] with exactly k cycles (0 for n < 2k)
-    rows = _ASSOC_ROWS
-    while len(rows) <= n:
-        m = len(rows)
-        p1 = rows[m - 1]
-        p2 = rows[m - 2]
-        rows[m] = tuple(
-            (m - 1) * ((p2[k - 1] if 1 <= k <= m - 1 else 0)
-                       + (p1[k] if k <= m - 1 else 0))
-            for k in range(m + 1)
-        )
-    return rows
+def _d_diagonals(c: int, length: int) -> list[list[int]]:
+    """The D memo, with each of diagonals 0 .. c at least `length` long."""
+    diags = _D_DIAGS
+    if c < len(diags) and len(diags[c]) >= length:
+        return diags
+    with _GROWTH:
+        diags += ([0] for _ in range(len(diags), c + 1))  # D(i, 0) = 0 for i >= 1
+        lo = next((i for i in range(c, 0, -1) if len(diags[i - 1]) >= length), 0)
+        for i in range(lo, c + 1):
+            # D(k+i, k) = (k+i-1) (D(k+i-2, k-1) + D(k+i-1, k)), as for S2
+            diag, start, prev = diags[i], len(diags[i]), diags[i - 1] if i else [0] * length
+            diag += map(mul, range(start + i - 1, length + i - 1),
+                        map(add, prev[start - 1:length - 1], prev[start:length]))
+    return diags
 
 
 def assoc_stirling1(n: int, k: int) -> int:
@@ -94,11 +105,9 @@ def assoc_stirling1(n: int, k: int) -> int:
 
     Vanishes for n < 2k; assoc_stirling1(0, 0) = 1.
     """
-    if n < 0 or k < 0 or k > n:
+    if k < 0 or n < 2 * k:
         return 0
-    if n < 2 * k:
-        return 0
-    return _assoc_rows(n)[n][k]
+    return _d_diagonals(n - k, k + 1)[n - k][k]
 
 
 def _h_row(m: int) -> tuple[Fraction, ...]:

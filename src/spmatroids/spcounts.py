@@ -18,8 +18,9 @@ identity S = exp(E), and A from S by the substitution A = S(e^x - 1, y) e^x
 
 Tables are built in exact integers, each family in O(N^3) operations but
 S, which applies egf_exp to the integer E rows; powerseries holds only the
-Fraction reference kernel.  C and G rows are their closed forms entry by
-entry over the combinum S2 and D memo rows.  E has one route, the cached
+Fraction reference kernel.  Each E, C and G term reads one diagonal of the
+combinum S2 and D memos, so each entry of the cached rows _e_row, _c_row
+and _g_row is a signed dot product of diagonal slices.  E has one route,
 _e_row(n): each inner sum of the E closed form is a scaled backward
 difference of t^e, and the Leibniz rule for those differences never leaves
 the row, so row n is built alone in O(n^2) integer products.  e_closed and
@@ -34,10 +35,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 from typing import NamedTuple
 
-from .combinum import _assoc_rows, _stirling2_rows, double_factorial
+from .combinum import _d_diagonals, _s2_diagonals, _s2_row, double_factorial
 from .powerseries import BivariateSeries
 
 FAMILIES = ("E", "C", "A", "S", "G")
@@ -62,7 +65,7 @@ class TriangularCountTable(_TableFields):
             n = start_n + i
             if len(row) != n + 1:
                 raise ValueError(f"row for n = {n} must have {n + 1} entries")
-            if any(v < 0 for v in row):
+            if min(row) < 0:
                 raise ValueError(f"negative count in row n = {n}: {row}")
         return super().__new__(cls, family, start_n, rows)
 
@@ -91,9 +94,7 @@ def e_closed(n: int, k: int) -> int:
     Returns 0 for k = 0, k > n, or n >= 2k > 0 without building anything;
     else reads row n of _e_row, the one route to E rows.
     """
-    if n < 1 or k < 1 or k > n or 2 * k <= n:
-        return 0
-    return _e_row(n)[k]
+    return _e_row(n)[k] if 0 < k <= n < 2 * k else 0
 
 
 @cache
@@ -124,22 +125,21 @@ def _e_row(n: int) -> tuple[int, ...]:
     """
     if n == 1:
         return (0, 1)
-    d = _assoc_rows(2 * n - 4)
+    d = _d_diagonals(n - 2, n - 1)
     row = [0] * (n + 1)
     diag = [1] * (n - 2)  # diag_0, as long as its r = n - 2
     for j in range((n - 1) // 2):
         r = n - 2 - 2 * j  # k = n - 1 - j, r = 2k - n
-        if j:  # diag_{j-1} becomes diag_j in place over the first r entries
-            acc = 0
-            for m in range(r):
-                acc += (m + n) * diag[m]
-                diag[m] = acc
-        total = 0
-        for m in range(r):
-            term = d[n + m - 1][j + m + 1] * diag[m]
-            total += term if (r - m) % 2 else -term
-        row[n - 1 - j] = total
+        if j:  # diag_j over its first r entries, from diag_{j-1}
+            diag = list(accumulate(map(mul, range(n, n + r), diag)))
+        dot = _alternating_dot(d[n - 2 - j][j + 1:], diag)
+        row[n - 1 - j] = dot if r % 2 else -dot
     return tuple(row)
+
+
+def _alternating_dot(a, b) -> int:
+    # sum_i (-1)^i a[i] b[i] over the shorter of a and b, in C-level products
+    return sum(map(mul, a[::2], b[::2])) - sum(map(mul, a[1::2], b[1::2]))
 
 
 def c_closed(n: int, l: int) -> int:
@@ -150,22 +150,24 @@ def c_closed(n: int, l: int) -> int:
         C(n, l) = sum_{k=0}^{l-1} (-1)^(k+l-1) D(k+l-1, k) S2(n-1+k, k+l);
 
     the single edge and the single loop give C(1, 0) = C(1, 1) = 1 by
-    convention.  At l = n every S2 factor vanishes.  The S2 and D memos are
-    grown once to the largest index the sum reads, then indexed directly.
+    convention.  At l = n every S2 factor vanishes.  Reads row n of _c_row.
     """
-    if n < 1 or l < 0 or l > n:
-        return 0
+    return _c_row(n)[l] if n >= 1 and 0 <= l <= n else 0
+
+
+@cache
+def _c_row(n: int) -> tuple[int, ...]:
+    # term k of C(n, l) is entry k of D diagonal l-1 times entry k+l of S2
+    # diagonal n-1-l; from l = n-1 down, each l grows a shorter S2 diagonal
     if n == 1:
-        return 1
-    if l == n:
-        return 0
-    s2 = _stirling2_rows(n + l - 2)
-    d = _assoc_rows(2 * l - 2)
-    total = 0
-    for k in range(l):
-        term = d[k + l - 1][k] * s2[n - 1 + k][k + l]
-        total += term if (k + l) % 2 else -term
-    return total
+        return (1, 1)
+    d = _d_diagonals(n - 2, n - 1)
+    row = [0] * (n + 1)
+    for l in range(n - 1, 0, -1):
+        s2 = _s2_diagonals(n - 1 - l, 2 * l)[n - 1 - l]
+        dot = _alternating_dot(d[l - 1], s2[l:2 * l])
+        row[l] = dot if l % 2 else -dot
+    return tuple(row)
 
 
 def g_closed(n: int, l: int) -> int:
@@ -173,17 +175,21 @@ def g_closed(n: int, l: int) -> int:
 
     Evaluates sum_{j=0}^{l} (-1)^(j+l) D(j+l, j) S2(n+j, j+l+1); zero
     outside 0 <= l <= n - 1.  Satisfies the palindromy G(n, l) = G(n, n-1-l).
-    The S2 and D memos are grown once, as in c_closed.
+    Reads row n of _g_row.
     """
-    if n < 1 or l < 0 or l > n - 1:
-        return 0
-    s2 = _stirling2_rows(n + l)
-    d = _assoc_rows(2 * l)
-    total = 0
-    for j in range(l + 1):
-        term = d[j + l][j] * s2[n + j][j + l + 1]
-        total += -term if (j + l) % 2 else term
-    return total
+    return _g_row(n)[l] if n >= 1 and 0 <= l < n else 0
+
+
+@cache
+def _g_row(n: int) -> tuple[int, ...]:
+    # as _c_row, with D diagonal l and S2 diagonal n-1-l from entry l+1
+    d = _d_diagonals(n - 1, n)
+    row = [0] * (n + 1)
+    for l in range(n - 1, -1, -1):
+        s2 = _s2_diagonals(n - 1 - l, 2 * l + 2)[n - 1 - l]
+        dot = _alternating_dot(d[l], s2[l + 1:2 * l + 2])
+        row[l] = -dot if l % 2 else dot
+    return tuple(row)
 
 
 def e_from_c(max_n: int) -> TriangularCountTable:
@@ -196,10 +202,9 @@ def e_from_c(max_n: int) -> TriangularCountTable:
     """
     if max_n < 1:
         raise ValueError("e_from_c needs max_n >= 1")
-    s2 = _stirling2_rows(max_n)
     rows = [(0,), (0, 1)]  # rows[m] = (E(m, 0), ..., E(m, m)); row 0 is never read
     for n in range(2, max_n + 1):
-        weights = s2[n]
+        weights = _s2_row(n)
         rows.append(tuple(
             c_closed(n, l) - sum(weights[m] * rows[m][l] for m in range(max(l, 1), n))
             for l in range(n + 1)
@@ -253,7 +258,7 @@ def e_special(n: int, k: int, r: int) -> int:
 
 # family -> the longest rows _count_rows has built in this process.  Row n
 # depends only on rows <= n, so every prefix of them is exact; each write
-# stores a whole tuple, as the combinum memos do.
+# stores a whole tuple.
 _ROWS: dict[str, tuple[tuple[int, ...], ...]] = {}
 
 
@@ -268,7 +273,8 @@ def egf_exp(rows) -> tuple[tuple[int, ...], ...]:
 
     on y-polynomials (Flajolet & Sedgewick, Analytic Combinatorics, ch. II).
     This is the route to the S table; powerseries.series_exp is the
-    Fraction reference it is checked against.
+    Fraction reference it is checked against.  Each product walks only the
+    nonzero spans of its two rows: E and S rows vanish for k <= n/2.
     """
     for n, row in enumerate(rows):
         if len(row) != n + 1:
@@ -278,35 +284,41 @@ def egf_exp(rows) -> tuple[tuple[int, ...], ...]:
     if rows[0][0] != 0:
         raise ValueError("egf_exp requires zero constant term")
     out = [(1,)]
+    f_spans, out_spans = [_nonzero_span(row) for row in rows], [(0, (1,))]
     for n in range(1, len(rows)):
         acc = [0] * (n + 1)
         for m in range(1, n + 1):
+            (f_lo, f_span), (a_lo, a_span) = f_spans[m], out_spans[n - m]
             weight = comb(n - 1, m - 1)
-            prev = out[n - m]
-            for i, fi in enumerate(rows[m]):
-                if fi:
-                    wi = weight * fi
-                    for j, aj in enumerate(prev):
-                        if aj:
-                            acc[i + j] += wi * aj
+            for i, fi in enumerate(f_span, f_lo + a_lo):
+                wi = weight * fi
+                for j, aj in enumerate(a_span, i):
+                    acc[j] += wi * aj
         out.append(tuple(acc))
+        out_spans.append(_nonzero_span(acc))
     return tuple(out)
 
 
+def _nonzero_span(row) -> tuple[int, tuple[int, ...]]:
+    # (lo, row[lo:hi + 1]) for the first and last nonzero entries lo and hi
+    nonzero = [k for k, v in enumerate(row) if v] or [0, -1]
+    return nonzero[0], tuple(row[nonzero[0]:nonzero[-1] + 1])
+
+
 def _a_rows(s_rows) -> tuple[tuple[int, ...], ...]:
-    # A = S(e^x - 1, y) e^x: A(n, k) = sum_{j=k}^{n} S2(n+1, j+1) S(j, k)
-    s2 = _stirling2_rows(len(s_rows))
+    # A = S(e^x - 1, y) e^x: A(n, k) = sum_{j=k}^{n} S2(n+1, j+1) S(j, k);
+    # the largest row first grows the S2 diagonals for them all
     out = []
-    for n in range(len(s_rows)):
+    for n in range(len(s_rows) - 1, -1, -1):
         acc = [0] * (n + 1)
-        weights = s2[n + 1]
+        weights = _s2_row(n + 1)
         for j, row in enumerate(s_rows[:n + 1]):
             w = weights[j + 1]
             for k, v in enumerate(row):
                 if v:
                     acc[k] += w * v
         out.append(tuple(acc))
-    return tuple(out)
+    return tuple(reversed(out))
 
 
 def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
@@ -317,13 +329,10 @@ def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
             rows = _a_rows(_count_rows("S", max_n))
         elif family == "S":
             rows = egf_exp(_count_rows("E", max_n))
-        elif family == "E":
-            rows = ((0,),) + tuple(_e_row(n) for n in range(1, max_n + 1))
         else:
-            fn = {"C": c_closed, "G": g_closed}[family]
-            rows = ((0,),) + tuple(
-                tuple(fn(n, k) for k in range(n + 1)) for n in range(1, max_n + 1)
-            )
+            # the largest row first: it grows the combinum memos for them all
+            row = {"E": _e_row, "C": _c_row, "G": _g_row}[family]
+            rows = ((0,),) + tuple(reversed([row(n) for n in range(max_n, 0, -1)]))
         _ROWS[family] = rows
     return rows[:max_n + 1]
 

@@ -6,16 +6,19 @@ literal composition sums for the reciprocal numbers.
 """
 
 import os
+import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 import spmatroids
+from spmatroids import combinum
 from oracle_reference import compositions
 from spmatroids.combinum import (
     assoc_stirling1,
@@ -141,6 +144,47 @@ def test_cold_rows_do_not_recurse():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_far_entries_grow_only_a_staircase(cold_memos):
+    # an entry far down a short diagonal, or far along a long one, extends
+    # only the diagonals up to its own, not the triangle of rows above it
+    n = 1100
+    pairs = sum(comb(n, a) * factorial(a - 1) * factorial(n - a - 1) for a in range(2, n - 1))
+    assert assoc_stirling1(n, 2) == pairs // 2
+    assert sum(map(len, combinum._D_DIAGS)) <= 5000
+    assert stirling2(n, n - 3) == comb(n, 4) + 10 * comb(n, 5) + 15 * comb(n, 6)
+    assert sum(map(len, combinum._S2_DIAGS)) <= 5000
+
+
+def test_concurrent_cold_growth_matches_serial(cold_memos):
+    # four threads on two cores grow the same cold memos in different orders,
+    # switching every microsecond; each must read what a lone caller reads
+    indices = [(n, k) for n in range(61) for k in range(n + 1)]
+    serial = {(n, k): (stirling2(n, k), assoc_stirling1(n, k)) for n, k in indices}
+    results = []
+
+    def work(seed):
+        order = random.Random(seed).sample(indices, len(indices))
+        try:
+            results.append({(n, k): (stirling2(n, k), assoc_stirling1(n, k)) for n, k in order})
+        except IndexError as exc:  # a diagonal shortened under a reader
+            results.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rounds in range(60):
+            cold_memos()
+            threads = [threading.Thread(target=work, args=(4 * rounds + i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == serial for r in results) and len(results) == 240
 
 
 def test_assoc_stirling1_closed_forms():

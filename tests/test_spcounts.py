@@ -1,7 +1,6 @@
 """Tests for the closed-form count families and their conversions."""
 
 import ast
-import functools
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spmatroids import combinum, spcounts
+from spmatroids import spcounts
 from spmatroids.combinum import assoc_stirling1, double_factorial, stirling2
 from spmatroids.powerseries import BivariateSeries, count_coefficient, series_exp
 from spmatroids.spcounts import (
@@ -77,29 +76,23 @@ def literal_e_closed(n, k):
     return value
 
 
-@pytest.fixture
-def cold_e_row(monkeypatch):
-    """An empty _e_row cache for one test; the shared warm one is restored after."""
-    monkeypatch.setattr(spcounts, "_e_row", functools.cache(spcounts._e_row.__wrapped__))
-
-
-def test_e_closed_matches_literal_sum(cold_e_row):
+def test_e_closed_matches_literal_sum(cold_memos):
     for n in range(61):
         for k in range(-1, n + 2):
             assert e_closed(n, k) == literal_e_closed(n, k), (n, k)
 
 
 @pytest.mark.parametrize("n", [80, 100])
-def test_e_closed_row_matches_literal_sum(cold_e_row, n):
+def test_e_closed_row_matches_literal_sum(cold_memos, n):
     assert spcounts._e_row(n) == tuple(literal_e_closed(n, k) for k in range(n + 1))
 
 
-def test_cold_e_closed_builds_only_its_row(cold_e_row):
+def test_cold_e_closed_builds_only_its_row(cold_memos):
     assert e_closed(300, 200) == literal_e_closed(300, 200)
     assert spcounts._e_row.cache_info().currsize == 1
 
 
-def test_e_closed_vanishing_entries_build_no_row(cold_e_row):
+def test_e_closed_vanishing_entries_build_no_row(cold_memos):
     assert e_closed(300, 150) == e_closed(300, 0) == e_closed(300, 301) == 0
     assert spcounts._e_row.cache_info().currsize == 0
 
@@ -113,7 +106,7 @@ def _names_in(function):
     }
 
 
-E_CLOSED_FORBIDDEN = {"e_from_c", "c_closed", "_count_rows", "_stirling2_rows"}
+E_CLOSED_FORBIDDEN = {"e_from_c", "c_closed", "_count_rows", "_s2_diagonals", "_s2_row"}
 
 
 @pytest.mark.parametrize("route, forbidden", [
@@ -173,30 +166,23 @@ def test_e_from_c_matches_e_closed():
             assert table.value(n, k) == e_closed(n, k)
 
 
-@pytest.fixture
-def cold_rows(monkeypatch):
-    """An empty per-family row memo for one test; the shared one is restored after."""
-    monkeypatch.setattr(spcounts, "_ROWS", {})
-
-
 def test_e_rows_match_e_from_c():
     assert build_tables(100, "E").rows == e_from_c(100).rows
 
 
 @pytest.mark.parametrize("family", ["E", "S", "A"])
-def test_row_memo_prefix_equals_cold_build(cold_rows, cold_e_row, family, monkeypatch):
+def test_row_memo_prefix_equals_cold_build(cold_memos, family):
     build_tables(60, family)
     assert len(spcounts._ROWS[family]) == 61
     warm = spcounts._count_rows(family, 13)
-    monkeypatch.setattr(spcounts, "_ROWS", {})
-    monkeypatch.setattr(spcounts, "_e_row", functools.cache(spcounts._e_row.__wrapped__))
+    cold_memos()
     spcounts._count_rows(family, 12)
     # a longer request than the memo holds rebuilds and replaces the entry
     assert warm == spcounts._count_rows(family, 13)
     assert len(spcounts._ROWS[family]) == 14
 
 
-def test_s_reuses_memoised_e_rows(cold_rows, cold_e_row):
+def test_s_reuses_memoised_e_rows(cold_memos):
     e = build_tables(60, "E")
     s = build_tables(60, "S")
     info = spcounts._e_row.cache_info()
@@ -204,7 +190,7 @@ def test_s_reuses_memoised_e_rows(cold_rows, cold_e_row):
     assert e.row(5) == (0, 0, 0, 15, 1, 0) and s.row(4) == (0, 0, 0, 5, 1)
 
 
-def test_a_reuses_memoised_s_rows(cold_rows, cold_e_row, monkeypatch):
+def test_a_reuses_memoised_s_rows(cold_memos, monkeypatch):
     calls = []
     real = spcounts.egf_exp
     monkeypatch.setattr(spcounts, "egf_exp", lambda rows: calls.append(len(rows)) or real(rows))
@@ -240,6 +226,43 @@ def test_egf_exp_matches_series_exp(rows):
         tuple(count_coefficient(reference, n, k) for k in range(n + 1))
         for n in range(order + 1)
     )
+
+
+def literal_egf_exp(rows):
+    # the dense binomial convolution, testing every entry of both rows for zero
+    out = [(1,)]
+    for n in range(1, len(rows)):
+        acc = [0] * (n + 1)
+        for m in range(1, n + 1):
+            weight = comb(n - 1, m - 1)
+            prev = out[n - m]
+            for i, fi in enumerate(rows[m]):
+                if fi:
+                    wi = weight * fi
+                    for j, aj in enumerate(prev):
+                        if aj:
+                            acc[i + j] += wi * aj
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family, max_n", [("E", 100), ("C", 60)])
+def test_egf_exp_matches_literal_on_family_rows(family, max_n):
+    # E rows vanish for k <= n/2, C rows only at k = 0 and k = n
+    rows = spcounts._count_rows(family, max_n)
+    assert egf_exp(rows) == literal_egf_exp(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)],
+    # an all-zero interior row, leading and trailing zeros, negative entries
+    [(0,), (1, -2), (0, 0, 0), (0, 0, 5, 0), (0, -3, 0, 4, 0), (0, 0, 0, 0, 0, -1)],
+    [(0,), (0, 0), (0, 4, 0), (0, 0, 0, 0), (-1, 0, 0, 0, 7), (2, 0, 0, 0, 0, 0)],
+    # exp's row 2 cancels to zero: 2! [x^2] exp(x - x^2/2) = 0
+    [(0,), (1, 0), (-1, 0, 0), (0, 0, 0, 3)],
+])
+def test_egf_exp_matches_literal_on_sparse_rows(rows):
+    assert egf_exp(rows) == literal_egf_exp(rows)
 
 
 def test_egf_exp_basics():
@@ -278,13 +301,10 @@ def _g_literal(n, l):
 
 
 @pytest.mark.parametrize("memos", ["shared", "seed-only"])
-def test_c_and_g_closed_match_literal_sums(memos, monkeypatch):
-    # seed-only memos are reset before every call, so each closed form must
-    # grow the S2 and D memos itself to every index it reads
-    def fresh():
-        if memos == "seed-only":
-            monkeypatch.setattr(combinum, "_STIRLING2_ROWS", {0: (1,)})
-            monkeypatch.setattr(combinum, "_ASSOC_ROWS", {0: (1,), 1: (0, 0)})
+def test_c_and_g_closed_match_literal_sums(memos, request):
+    # seed-only memos are emptied before every call, so each closed form must
+    # grow the S2 and D diagonals itself to every index it reads
+    fresh = request.getfixturevalue("cold_memos") if memos == "seed-only" else lambda: None
 
     for n in range(31):
         for l in range(-1, n + 3):
@@ -293,6 +313,20 @@ def test_c_and_g_closed_match_literal_sums(memos, monkeypatch):
             fresh()
             g = g_closed(n, l)
             assert (c, g) == (_c_literal(n, l), _g_literal(n, l)), (n, l)
+
+
+@pytest.mark.parametrize("n", [80, 100, 150])
+def test_c_and_g_rows_match_literal_sums(cold_memos, n):
+    assert spcounts._c_row(n) == tuple(_c_literal(n, l) for l in range(n + 1))
+    cold_memos()
+    assert spcounts._g_row(n) == tuple(_g_literal(n, l) for l in range(n + 1))
+
+
+def test_cold_c_and_g_closed_build_only_their_rows(cold_memos):
+    assert c_closed(150, 75) == _c_literal(150, 75)
+    assert g_closed(150, 74) == _g_literal(150, 74)
+    assert spcounts._c_row.cache_info().currsize == 1
+    assert spcounts._g_row.cache_info().currsize == 1
 
 
 def test_stirling_convolution_of_e_gives_c():
