@@ -6,10 +6,12 @@ associated Stirling numbers of the first kind) and reciprocal composition
 sums.  Everything is exact: integers are unbounded and
 rational values are fractions.Fraction.
 
-All functions are pure.  S2(b + c, b) and D(k + c, k) are memoised by
-diagonal c, as spcounts reads them, only as far as asked for, and by
-iteration, so a cold call at a large index needs no deep stack.  Growth is
-locked and only lengthens lists, so lock-free readers see serial values.
+All functions are pure.  S2(b + c, b), D(k + c, k) and H(k + c, k) are
+memoised by diagonal c, as spcounts reads S2 and D, only as far as asked
+for.  One grower, _grow, lengthens all three by iteration, so a cold call at
+a large index needs no deep stack; each triangle passes only its recurrence
+step.  Growth is locked and only lengthens lists, so lock-free readers see
+serial values.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ __all__ = [
 
 _S2_DIAGS: list[list[int]] = [[1]]
 _D_DIAGS: list[list[int]] = [[1]]
+_H_DIAGS: list[list[Fraction]] = [[Fraction(1)]]
 _GROWTH = Lock()
-_H_ROWS: dict[int, tuple[Fraction, ...]] = {0: (Fraction(1),)}
 
 
 def binomial(n: int, k: int) -> int:
@@ -54,22 +56,34 @@ def double_factorial(n: int) -> int:
     return result
 
 
-def _s2_diagonals(c: int, length: int) -> list[list[int]]:
-    """The S2 memo, with each of diagonals 0 .. c at least `length` long."""
-    diags = _S2_DIAGS
+def _grow(diags: list[list], c: int, length: int, extend) -> list[list]:
+    """`diags`, with each of diagonals 0 .. c at least `length` long.
+
+    extend(diag, prev, i, length) lengthens diagonal i from prev, diagonal
+    i - 1; zeros stand in for the diagonal before 0.
+    """
     if c < len(diags) and len(diags[c]) >= length:
         return diags
     with _GROWTH:
-        diags += ([0] for _ in range(len(diags), c + 1))  # S2(i, 0) = 0 for i >= 1
+        # each new diagonal i >= 1 starts at T(i, 0) = 0, a zero of the seed's type
+        diags += ([diags[0][0] * 0] for _ in range(len(diags), c + 1))
         # lengths never rise with i, so the short diagonals are lo .. c
         lo = next((i for i in range(c, 0, -1) if len(diags[i - 1]) >= length), 0)
         for i in range(lo, c + 1):
-            # S2(b+i, b) = S2(b+i-1, b-1) + b S2(b+i-1, b), summed on from the last
-            # entry; zeros stand in for the diagonal before 0
-            diag, start, prev = diags[i], len(diags[i]), diags[i - 1] if i else [0] * length
-            diag[start - 1:] = accumulate(
-                map(mul, range(start, length), prev[start:length]), initial=diag[-1])
+            extend(diags[i], diags[i - 1] if i else [0] * length, i, length)
     return diags
+
+
+def _s2_step(diag: list[int], prev: list[int], i: int, length: int) -> None:
+    # S2(b+i, b) = S2(b+i-1, b-1) + b S2(b+i-1, b), summed on from the last entry
+    start = len(diag)
+    diag[start - 1:] = accumulate(map(mul, range(start, length), prev[start:length]),
+                                  initial=diag[-1])
+
+
+def _s2_diagonals(c: int, length: int) -> list[list[int]]:
+    """The S2 memo, with each of diagonals 0 .. c at least `length` long."""
+    return _grow(_S2_DIAGS, c, length, _s2_step)
 
 
 def _s2_row(m: int) -> list[int]:
@@ -84,20 +98,16 @@ def stirling2(n: int, k: int) -> int:
     return _s2_diagonals(n - k, k + 1)[n - k][k]
 
 
+def _d_step(diag: list[int], prev: list[int], i: int, length: int) -> None:
+    # D(k+i, k) = (k+i-1) (D(k+i-2, k-1) + D(k+i-1, k))
+    start = len(diag)
+    diag += map(mul, range(start + i - 1, length + i - 1),
+                map(add, prev[start - 1:length - 1], prev[start:length]))
+
+
 def _d_diagonals(c: int, length: int) -> list[list[int]]:
     """The D memo, with each of diagonals 0 .. c at least `length` long."""
-    diags = _D_DIAGS
-    if c < len(diags) and len(diags[c]) >= length:
-        return diags
-    with _GROWTH:
-        diags += ([0] for _ in range(len(diags), c + 1))  # D(i, 0) = 0 for i >= 1
-        lo = next((i for i in range(c, 0, -1) if len(diags[i - 1]) >= length), 0)
-        for i in range(lo, c + 1):
-            # D(k+i, k) = (k+i-1) (D(k+i-2, k-1) + D(k+i-1, k)), as for S2
-            diag, start, prev = diags[i], len(diags[i]), diags[i - 1] if i else [0] * length
-            diag += map(mul, range(start + i - 1, length + i - 1),
-                        map(add, prev[start - 1:length - 1], prev[start:length]))
-    return diags
+    return _grow(_D_DIAGS, c, length, _d_step)
 
 
 def assoc_stirling1(n: int, k: int) -> int:
@@ -110,30 +120,22 @@ def assoc_stirling1(n: int, k: int) -> int:
     return _d_diagonals(n - k, k + 1)[n - k][k]
 
 
-def _h_row(m: int) -> tuple[Fraction, ...]:
-    # row[k] = H(m, k) for 0 <= k <= m, where H(m, k) sums the reciprocals
-    # 1 / ((j_1 + 1) ... (j_k + 1)) over compositions j_1 + ... + j_k = m.
-    rows = _H_ROWS
-    while len(rows) <= m:
-        i = len(rows)
-        prev = rows[i - 1]
-        vals = [Fraction(0)]
-        for k in range(1, i + 1):
-            a = prev[k - 1] if k - 1 <= i - 1 else Fraction(0)
-            b = prev[k] if k <= i - 1 else Fraction(0)
-            vals.append((k * a + (i + k - 1) * b) / (i + k))
-        rows[i] = tuple(vals)
-    return rows[m]
+def _h_step(diag: list[Fraction], prev: list[Fraction], i: int, length: int) -> None:
+    # (2k+i) H(k+i, k) = k H(k+i-1, k-1) + (2k+i-1) H(k+i-1, k), on from the last entry
+    start = len(diag)
+    diag[start - 1:] = accumulate(
+        range(start, length),
+        lambda h, k: (k * h + (2 * k + i - 1) * prev[k]) / (2 * k + i), initial=diag[-1])
 
 
 def h_value(m: int, k: int) -> Fraction:
-    """Reciprocal composition sum over j_1 + ... + j_k = m with all j_i >= 1.
+    """Reciprocal composition sum: 1 / ((j_1 + 1) ... (j_k + 1)) summed
+    over j_1 + ... + j_k = m with all j_i >= 1.
 
-    Computed by dynamic programming via the recursion
-    (m+k) H(m,k) = k H(m-1,k-1) + (m+k-1) H(m-1,k).
-    Returns 1 for m = k = 0 and 0 whenever k > m or (m > 0 and k = 0).
+    Grown by H's own recursion (m+k) H(m,k) = k H(m-1,k-1) + (m+k-1) H(m-1,k),
+    which reads no D.  Always a Fraction: 1 for m = k = 0 and 0 whenever
+    k > m or (m > 0 and k = 0).
     """
     if m < 0 or k < 0 or k > m:
         return Fraction(0)
-    return _h_row(m)[k]
-
+    return _grow(_H_DIAGS, m - k, k + 1, _h_step)[m - k][k]

@@ -26,6 +26,7 @@ the point: the two routes validate each other.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 from math import comb
 from operator import itemgetter
@@ -168,7 +169,6 @@ def _reverse_search(parents, n: int) -> Iterator[CatalogEntry]:
 
 
 _CATALOG: dict[int, tuple[CatalogEntry, ...]] = {}
-_LEVEL_COUNTS: dict[int, tuple[list[int], list[int]]] = {}  # n -> (C row, E row) of _CATALOG[n]
 
 
 def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
@@ -205,16 +205,15 @@ def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
     return _CATALOG[n]
 
 
+@cache
 def _level_counts(n: int) -> tuple[list[int], list[int]]:
     """The catalog entries for [n] and its simple ones, by rank, from one
-    walk of the level, kept per n in _LEVEL_COUNTS."""
-    if n not in _LEVEL_COUNTS:
-        every, simple = [0] * (n + 1), [0] * (n + 1)
-        for (_, rank, _), is_simple in enumerate_connected(n):
-            every[rank] += 1
-            simple[rank] += is_simple
-        _LEVEL_COUNTS[n] = every, simple
-    return _LEVEL_COUNTS[n]
+    walk of the level, cached per n."""
+    every, simple = [0] * (n + 1), [0] * (n + 1)
+    for (_, rank, _), is_simple in enumerate_connected(n):
+        every[rank] += 1
+        simple[rank] += is_simple
+    return every, simple
 
 
 def count_rows(family: str, max_n: int) -> list[list[int]]:
@@ -265,9 +264,7 @@ def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
 # excluded-minor characterization
 # ---------------------------------------------------------------------------
 
-_LATTICES: dict[int, tuple] = {}
-
-
+@cache
 def _lattice(n: int) -> tuple[list[int], list[int], int, list[list[int]], bytes]:
     """The subset lattice of [n] as byte masks, built on first use per n.
 
@@ -278,19 +275,17 @@ def _lattice(n: int) -> tuple[list[int], list[int], int, list[list[int]], bytes]
     nonempty s.  by_size[k] lists the k-subset masks in increasing order,
     and bit_length maps each byte to its bit length.
     """
-    if n not in _LATTICES:
-        full = int.from_bytes(b"\xff" * (1 << n), "little")
-        lack = [
-            int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (1 << (n - 1 - i)), "little")
-            for i in range(n)
-        ]
-        low = int.from_bytes(bytes((1 << s.bit_count()) >> 1 for s in range(1 << n)), "little")
-        by_size = [[] for _ in range(n + 1)]
-        for s in range(1 << n):
-            by_size[s.bit_count()].append(s)
-        bit_length = bytes(b.bit_length() for b in range(256))
-        _LATTICES[n] = (lack, [full ^ x for x in lack], low, by_size, bit_length)
-    return _LATTICES[n]
+    full = int.from_bytes(b"\xff" * (1 << n), "little")
+    lack = [
+        int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (1 << (n - 1 - i)), "little")
+        for i in range(n)
+    ]
+    low = int.from_bytes(bytes((1 << s.bit_count()) >> 1 for s in range(1 << n)), "little")
+    by_size = [[] for _ in range(n + 1)]
+    for s in range(1 << n):
+        by_size[s.bit_count()].append(s)
+    bit_length = bytes(b.bit_length() for b in range(256))
+    return lack, [full ^ x for x in lack], low, by_size, bit_length
 
 
 def _rank_table(m: MatroidSignature) -> list[int]:

@@ -26,9 +26,9 @@ difference of t^e, and the Leibniz rule for those differences never leaves
 the row, so row n is built alone in O(n^2) integer products.  e_closed and
 the E table both read it; e_from_c, which inverts C, is the independent
 second route.  A = exp(C) is only a cross-check against the Fraction
-series_exp(C).  Each family's rows are built once per process, so S reuses
-the E rows and A the S rows; count_series wraps them as a Fraction series
-(raw = count / n!).
+series_exp(C).  _count_rows caches each family's rows per max_n, so S
+reuses the E rows and A the S rows of the same length; count_series wraps
+them as a Fraction series (raw = count / n!).
 """
 
 from __future__ import annotations
@@ -256,12 +256,6 @@ def e_special(n: int, k: int, r: int) -> int:
 # count rows and their series
 # ---------------------------------------------------------------------------
 
-# family -> the longest rows _count_rows has built in this process.  Row n
-# depends only on rows <= n, so every prefix of them is exact; each write
-# stores a whole tuple.
-_ROWS: dict[str, tuple[tuple[int, ...], ...]] = {}
-
-
 def egf_exp(rows) -> tuple[tuple[int, ...], ...]:
     """exp on a normalized integer triangle, in exact integers.
 
@@ -321,20 +315,16 @@ def _a_rows(s_rows) -> tuple[tuple[int, ...], ...]:
     return tuple(reversed(out))
 
 
+@cache
 def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
     """Normalized rows n! [y^k x^n] of a family's series for n = 0 .. max_n."""
-    rows = _ROWS.get(family, ())
-    if len(rows) <= max_n:
-        if family == "A":
-            rows = _a_rows(_count_rows("S", max_n))
-        elif family == "S":
-            rows = egf_exp(_count_rows("E", max_n))
-        else:
-            # the largest row first: it grows the combinum memos for them all
-            row = {"E": _e_row, "C": _c_row, "G": _g_row}[family]
-            rows = ((0,),) + tuple(reversed([row(n) for n in range(max_n, 0, -1)]))
-        _ROWS[family] = rows
-    return rows[:max_n + 1]
+    if family == "A":
+        return _a_rows(_count_rows("S", max_n))
+    if family == "S":
+        return egf_exp(_count_rows("E", max_n))
+    # the largest row first: it grows the combinum memos for them all
+    row = {"E": _e_row, "C": _c_row, "G": _g_row}[family]
+    return ((0,),) + tuple(reversed([row(n) for n in range(max_n, 0, -1)]))
 
 
 def count_series(family: str, order: int) -> BivariateSeries:

@@ -450,9 +450,7 @@ def flag_inversion_formula_sign() -> CheckResult:
 
 def flag_inverse_defining_variable() -> CheckResult:
     order = 8
-    f = build_F(order)
-    g = series_reverse_x(f)
-    ok = series_compose_shared_y(g, f) == BivariateSeries.x(order)
+    ok = series_compose_shared_y(_inverse_of_F(order), build_F(order)) == BivariateSeries.x(order)
     return CheckResult(
         "inverse-defining-equation-variable",
         "flagged",

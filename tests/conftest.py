@@ -1,11 +1,10 @@
 """Shared fixtures."""
 
 import functools
-from fractions import Fraction
 
 import pytest
 
-from spmatroids import combinum, spcounts
+from spmatroids import combinum, oracle, spcounts
 from spmatroids.verify import run_verify
 
 
@@ -17,19 +16,22 @@ def default_report():
 
 @pytest.fixture
 def cold_memos(monkeypatch):
-    """Empty copies of every process-wide memo in combinum and spcounts for one test.
+    """Empty copies of every process-wide memo in combinum, spcounts and
+    oracle for one test: each diagonal memo back to its seed and each
+    functools cache, found by its cache_clear, fresh.  oracle._CATALOG
+    stays warm.
 
     The fixture's value is a function that empties them again; the shared
     warm memos are restored after the test.
     """
     def empty():
-        monkeypatch.setattr(combinum, "_S2_DIAGS", [[1]])
-        monkeypatch.setattr(combinum, "_D_DIAGS", [[1]])
-        monkeypatch.setattr(combinum, "_H_ROWS", {0: (Fraction(1),)})
-        monkeypatch.setattr(spcounts, "_ROWS", {})
-        for name in ("_e_row", "_c_row", "_g_row"):
-            row = getattr(spcounts, name).__wrapped__
-            monkeypatch.setattr(spcounts, name, functools.cache(row))
+        for name in ("_S2_DIAGS", "_D_DIAGS", "_H_DIAGS"):
+            monkeypatch.setattr(combinum, name, [getattr(combinum, name)[0][:1]])
+        for module in (combinum, spcounts, oracle):
+            for name, cached in list(vars(module).items()):
+                if hasattr(cached, "cache_clear"):
+                    fresh = functools.lru_cache(**cached.cache_parameters())(cached.__wrapped__)
+                    monkeypatch.setattr(module, name, fresh)
 
     empty()
     return empty

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from spmatroids import cli
 from spmatroids.cli import (
     TABLE_MAX_N,
     VERIFY_MAX_ORDER,
@@ -131,6 +132,22 @@ def test_oracle_output_and_compare(capsys):
     assert "COMPARE: formula tables match enumeration" in out
 
 
+def test_oracle_compare_reports_a_wrong_table_entry(capsys, monkeypatch):
+    def planted(max_n, family):
+        table = build_tables(max_n, family)
+        if family != "C":
+            return table
+        rows = [list(row) for row in table.rows]
+        rows[4 - table.start_n][2] += 1  # C(4, 2) = 6 becomes 7
+        return table._replace(rows=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(cli, "build_tables", planted)
+    code, out, _ = run_cli(capsys, "oracle", "--max-n", "4", "--compare")
+    assert code == 1
+    assert out.endswith(
+        "COMPARE: MISMATCH\n  C n=4: enumerated [0, 1, 6, 1, 0], formula [0, 1, 7, 1, 0]\n")
+
+
 def test_oracle_cap_is_config_error(capsys):
     code, _, err = run_cli(capsys, "oracle", "--max-n", "9")
     assert code == 2
@@ -230,6 +247,13 @@ def test_oeis_fixture_comparison(capsys):
         code, out, _ = run_cli(capsys, "oeis", "--id", sid)
         assert code == 0, sid
         assert out == golden[sid], sid
+
+
+def test_oeis_missing_bfile_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    code, out, err = run_cli(capsys, "oeis", "--id", "A140945", "--bfile", str(missing))
+    assert code == 2 and out == ""
+    assert err == f"error: b-file not found: {missing} (use --fetch or --bfile)\n"
 
 
 def test_oeis_unknown_id(capsys):

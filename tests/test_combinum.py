@@ -5,6 +5,7 @@ for Stirling numbers, permutations filtered for derangement counts, and
 literal composition sums for the reciprocal numbers.
 """
 
+import ast
 import os
 import random
 import subprocess
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import spmatroids
-from spmatroids import combinum
+from spmatroids import combinum, oracle, spcounts
 from oracle_reference import compositions
 from spmatroids.combinum import (
     assoc_stirling1,
@@ -155,19 +156,25 @@ def test_cold_far_entries_grow_only_a_staircase(cold_memos):
     assert sum(map(len, combinum._D_DIAGS)) <= 5000
     assert stirling2(n, n - 3) == comb(n, 4) + 10 * comb(n, 5) + 15 * comb(n, 6)
     assert sum(map(len, combinum._S2_DIAGS)) <= 5000
+    assert h_value(n, 2) == Fraction(2, factorial(n + 2)) * assoc_stirling1(n + 2, 2)
+    assert sum(map(len, combinum._H_DIAGS)) <= 5000
 
 
 def test_concurrent_cold_growth_matches_serial(cold_memos):
     # four threads on two cores grow the same cold memos in different orders,
     # switching every microsecond; each must read what a lone caller reads
     indices = [(n, k) for n in range(61) for k in range(n + 1)]
-    serial = {(n, k): (stirling2(n, k), assoc_stirling1(n, k)) for n, k in indices}
+
+    def read(n, k):
+        return stirling2(n, k), assoc_stirling1(n, k), h_value(n - k, k)
+
+    serial = {(n, k): read(n, k) for n, k in indices}
     results = []
 
     def work(seed):
         order = random.Random(seed).sample(indices, len(indices))
         try:
-            results.append({(n, k): (stirling2(n, k), assoc_stirling1(n, k)) for n, k in order})
+            results.append({(n, k): read(n, k) for n, k in order})
         except IndexError as exc:  # a diagonal shortened under a reader
             results.append(exc)
 
@@ -187,6 +194,26 @@ def test_concurrent_cold_growth_matches_serial(cold_memos):
     assert all(r == serial for r in results) and len(results) == 240
 
 
+def test_cold_memos_empties_every_memo(cold_memos):
+    # warm every memo, then empty them: a functools cache added to one of
+    # these modules is found by its cache_clear with no fixture edit
+    for family in spcounts.FAMILIES:
+        spcounts.build_tables(8, family)
+    stirling2(9, 3), assoc_stirling1(9, 3), h_value(9, 3)
+    oracle.count_rows("A", 4)
+    oracle.minor_check(oracle.enumerate_connected(4)[0].sig)
+    caches = [(module, name) for module in (combinum, spcounts, oracle)
+              for name, obj in vars(module).items() if hasattr(obj, "cache_clear")]
+    assert {(spcounts, "_count_rows"), (spcounts, "_e_row"),
+            (oracle, "_level_counts"), (oracle, "_lattice")} <= set(caches)
+    assert all(getattr(module, name).cache_info().currsize for module, name in caches)
+    cold_memos()
+    for module, name in caches:
+        assert getattr(module, name).cache_info().currsize == 0, name
+    assert combinum._S2_DIAGS == combinum._D_DIAGS == [[1]]
+    assert combinum._H_DIAGS == [[1]] and type(combinum._H_DIAGS[0][0]) is Fraction
+
+
 def test_assoc_stirling1_closed_forms():
     for k in range(21):
         assert assoc_stirling1(2 * k, k) == double_factorial(2 * k - 1)
@@ -204,6 +231,8 @@ def test_h_value_small():
     assert h_value(0, 3) == 0
     assert h_value(4, 0) == 0
     assert h_value(-1, 0) == 0
+    # in range, out of range, and the zeros H(m, 0) that start each diagonal
+    assert all(type(h_value(m, k)) is Fraction for m in range(-2, 12) for k in range(-2, 12))
 
 
 def h_value_compositions(m: int, k: int) -> Fraction:
@@ -229,6 +258,23 @@ def test_h_value_vs_derangements():
     for n in range(25):
         for k in range(n + 1):
             assert h_value(n - k, k) == Fraction(factorial(k), factorial(n)) * assoc_stirling1(n, k)
+
+
+def _names_in(function):
+    # every name and attribute a top-level function of combinum refers to
+    tree = ast.parse(Path(combinum.__file__).read_text(encoding="utf-8"))
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("function", ["h_value", "_h_step"])
+def test_h_reads_no_derangement_number(function):
+    # verify's reciprocal-sum-vs-derangements compares two routes only if
+    # H's own recursion names nothing of D
+    assert _names_in(function).isdisjoint(
+        {"_D_DIAGS", "_d_diagonals", "_d_step", "assoc_stirling1"})
 
 
 def test_compositions():

@@ -27,6 +27,9 @@ def test_parse_bfile_errors_carry_line_numbers():
     with pytest.raises(BFileParseError) as exc:
         parse_bfile("1 1\n5 2\n")  # index jump
     assert exc.value.line_no == 2
+    with pytest.raises(BFileParseError) as exc:
+        parse_bfile("1 1\n2 x7\n")
+    assert str(exc.value) == "line 2: non-integer token in '2 x7'"
     with pytest.raises(BFileParseError):
         parse_bfile("1 2 3\n")
 

@@ -397,15 +397,14 @@ def test_sorted_tuple_moves_equal_set_moves():
                     assert all(a < b for a, b in zip(got, got[1:])), (entry, e)
 
 
-def test_connected_count_rows_equal_a_literal_recount(monkeypatch):
+def test_connected_count_rows_equal_a_literal_recount(cold_memos):
     # A and S are checked against the set-partition sum over the same recount
     # in test_quasi_counts_match_set_partition_sum
-    monkeypatch.setattr(oracle, "_LEVEL_COUNTS", {})
     c, e = oracle_reference.catalog_rows(HARD_CAP)
     assert (count_rows("C", HARD_CAP), count_rows("E", HARD_CAP)) == (c, e)
 
 
-def test_run_oracle_walks_each_catalog_level_once(monkeypatch):
+def test_run_oracle_walks_each_catalog_level_once(monkeypatch, cold_memos):
     walks = Counter()
 
     class Level(tuple):
@@ -415,7 +414,6 @@ def test_run_oracle_walks_each_catalog_level_once(monkeypatch):
 
     levels = {n: Level(enumerate_connected(n)) for n in range(1, 8)}
     monkeypatch.setattr(oracle, "_CATALOG", levels)
-    monkeypatch.setattr(oracle, "_LEVEL_COUNTS", {})
     text, status = cli.run_oracle(7, True, None)
     assert status == 0 and text.endswith("match enumeration for all four families\n")
     assert walks == {n: 1 for n in range(1, 8)}

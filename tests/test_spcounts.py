@@ -172,14 +172,11 @@ def test_e_rows_match_e_from_c():
 
 @pytest.mark.parametrize("family", ["E", "S", "A"])
 def test_row_memo_prefix_equals_cold_build(cold_memos, family):
-    build_tables(60, family)
-    assert len(spcounts._ROWS[family]) == 61
-    warm = spcounts._count_rows(family, 13)
+    # row n reads only rows <= n, so a longer build starts with a shorter one
+    warm = spcounts._count_rows(family, 60)[:14]
     cold_memos()
     spcounts._count_rows(family, 12)
-    # a longer request than the memo holds rebuilds and replaces the entry
     assert warm == spcounts._count_rows(family, 13)
-    assert len(spcounts._ROWS[family]) == 14
 
 
 def test_s_reuses_memoised_e_rows(cold_memos):

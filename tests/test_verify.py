@@ -8,6 +8,7 @@ import pytest
 
 from oracle_reference import compositions
 from spmatroids import spcounts, verify
+from spmatroids.powerseries import BivariateSeries
 from spmatroids.combinum import assoc_stirling1, binomial, h_value, stirling2
 from spmatroids.verify import check_inversion_routes, run_verify
 
@@ -94,9 +95,27 @@ def test_reciprocal_lemma_and_corollary_equal_literal_fraction_sums():
             assert verify._reciprocal_corollary(m, k, m + k) == corollary, (m, k)
 
 
-# One value of a combinatorial or count routine is raised by 1 inside the
-# verify module; each row lists the (name, detail) of every check that must
-# fail, in report order.
+def _negative_entry(table):
+    # E(20, 19) = 1 becomes -1, which the table constructor refuses
+    rows = [list(row) for row in table.rows]
+    rows[20 - table.start_n][19] = -1
+    return spcounts.TriangularCountTable(table.family, table.start_n, tuple(map(tuple, rows)))
+
+
+def _non_integral_corner(g):
+    # 3! [y^3 x^3] g = 1/2, a corner that the palindromy check does not read
+    rows = [list(row) for row in g.rows]
+    rows[3][3] += Fraction(1, 12)
+    return BivariateSeries(g.order, rows)
+
+
+# One value of a combinatorial, count or series routine is changed inside the
+# verify module: raised by 1 unless FAULT_CHANGES names another change.  Each
+# row lists the (name, detail) of every check that must fail, in report order.
+FAULT_CHANGES = {
+    ("build_tables", (30, "E")): _negative_entry,
+    ("_inverse_of_F", (3,)): _non_integral_corner,
+}
 PLANTED_FAULTS = {
     ("assoc_stirling1", (7, 2)): [
         ("assoc-stirling-recursion", "first failure at (n, k) = (7, 2): 925 != 924"),
@@ -124,14 +143,39 @@ PLANTED_FAULTS = {
         ("counts-c-duality", "first failure at (n, k) = (8, 3)"),
         ("counts-stirling-convolution", "first failure at (n, l) = (8, 3): 17451 != 17452"),
     ],
+    ("assoc_stirling1", (9, 5)): [
+        ("assoc-stirling-recursion", "first failure at (n, k) = (9, 5): 1 != 0"),
+        ("assoc-stirling-vanishing", "nonzero at (n, k) = (9, 5)"),
+        ("reciprocal-sum-vs-derangements", "first failure at (n, k) = (9, 5): 0 != 1/3024"),
+        ("reciprocal-corollary-corrected", "first failure at (m, k) = (4, 5)"),
+    ],
+    ("assoc_stirling1", (12, 5)): [
+        ("assoc-stirling-recursion", "first failure at (n, k) = (12, 5): 866251 != 866250"),
+        ("assoc-stirling-closed-forms", "first failure at (n, k) = (12, 5): 866251 != 866250"),
+        ("stirling-alternating-lemma", "first failure at (m, l) = (7, 7): 2 != 1"),
+        ("reciprocal-sum-vs-derangements",
+         "first failure at (n, k) = (12, 5): 125/576 != 866251/3991680"),
+        ("reciprocal-corollary-corrected", "first failure at (m, k) = (7, 5)"),
+    ],
+    ("build_tables", (30, "E")): [
+        ("counts-nonnegative-integral", "negative count in row n = 20: (0, 0, 0, 0, 0, 0, 0, 0, 0, "
+         "0, 0, 84250567868935042575, 254023416470897073000, 142210285228800939150, "
+         "21029068041476014520, 853240381562579920, 8092532089687120, 11246568351026, "
+         "580606256, -1, 0)"),
+    ],
+    ("_inverse_of_F", (3,)): [
+        ("series-inverse-two-sided", "g(f(x,y), y) != x"),
+        ("series-inverse-integrality", "non-integral count at (n, k) = (3, 3): 1/2"),
+        ("gf-inverse-closed-form", "coefficient mismatch"),
+    ],
 }
 
 
 @pytest.mark.parametrize("fault", PLANTED_FAULTS, ids=lambda f: f"{f[0]}{f[1]}")
 def test_planted_fault_is_reported_exactly(monkeypatch, fault):
     name, at = fault
-    real = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args: real(*args) + 1 if args == at else real(*args))
+    real, change = getattr(verify, name), FAULT_CHANGES.get(fault, lambda value: value + 1)
+    monkeypatch.setattr(verify, name, lambda *args: change(real(*args)) if args == at else real(*args))
     report = run_verify(3)
     failed = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
     assert failed == PLANTED_FAULTS[fault]
@@ -151,10 +195,19 @@ PLANTED_TABLE_FAULTS = {
 
 
 @pytest.mark.parametrize("family", PLANTED_TABLE_FAULTS)
-def test_planted_table_fault_is_reported_exactly(monkeypatch, family):
-    rows = [list(row) for row in spcounts._count_rows(family, 12)]
-    rows[9][4] += 1
-    monkeypatch.setattr(spcounts, "_ROWS", {family: tuple(map(tuple, rows))})
+def test_planted_table_fault_is_reported_exactly(monkeypatch, cold_memos, family):
+    real = spcounts._count_rows
+
+    def planted(fam, max_n):
+        rows = real(fam, max_n)
+        if (fam, max_n) != (family, 12):
+            return rows
+        rows = [list(row) for row in rows]
+        rows[9][4] += 1
+        return tuple(map(tuple, rows))
+
+    # the cold caches build every family that reads this one from the planted rows
+    monkeypatch.setattr(spcounts, "_count_rows", planted)
     report = run_verify(12)
     failed = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
     assert failed == [(name, "coefficient mismatch") for name in PLANTED_TABLE_FAULTS[family]]
