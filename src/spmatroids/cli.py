@@ -21,7 +21,8 @@ from pathlib import Path
 
 from . import oracle
 from .config import RunConfig, default_fixtures_dir
-from .oeis import bfile_path, compare_with_bfile, fetch_bfile, parse_bfile, render_bfile
+from .oeis import (bfile_last_row, bfile_path, compare_with_bfile, fetch_bfile,
+                   parse_bfile, render_bfile)
 from .spcounts import FAMILIES, FAMILY_START_N, TriangularCountTable, build_tables
 from .verify import run_verify
 
@@ -37,9 +38,6 @@ TABLE_MAX_N = 150
 # composition's integers grow long and the cost steepens: run_verify()
 # takes 2.9 s at order 40 and 11 s at 50.
 VERIFY_MAX_ORDER = 30
-# `spm oeis` compares the b-file against the table to this n: every
-# committed b-file ends at row 12.
-OEIS_TABLE_MAX_N = 12
 
 
 def render_csv(table: TriangularCountTable) -> str:
@@ -139,7 +137,12 @@ def run_oeis_compare(sequence_id: str, bfile: Path | None, fetch: bool) -> tuple
         ) from None
     except ValueError as exc:  # BFileParseError, which names the line
         raise ValueError(f"b-file {path}: {exc}") from None
-    table = build_tables(OEIS_TABLE_MAX_N, mapping.family)
+    last = bfile_last_row(mapping.family, len(entries))  # so every entry is compared
+    if last > TABLE_MAX_N:
+        raise ValueError(
+            f"b-file {path} runs to row n = {last}, past the table cap of {TABLE_MAX_N}"
+        )
+    table = build_tables(max(last, 1), mapping.family)
     report = compare_with_bfile(mapping, table, entries)
     return report.render(), 0 if report.ok else 1
 

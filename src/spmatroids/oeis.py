@@ -55,6 +55,15 @@ def render_bfile(table: TriangularCountTable) -> str:
     return "\n".join(f"{idx} {value}" for idx, value in enumerate(values, start=1)) + "\n"
 
 
+def bfile_last_row(family: str, count: int) -> int:
+    """The row n of the family that holds entry `count` in `render_bfile`'s layout."""
+    n, seen = FAMILY_START_N[family], FAMILY_START_N[family] + 1  # row n has n + 1 entries
+    while seen < count:
+        n += 1
+        seen += n + 1
+    return n
+
+
 class OeisReport(NamedTuple):
     sequence_id: str
     family: str

@@ -16,9 +16,13 @@ relabelled copy is sorted.  Counts per (ground size, rank) are read off
 each catalog level in one pass; the direct-sum families follow from them
 by a labelled product.
 The excluded-minor test works on byte-per-subset tables: one integer holds
-a byte for every subset of the ground set, so the rank table and the
-U_{2,4} test (a set of rank r - 2 under four hyperplanes) take a few
-shifts per element instead of a Python loop over subsets.
+a byte for every subset of the ground set, so the rank table and the minor
+test take a few shifts per element instead of a Python loop over subsets.
+Both minors are one flat count, a set of rank t - 1 under c flats of rank
+t: U_{2,4} is (t, c) = (r - 1, 4), and M(K4) is (r - 2, 6) once U_{2,4} is
+excluded, since the matroid is then binary (Tutte) and each rank-3
+contraction simplifies into the Fano plane, whose six-point restrictions
+are M(K4).
 Everything here is independent of the closed formulas, which is
 the point: the two routes validate each other.
 """
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import combinations
 from math import comb
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -265,15 +268,15 @@ def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
 # ---------------------------------------------------------------------------
 
 @cache
-def _lattice(n: int) -> tuple[list[int], list[int], int, list[list[int]], bytes]:
+def _lattice(n: int) -> tuple[list[int], list[int], int, int, bytes]:
     """The subset lattice of [n] as byte masks, built on first use per n.
 
     A lattice value is one integer with a byte per subset mask s, at bits
     8s to 8s + 7, so one shift by 8 << i moves every subset's byte onto the
     subset with or without element i.  lack[i] and has[i] are 0xFF at the
-    subsets without and with element i, and low is 2^(|s| - 1) at every
-    nonempty s.  by_size[k] lists the k-subset masks in increasing order,
-    and bit_length maps each byte to its bit length.
+    subsets without and with element i, low is 2^(|s| - 1) at every
+    nonempty s and ones is 1 at every s, and bit_length maps each byte to
+    its bit length.
     """
     full = int.from_bytes(b"\xff" * (1 << n), "little")
     lack = [
@@ -281,11 +284,8 @@ def _lattice(n: int) -> tuple[list[int], list[int], int, list[list[int]], bytes]
         for i in range(n)
     ]
     low = int.from_bytes(bytes((1 << s.bit_count()) >> 1 for s in range(1 << n)), "little")
-    by_size = [[] for _ in range(n + 1)]
-    for s in range(1 << n):
-        by_size[s.bit_count()].append(s)
     bit_length = bytes(b.bit_length() for b in range(256))
-    return lack, [full ^ x for x in lack], low, by_size, bit_length
+    return lack, [full ^ x for x in lack], low, full // 255, bit_length
 
 
 def _rank_table(m: MatroidSignature) -> list[int]:
@@ -319,86 +319,60 @@ def _marking(rank: int, byte: int) -> bytes:
     return bytes(rank) + bytes((byte,)) + bytes(255 - rank)
 
 
-def _has_u24_minor(n: int, rk: list[int]) -> bool:
-    """True iff some minor is U_{2,4}: iff some set of rank r - 2 lies in
-    at least four hyperplanes.
+def _in_many_flats(n: int, rk: list[int], t: int, c: int) -> bool:
+    """True iff some set of rank t - 1 lies in at least c flats of rank t.
 
-    Each U_{2,4} minor is M/K restricted to four elements, with K
-    independent and |K| = r - 2 (the reduction of `minor_check`).  The
-    points of M/K, its rank-1 flats, are the sets H - cl(K) for the
-    hyperplanes H of M that hold K, so M/K has four points, no two
-    parallel, iff K lies in four hyperplanes.  Conversely a set X of rank
-    r - 2 in four hyperplanes holds an independent K of r - 2 elements, and
-    the hyperplanes above X are above K.
+    Such a set X holds an independent K of t - 1 elements with the same
+    closure, and the rank-t flats F above X are those above K: the sets
+    F - cl(K) are the points of M/K, its rank-1 flats, no two parallel.
 
-    Over the whole lattice at once: the rank r - 1 sets are marked 1, and
-    the hyperplanes are those with no one-larger superset of the same rank
+    Over the whole lattice at once: the rank-t sets are marked 1, and the
+    flats among them are those with no one-larger superset of the same rank
     (one shift per element).  A superset sum, again one shift per element,
-    counts the hyperplanes above every subset.  A byte never carries: the
-    hyperplanes are an antichain, so at most C(8, 4) = 70 of them lie
-    above a set.  The count reaches 4 iff it meets 0xFC.
+    counts the rank-t flats above every subset.  A byte never carries: the
+    flats of one rank are an antichain, so at most C(8, 4) = 70 of them lie
+    above a set, and 70 + 8 - c < 256.  The count reaches c iff the count
+    plus 8 - c meets 0xF8.
     """
-    r = rk[-1]
-    if n < 4 or r < 2:
+    if t < 1 or n < c:
         return False
-    lack = _lattice(n)[0]
+    lack, _, _, ones, _ = _lattice(n)
     table = bytes(rk)
-    level = int.from_bytes(table.translate(_marking(r - 1, 1)), "little")
-    below = int.from_bytes(table.translate(_marking(r - 2, 0xFC)), "little")
+    level = int.from_bytes(table.translate(_marking(t, 1)), "little")
+    below = int.from_bytes(table.translate(_marking(t - 1, 0xF8)), "little")
     grown = 0
     for i in range(n):
         grown |= level >> (8 << i) & lack[i]
     counts = level & ~grown
     for i in range(n):
         counts += counts >> (8 << i) & lack[i]
-    return counts & below != 0
+    return (counts + (8 - c) * ones) & below != 0
 
 
-def _points(n: int, rk: list[int], k: int) -> list[int]:
-    """One element of each parallel class of non-loops of M/K, as bit
-    masks in increasing order.
+def _has_u24_minor(n: int, rk: list[int]) -> bool:
+    """True iff some minor is U_{2,4}: iff some set of rank r - 2 lies in
+    at least four hyperplanes.
 
-    An element i is a non-loop of M/K iff rk(K + i) = rk(K) + 1, and two
-    non-loops are parallel in M/K iff together they add only 1 to rk(K).
+    Each U_{2,4} minor is M/K restricted to four elements, with K
+    independent and |K| = r - 2 (the reduction of `minor_check`), and M/K
+    of rank 2 has one iff it has four points.
     """
-    one, two = rk[k] + 1, rk[k] + 2
-    points = []
-    for i in range(n):
-        ki = k | 1 << i
-        if rk[ki] == one:
-            for p in points:
-                if rk[ki | p] != two:
-                    break
-            else:
-                points.append(1 << i)
-    return points
+    return _in_many_flats(n, rk, rk[-1] - 1, 4)
 
 
 def _has_mk4_minor(n: int, rk: list[int]) -> bool:
-    """True iff some minor on six elements is M(K4), given that the matroid
-    has no U_{2,4} minor (`minor_check` asks only after `_has_u24_minor`).
+    """True iff some minor is M(K4), given that no minor is U_{2,4}
+    (`minor_check` asks only after `_has_u24_minor`): iff some set of rank
+    r - 3 lies in at least six flats of rank r - 2.
 
-    Each such minor is M/K restricted to a six-set T, with K independent
-    and |K| = r - 3, so that M/K has rank 3.  M(K4) has no loop and no
-    parallel pair, and parallel elements are interchangeable, so T is taken
-    from one element of each parallel class of non-loops of M/K.  Under the
-    precondition a rank-3 minor on six elements is M(K4) iff it has exactly
-    16 bases and no parallel pair.  Without it the test is wrong: a
-    four-point line plus two points off it also has 16 bases and no
-    parallel pair.
+    Each M(K4) minor is M/K restricted to six elements, with K independent
+    and |K| = r - 3.  With no U_{2,4} minor M/K is binary (Tutte, 1958), so
+    its simplification, of rank 3, is a restriction of the Fano plane F7,
+    and every six-point restriction of F7 is M(K4): M/K has an M(K4)
+    minor iff it has six points.  Without the precondition the test is
+    wrong: a four-point line plus two points off it has six points.
     """
-    size = rk[-1] - 3
-    if n < 6 or size < 0:
-        return False
-    for k in _lattice(n)[3][size]:
-        if rk[k] != size:
-            continue
-        three = size + 3
-        for six in combinations(_points(n, rk, k), 6):
-            bases = sum(1 for a, b, c in combinations(six, 3) if rk[a | b | c | k] == three)
-            if bases == 16:
-                return True
-    return False
+    return _in_many_flats(n, rk, rk[-1] - 2, 6)
 
 
 def minor_check(m: MatroidSignature) -> bool:

@@ -69,6 +69,11 @@ class TriangularCountTable(_TableFields):
                 raise ValueError(f"negative count in row n = {n}: {row}")
         return super().__new__(cls, family, start_n, rows)
 
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make, and _replace through it, would skip __new__'s checks
+        return cls(*iterable)
+
     @property
     def max_n(self) -> int:
         return self.start_n + len(self.rows) - 1
@@ -176,6 +181,11 @@ def g_closed(n: int, l: int) -> int:
     Evaluates sum_{j=0}^{l} (-1)^(j+l) D(j+l, j) S2(n+j, j+l+1); zero
     outside 0 <= l <= n - 1.  Satisfies the palindromy G(n, l) = G(n, n-1-l).
     Reads row n of _g_row.
+
+    This is C's printed sum shifted by one (term j is term j of C(n+1, l+1)),
+    so _g_row(n) is _c_row(n + 1)[1:], and checks of C(n, l) = G(n-1, l-1)
+    compare two transcriptions of one formula: only the inverse-series
+    checks tie G to the inverse of F.
     """
     return _g_row(n)[l] if n >= 1 and 0 <= l < n else 0
 
@@ -197,16 +207,19 @@ def e_from_c(max_n: int) -> TriangularCountTable:
 
     Solves C(n, l) = sum_{m=l}^{n} S2(n, m) E(m, l) for E by forward
     substitution (S2(n, n) = 1), seeding row 1 with the coloop convention
-    E(1, 0) = 0, E(1, 1) = 1, and reading S2 and the rows already solved
-    by index.  The result must agree with e_closed entrywise.
+    E(1, 0) = 0, E(1, 1) = 1, and reading the C rows, the S2 rows (built
+    largest first, so each memo grows once) and the rows already solved by
+    index.  The result must agree with e_closed entrywise.
     """
     if max_n < 1:
         raise ValueError("e_from_c needs max_n >= 1")
+    c_rows = _count_rows("C", max_n)
+    s2_rows = {n: _s2_row(n) for n in range(max_n, 1, -1)}
     rows = [(0,), (0, 1)]  # rows[m] = (E(m, 0), ..., E(m, m)); row 0 is never read
     for n in range(2, max_n + 1):
-        weights = _s2_row(n)
+        weights = s2_rows[n]
         rows.append(tuple(
-            c_closed(n, l) - sum(weights[m] * rows[m][l] for m in range(max(l, 1), n))
+            c_rows[n][l] - sum(weights[m] * rows[m][l] for m in range(max(l, 1), n))
             for l in range(n + 1)
         ))
     return TriangularCountTable("E", 1, tuple(rows[1:]))

@@ -19,7 +19,7 @@ from spmatroids.cli import (
     run_oracle,
     run_table,
 )
-from spmatroids.oeis import parse_bfile
+from spmatroids.oeis import parse_bfile, render_bfile
 from spmatroids.spcounts import build_tables
 
 
@@ -247,6 +247,33 @@ def test_oeis_fixture_comparison(capsys):
         code, out, _ = run_cli(capsys, "oeis", "--id", sid)
         assert code == 0, sid
         assert out == golden[sid], sid
+
+
+def test_oeis_compares_every_row_of_a_long_bfile(tmp_path, capsys):
+    # a C b-file to n = 20, past the committed fixtures' row 12, with one
+    # entry corrupted at (n, k) = (19, 11)
+    bfile = tmp_path / "b.txt"
+    entries = parse_bfile(render_bfile(build_tables(20, "C")))
+    bfile.write_text("".join(f"{i} {v + (i == 201)}\n" for i, v in entries))
+    code, out, _ = run_cli(capsys, "oeis", "--id", "A140945", "--bfile", str(bfile))
+    assert code == 1
+    assert "overlap with formula table: 230 entries" in out
+    assert "FIRST MISMATCH at b-file index 201 -> (n, k) = (19, 11)" in out
+
+
+def test_oeis_bfile_past_the_table_cap_is_usage_error(tmp_path, capsys):
+    # rows 1 .. 150 of C hold 11475 entries: one more starts row 151
+    bfile = tmp_path / "b.txt"
+    text = render_bfile(build_tables(TABLE_MAX_N, "C"))
+    bfile.write_text(text)
+    code, out, _ = run_cli(capsys, "oeis", "--id", "A140945", "--bfile", str(bfile))
+    assert code == 0 and "overlap with formula table: 11475 entries" in out
+    bfile.write_text(text + "11476 0\n")
+    code, out, err = run_cli(capsys, "oeis", "--id", "A140945", "--bfile", str(bfile))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: b-file {bfile} runs to row n = 151, past the table cap of {TABLE_MAX_N}\n"
+    )
 
 
 def test_oeis_missing_bfile_is_usage_error(tmp_path, capsys):

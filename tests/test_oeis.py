@@ -2,7 +2,6 @@
 
 import pytest
 
-from spmatroids.cli import OEIS_TABLE_MAX_N
 from spmatroids.config import DEFAULT_SEQUENCE_MAP, RunConfig, SequenceMapping
 from spmatroids.oeis import (
     BFileParseError,
@@ -44,18 +43,22 @@ def test_render_parse_roundtrip():
 
 
 def test_fixture_comparison_passes_for_all_sequences():
+    # every committed b-file ends at row 12, so each of its entries is compared
     config = RunConfig()
+    compared = {}
     for sid, mapping in DEFAULT_SEQUENCE_MAP.items():
         path = bfile_path(config, sid)
         assert path.exists(), f"missing fixture for {sid}"
         entries = parse_bfile(path.read_text(encoding="utf-8"))
-        table = build_tables(OEIS_TABLE_MAX_N, mapping.family)
+        table = build_tables(12, mapping.family)
         report = compare_with_bfile(mapping, table, entries)
         assert report.mapping_validated
         assert report.first_mismatch is None
-        assert report.compared_entries > 0
+        assert report.compared_entries == len(entries)
+        compared[sid] = report.compared_entries
         assert report.ok
         assert "PASS" in report.render()
+    assert compared == {"A140945": 90, "A361355": 90, "A359985": 91, "A361353": 91}
 
 
 def test_shifted_bfile_refuses_to_pass():

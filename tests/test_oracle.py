@@ -149,6 +149,21 @@ def _fano():
     return MatroidSignature(7, 3, tuple(sorted(set(bases) - lines)))
 
 
+def _wheel(spokes):
+    # M(W_s): hub 0, rim 1 .. s; the bases are the spanning trees, the
+    # s-sets of edges that join every vertex to the hub
+    edges = [(0, i) for i in range(1, spokes + 1)]
+    edges += [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    bases = []
+    for tree in combinations(range(2 * spokes), spokes):
+        reached = {0}
+        for _ in range(spokes):
+            reached |= {v for i in tree if reached & set(edges[i]) for v in edges[i]}
+        if len(reached) == spokes + 1:
+            bases.append(sum(1 << i for i in tree))
+    return MatroidSignature(2 * spokes, spokes, tuple(sorted(bases)))
+
+
 LOOP = MatroidSignature(1, 0, (0,))
 COLOOP = MatroidSignature(1, 1, (1,))
 
@@ -187,26 +202,40 @@ def test_minor_search_matches_reference_off_the_series_parallel_class():
 
 
 def test_u24_hyperplane_count_matches_point_search():
-    # the bit-parallel test against the contraction-point search it replaced
+    # The flat count at (t, c) = (r - 1, 4) against the contraction-point
+    # search it replaced, and, where there is no U_{2,4} minor, at
+    # (t, c) = (r - 2, 6) against the search over every contraction set.
+    # F7* and the wheel W4 are binary of rank 4 with an M(K4) minor: t = 2.
     cases = {
         "catalog n <= 7": [e.sig for n in range(1, 8) for e in enumerate_connected(n)],
         "catalog n = 8": random.Random(8).sample([e.sig for e in enumerate_connected(8)], 300),
         "not series-parallel": NOT_SERIES_PARALLEL,
         "six-label rank 3": _six_label_rank3(),
         "uniform": [_uniform(r, n) for n in range(HARD_CAP + 1) for r in range(n + 1)],
+        "binary rank 4": [
+            MatroidSignature(7, 4, tuple(sorted(_dual(_fano().bases, 127)))), _wheel(4),
+        ],
     }
-    with_u24 = {}
+    with_u24, with_mk4 = {}, {}
     for name, sigs in cases.items():
-        with_u24[name] = 0
+        with_u24[name] = with_mk4[name] = 0
         for m in sigs:
             n, rk = m.ground_size, oracle._rank_table(m)
             got = oracle._has_u24_minor(n, rk)
             assert got == oracle_reference.has_u24_minor_by_points(n, rk), (name, m)
             with_u24[name] += got
+            if not got:
+                mk4 = oracle._has_mk4_minor(n, rk)
+                assert mk4 == oracle_reference.has_mk4_minor(n, rk), (name, m)
+                with_mk4[name] += mk4
     # U_{r,n} has a U_{2,4} minor iff 2 <= r <= n - 2: 1+2+3+4+5 of them
     assert with_u24 == {
         "catalog n <= 7": 0, "catalog n = 8": 0, "not series-parallel": 84,
-        "six-label rank 3": 30, "uniform": 15,
+        "six-label rank 3": 30, "uniform": 15, "binary rank 4": 0,
+    }
+    assert with_mk4 == {
+        "catalog n <= 7": 0, "catalog n = 8": 0, "not series-parallel": 32,
+        "six-label rank 3": 30, "uniform": 0, "binary rank 4": 2,
     }
 
 

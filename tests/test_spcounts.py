@@ -407,6 +407,17 @@ def test_table_type_validation():
         t.row(0)
 
 
+def test_table_copies_are_validated():
+    # _replace builds through _make, which NamedTuple would run past __new__
+    t = build_tables(3, "C")
+    with pytest.raises(ValueError, match=r"negative count in row n = 2: \(0, -5, 0\)"):
+        t._replace(rows=((1, 1), (0, -5, 0), (0, 1, 1, 0)))
+    with pytest.raises(ValueError, match="row for n = 1 must have 2 entries"):
+        TriangularCountTable._make(("C", 1, ((1, 1, 1),)))
+    assert t._replace(family="C") == t._make(t) == t
+    assert type(t._make(t)) is TriangularCountTable
+
+
 def test_table_fields_are_read_only():
     t = build_tables(3, "C")
     with pytest.raises(AttributeError):
