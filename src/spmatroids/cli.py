@@ -3,7 +3,7 @@
     spm table  --family {E|C|A|S|G} --max-n INT --format {csv|json|bfile} [--out PATH]
     spm verify [--order INT]
     spm oracle --max-n INT [--compare] [--dump PATH]
-    spm oeis   --id AXXXXXX [--bfile PATH | --fetch]
+    spm oeis   --id AXXXXXX [--bfile PATH]
 
 `spm table` accepts --max-n from 1 to 150, `spm oracle` from 1 to 8, and
 `spm verify` accepts --order from 1 to 30.
@@ -21,8 +21,7 @@ from pathlib import Path
 
 from . import oracle
 from .config import RunConfig, default_fixtures_dir
-from .oeis import (bfile_last_row, bfile_path, compare_with_bfile, fetch_bfile,
-                   parse_bfile, render_bfile)
+from .oeis import bfile_last_row, bfile_path, compare_with_bfile, parse_bfile, render_bfile
 from .spcounts import FAMILIES, FAMILY_START_N, TriangularCountTable, build_tables
 from .verify import run_verify
 
@@ -118,17 +117,15 @@ def run_oracle(max_n: int, compare: bool, dump_path: Path | None) -> tuple[str, 
     return "\n".join(lines) + "\n", 1 if mismatches else 0
 
 
-def run_oeis_compare(sequence_id: str, bfile: Path | None, fetch: bool) -> tuple[str, int]:
+def run_oeis_compare(sequence_id: str, bfile: Path | None) -> tuple[str, int]:
     """Compare one sequence's b-file against the formula table."""
     config = RunConfig()
     mapping = config.sequence_map.get(sequence_id)
     if mapping is None:
         raise ValueError(f"no sequence mapping configured for {sequence_id!r}")
     path = bfile if bfile is not None else bfile_path(config, sequence_id)
-    if fetch:
-        path = fetch_bfile(sequence_id, bfile_path(config, sequence_id))
     if not path.exists():
-        raise ValueError(f"b-file not found: {path} (use --fetch or --bfile)")
+        raise ValueError(f"b-file not found: {path}")
     try:
         entries = parse_bfile(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -178,9 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oeis = sub.add_parser("oeis", help="compare a table against an OEIS b-file")
     p_oeis.add_argument("--id", required=True)
-    group = p_oeis.add_mutually_exclusive_group()
-    group.add_argument("--bfile", type=Path)
-    group.add_argument("--fetch", action="store_true")
+    p_oeis.add_argument("--bfile", type=Path)
 
     return parser
 
@@ -203,7 +198,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
             return status
         # "oeis" is all that is left: the subparsers are required
-        text, status = run_oeis_compare(args.id, args.bfile, args.fetch)
+        text, status = run_oeis_compare(args.id, args.bfile)
         sys.stdout.write(text)
         return status
     except (ValueError, OSError) as exc:

@@ -9,7 +9,6 @@ never produce a false PASS.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,7 +17,6 @@ from .config import RunConfig, SequenceMapping
 from .spcounts import FAMILY_START_N, TriangularCountTable
 
 ORACLE_VALIDATION_MAX_N = 4
-FETCH_TIMEOUT_S = 30.0
 
 
 class BFileParseError(ValueError):
@@ -149,44 +147,3 @@ def compare_with_bfile(
 
 def bfile_path(config: RunConfig, sequence_id: str) -> Path:
     return Path(config.fixtures_dir) / f"b{sequence_id[1:]}.txt"
-
-
-def fetch_bfile(sequence_id: str, dest: Path) -> Path:
-    """Download a b-file from oeis.org and cache it at `dest`.
-
-    The download is parsed before anything is written and then replaces
-    `dest` in one rename, so a malformed or empty payload never clobbers an
-    existing file.  An HTTP protocol error (such as a truncated read) is
-    raised as a `ValueError` naming the sequence, so the CLI exits 2 like
-    any other bad download.  The network modules are imported here, not at
-    module level: they are about half the modules `import spmatroids.cli`
-    would load, and nothing but `spm oeis --fetch` uses them.
-    """
-    import http.client
-    import urllib.request
-
-    url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
-    try:
-        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
-            data = resp.read()
-    except http.client.HTTPException as exc:
-        raise ValueError(
-            f"download of b-file for {sequence_id} failed: {exc!r}"
-        ) from None
-    try:
-        entries = parse_bfile(data.decode("utf-8"))
-    except ValueError as exc:  # BFileParseError or UnicodeDecodeError
-        raise ValueError(f"downloaded b-file for {sequence_id} is malformed: {exc}") from None
-    if not entries:
-        raise ValueError(f"downloaded b-file for {sequence_id} has no entries")
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, dest)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return dest

@@ -10,17 +10,22 @@ and rank k:
   G  normalized coefficients of the compositional inverse of build_F,
       which satisfy C(n, l) = G(n-1, l-1) for n >= 2
 
-E, C and G come from closed-form alternating sums, S from the exponential
+E and C come from closed-form alternating sums, S from the exponential
 identity S = exp(E), and A from S by the substitution A = S(e^x - 1, y) e^x
 (Flajolet & Sedgewick, Analytic Combinatorics, ch. II):
 
     A(n, k) = sum_{j=k}^{n} S2(n+1, j+1) S(j, k).
 
+G's printed sum is C's shifted by one, term by term, so G is read off C:
+row n of G is _c_row(n + 1) without its l = 0 entry.  What ties G to the
+inverse of F is verify's gf-inverse-closed-form and gf-integral-identity,
+which compare C and G with the series inverse at the verify order.
+
 Tables are built in exact integers, each family in O(N^3) operations but
 S, which applies egf_exp to the integer E rows; powerseries holds only the
-Fraction reference kernel.  Each E, C and G term reads one diagonal of the
-combinum S2 and D memos, so each entry of the cached rows _e_row, _c_row
-and _g_row is a signed dot product of diagonal slices.  E has one route,
+Fraction reference kernel.  Each E and C term reads one diagonal of the
+combinum S2 and D memos, so each entry of the cached rows _e_row and
+_c_row is a signed dot product of diagonal slices.  E has one route,
 _e_row(n): each inner sum of the E closed form is a scaled backward
 difference of t^e, and the Leibniz rule for those differences never leaves
 the row, so row n is built alone in O(n^2) integer products.  e_closed and
@@ -178,28 +183,13 @@ def _c_row(n: int) -> tuple[int, ...]:
 def g_closed(n: int, l: int) -> int:
     """Normalized inverse-series coefficient G(n, l).
 
-    Evaluates sum_{j=0}^{l} (-1)^(j+l) D(j+l, j) S2(n+j, j+l+1); zero
-    outside 0 <= l <= n - 1.  Satisfies the palindromy G(n, l) = G(n, n-1-l).
-    Reads row n of _g_row.
-
-    This is C's printed sum shifted by one (term j is term j of C(n+1, l+1)),
-    so _g_row(n) is _c_row(n + 1)[1:], and checks of C(n, l) = G(n-1, l-1)
-    compare two transcriptions of one formula: only the inverse-series
-    checks tie G to the inverse of F.
+    The printed sum sum_{j=0}^{l} (-1)^(j+l) D(j+l, j) S2(n+j, j+l+1) is
+    term by term C's sum for C(n+1, l+1), so this reads _c_row(n + 1)[l + 1];
+    zero outside 0 <= l <= n - 1.  Satisfies the palindromy
+    G(n, l) = G(n, n-1-l).  Only verify's gf-inverse-closed-form and
+    gf-integral-identity tie G to the compositional inverse of F.
     """
-    return _g_row(n)[l] if n >= 1 and 0 <= l < n else 0
-
-
-@cache
-def _g_row(n: int) -> tuple[int, ...]:
-    # as _c_row, with D diagonal l and S2 diagonal n-1-l from entry l+1
-    d = _d_diagonals(n - 1, n)
-    row = [0] * (n + 1)
-    for l in range(n - 1, -1, -1):
-        s2 = _s2_diagonals(n - 1 - l, 2 * l + 2)[n - 1 - l]
-        dot = _alternating_dot(d[l], s2[l + 1:2 * l + 2])
-        row[l] = -dot if l % 2 else dot
-    return tuple(row)
+    return _c_row(n + 1)[l + 1] if n >= 1 and 0 <= l < n else 0
 
 
 def e_from_c(max_n: int) -> TriangularCountTable:
@@ -335,8 +325,9 @@ def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
         return _a_rows(_count_rows("S", max_n))
     if family == "S":
         return egf_exp(_count_rows("E", max_n))
-    # the largest row first: it grows the combinum memos for them all
-    row = {"E": _e_row, "C": _c_row, "G": _g_row}[family]
+    # the largest row first: it grows the combinum memos for them all;
+    # G's row n is C's row n + 1 without its l = 0 entry
+    row = {"E": _e_row, "C": _c_row, "G": lambda n: _c_row(n + 1)[1:]}[family]
     return ((0,),) + tuple(reversed([row(n) for n in range(max_n, 0, -1)]))
 
 

@@ -1,7 +1,5 @@
 """Tests for the command-line front end."""
 
-import http.client
-import io
 import json
 import os
 import subprocess
@@ -280,7 +278,7 @@ def test_oeis_missing_bfile_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "absent.txt"
     code, out, err = run_cli(capsys, "oeis", "--id", "A140945", "--bfile", str(missing))
     assert code == 2 and out == ""
-    assert err == f"error: b-file not found: {missing} (use --fetch or --bfile)\n"
+    assert err == f"error: b-file not found: {missing}\n"
 
 
 def test_oeis_unknown_id(capsys):
@@ -306,60 +304,12 @@ def test_oeis_parse_error_is_usage_error(tmp_path, capsys, payload, messages):
         assert message.format(path=bad) in err
 
 
-def test_oeis_fetch_malformed_payload_leaves_fixture(fixtures_copy, monkeypatch, capsys):
-    import io
-    import urllib.request
-
-    from spmatroids.config import default_fixtures_dir
-
-    fixtures = fixtures_copy
-    target = fixtures / "b140945.txt"
-    before = target.read_bytes()
-    monkeypatch.setattr(
-        urllib.request, "urlopen",
-        lambda url, timeout: io.BytesIO(b"1 1\n<html>Too many requests</html>\n"),
-    )
-    code, out, err = run_cli(capsys, "oeis", "--id", "A140945", "--fetch")
-    assert code == 2
-    assert out == ""
-    assert "A140945" in err and "line 2" in err
-    assert target.read_bytes() == before
-    assert sorted(p.name for p in fixtures.iterdir()) == sorted(
-        p.name for p in default_fixtures_dir().iterdir()
-    )
-
-
-class _TruncatedResponse(io.BytesIO):
-    def read(self, *args):
-        raise http.client.IncompleteRead(b"1 1\n", 40)
-
-
-def _raise_incomplete_read(url, timeout):
-    raise http.client.IncompleteRead(b"", 40)
-
-
-@pytest.mark.parametrize("urlopen", [
-    _raise_incomplete_read,
-    lambda url, timeout: _TruncatedResponse(),
-], ids=["at-open", "at-read"])
-def test_oeis_fetch_http_error_is_usage_error(fixtures_copy, monkeypatch, capsys, urlopen):
-    import urllib.request
-
-    before = {p.name: p.read_bytes() for p in fixtures_copy.iterdir()}
-    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    code, out, err = run_cli(capsys, "oeis", "--id", "A140945", "--fetch")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "A140945" in err and "IncompleteRead" in err
-    assert {p.name: p.read_bytes() for p in fixtures_copy.iterdir()} == before
-
-
 def test_import_loads_no_network_dataclasses_or_json():
     # A fresh interpreter, compared against its own start-up modules, so a
-    # `site` that preloads modules cannot hide or fake an import.  Only
-    # `spm oeis --fetch` needs the network stack and only `--format json`
-    # needs json; `dataclasses` (and through it `inspect`) would cost a
-    # quarter of the import time of every command.
+    # `site` that preloads modules cannot hide or fake an import.  The
+    # package has no network code and only `--format json` needs json;
+    # `dataclasses` (and through it `inspect`) would cost a quarter of the
+    # import time of every command.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"

@@ -7,7 +7,6 @@ from spmatroids.oeis import (
     BFileParseError,
     bfile_path,
     compare_with_bfile,
-    fetch_bfile,
     parse_bfile,
     render_bfile,
 )
@@ -136,26 +135,3 @@ def test_run_config_defaults_are_made_per_instance(tmp_path, monkeypatch):
     assert "A140945" in b.sequence_map and "A140945" in DEFAULT_SEQUENCE_MAP
     explicit = RunConfig(fixtures_dir=tmp_path / "other", sequence_map={})
     assert (explicit.fixtures_dir, explicit.sequence_map) == (tmp_path / "other", {})
-
-
-def test_fetch_bfile_writes_only_parsed_payloads(tmp_path, monkeypatch):
-    import io
-    import urllib.request
-
-    payload = {"data": b"# comment\n1 1\n2 0\n"}
-    monkeypatch.setattr(
-        urllib.request, "urlopen", lambda url, timeout: io.BytesIO(payload["data"])
-    )
-    dest = tmp_path / "b140945.txt"
-    dest.write_bytes(b"1 5\n")
-    assert fetch_bfile("A140945", dest) == dest
-    assert dest.read_bytes() == payload["data"]
-    assert [p.name for p in tmp_path.iterdir()] == ["b140945.txt"]
-    payload["data"] = b"# comments only\n"
-    with pytest.raises(ValueError, match="A140945 has no entries"):
-        fetch_bfile("A140945", dest)
-    payload["data"] = b"\xff\xfe"
-    with pytest.raises(ValueError, match="A140945 is malformed"):
-        fetch_bfile("A140945", dest)
-    assert dest.read_bytes() == b"# comment\n1 1\n2 0\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["b140945.txt"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spmatroids import spcounts
+from spmatroids import spcounts, verify
 from spmatroids.combinum import assoc_stirling1, double_factorial, stirling2
 from spmatroids.powerseries import BivariateSeries, count_coefficient, series_exp
 from spmatroids.spcounts import (
@@ -97,9 +97,9 @@ def test_e_closed_vanishing_entries_build_no_row(cold_memos):
     assert spcounts._e_row.cache_info().currsize == 0
 
 
-def _names_in(function):
-    # every name and attribute a top-level function of spcounts refers to
-    tree = ast.parse(Path(spcounts.__file__).read_text(encoding="utf-8"))
+def _names_in(function, module=spcounts):
+    # every name and attribute a top-level function of the module refers to
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
@@ -117,6 +117,12 @@ E_CLOSED_FORBIDDEN = {"e_from_c", "c_closed", "_count_rows", "_s2_diagonals", "_
 def test_e_routes_share_nothing(route, forbidden):
     # the closed form and the inversion of C are independent routes to E
     assert _names_in(route).isdisjoint(forbidden)
+
+
+def test_printed_g_in_verify_shares_nothing_with_the_c_rows():
+    # verify's second side of C(n, l) = G(n-1, l-1) is the printed G sum itself
+    forbidden = {"c_closed", "g_closed", "_c_row", "_count_rows", "count_series", "build_tables"}
+    assert _names_in("_printed_g", verify).isdisjoint(forbidden)
 
 
 def test_c_closed_pinned_values():
@@ -316,14 +322,15 @@ def test_c_and_g_closed_match_literal_sums(memos, request):
 def test_c_and_g_rows_match_literal_sums(cold_memos, n):
     assert spcounts._c_row(n) == tuple(_c_literal(n, l) for l in range(n + 1))
     cold_memos()
-    assert spcounts._g_row(n) == tuple(_g_literal(n, l) for l in range(n + 1))
+    g_row = tuple(g_closed(n, l) for l in range(n + 1))  # read off C's row n + 1
+    assert g_row == tuple(_g_literal(n, l) for l in range(n + 1))
 
 
 def test_cold_c_and_g_closed_build_only_their_rows(cold_memos):
     assert c_closed(150, 75) == _c_literal(150, 75)
     assert g_closed(150, 74) == _g_literal(150, 74)
-    assert spcounts._c_row.cache_info().currsize == 1
-    assert spcounts._g_row.cache_info().currsize == 1
+    # C's row 150 and, for G's row 150, C's row 151
+    assert spcounts._c_row.cache_info().currsize == 2
 
 
 def test_stirling_convolution_of_e_gives_c():

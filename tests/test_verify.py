@@ -1,13 +1,15 @@
 """Tests for the verification report machinery."""
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from pathlib import Path
 
 import pytest
 
 from oracle_reference import compositions
-from spmatroids import spcounts, verify
+from spmatroids import combinum, spcounts, verify
+from spmatroids.cli import main
 from spmatroids.powerseries import BivariateSeries
 from spmatroids.combinum import assoc_stirling1, binomial, h_value, stirling2
 from spmatroids.verify import check_inversion_routes, run_verify
@@ -109,12 +111,24 @@ def _non_integral_corner(g):
     return BivariateSeries(g.order, rows)
 
 
+def _one_more_count(f):
+    # 2! [y x^2] f raised by 1
+    rows = [list(row) for row in f.rows]
+    rows[2][1] += Fraction(1, 2)
+    return BivariateSeries(f.order, rows)
+
+
 # One value of a combinatorial, count or series routine is changed inside the
-# verify module: raised by 1 unless FAULT_CHANGES names another change.  Each
-# row lists the (name, detail) of every check that must fail, in report order.
+# verify module: raised by 1 unless FAULT_CHANGES names another change.  A
+# series argument is matched by its order, so a series fault changes every
+# call at that order.  Each row lists the (name, detail) of every check that
+# must fail, in report order.
 FAULT_CHANGES = {
     ("build_tables", (30, "E")): _negative_entry,
     ("_inverse_of_F", (3,)): _non_integral_corner,
+    ("series_exp", (3,)): _one_more_count,
+    ("series_reverse_x", (3,)): _one_more_count,
+    ("series_compose_shared_y", (3, 3)): _one_more_count,
 }
 PLANTED_FAULTS = {
     ("assoc_stirling1", (7, 2)): [
@@ -122,10 +136,12 @@ PLANTED_FAULTS = {
         ("stirling-alternating-lemma", "first failure at (m, l) = (5, 5): 0 != 1"),
         ("reciprocal-sum-vs-derangements", "first failure at (n, k) = (7, 2): 11/30 != 185/504"),
         ("reciprocal-corollary-corrected", "first failure at (m, k) = (5, 2)"),
+        ("counts-c-vs-inverse-coefficients", "first failure at (n, l) = (7, 6): 1 != 0"),
     ],
     ("stirling2", (9, 4)): [
         ("stirling-alternating-lemma", "first failure at (m, l) = (8, 5): 7770 != 7771"),
         ("stirling-surjection-lemma", "first failure at (k, n, m) = (2, 7, 4): 7771 != 7770"),
+        ("counts-c-vs-inverse-coefficients", "first failure at (n, l) = (9, 3): 112035 != 112033"),
         ("counts-stirling-convolution", "first failure at (n, l) = (9, 3): 112036 != 112035"),
     ],
     ("h_value", (5, 3)): [
@@ -156,6 +172,7 @@ PLANTED_FAULTS = {
         ("reciprocal-sum-vs-derangements",
          "first failure at (n, k) = (12, 5): 125/576 != 866251/3991680"),
         ("reciprocal-corollary-corrected", "first failure at (m, k) = (7, 5)"),
+        ("counts-c-vs-inverse-coefficients", "first failure at (n, l) = (9, 8): 1 != 2"),
     ],
     ("build_tables", (30, "E")): [
         ("counts-nonnegative-integral", "negative count in row n = 20: (0, 0, 0, 0, 0, 0, 0, 0, 0, "
@@ -164,18 +181,46 @@ PLANTED_FAULTS = {
          "580606256, -1, 0)"),
     ],
     ("_inverse_of_F", (3,)): [
+        ("series-inversion-route-agreement", "routes disagree on the log-series"),
         ("series-inverse-two-sided", "g(f(x,y), y) != x"),
         ("series-inverse-integrality", "non-integral count at (n, k) = (3, 3): 1/2"),
         ("gf-inverse-closed-form", "coefficient mismatch"),
     ],
+    ("series_exp", (3,)): [
+        ("series-exp-log-roundtrip", "log(exp(f)) != f for the connected-count series"),
+        ("gf-simple-exponential", "coefficient mismatch"),
+        ("gf-quasi-exponential", "coefficient mismatch"),
+    ],
+    ("series_reverse_x", (3,)): [
+        ("series-inversion-route-agreement", "routes disagree on the log-series"),
+        ("series-inverse-two-sided", "g(f(x,y), y) != x"),
+        ("series-inverse-palindromy", "first failure at (n, l) = (2, 0): 1 != 2"),
+        ("gf-integral-identity", "coefficient mismatch"),
+        ("gf-inverse-closed-form", "coefficient mismatch"),
+    ],
+    ("series_compose_shared_y", (3, 3)): [
+        ("series-inverse-two-sided", "g(f(x,y), y) != x"),
+        ("series-compose-identity", "f(x) != f under identity substitution"),
+        ("gf-connected-substitution", "coefficient mismatch"),
+        ("gf-quasi-substitution", "coefficient mismatch"),
+    ],
 }
+
+
+def _fault_key(args):
+    return tuple(a.order if isinstance(a, BivariateSeries) else a for a in args)
 
 
 @pytest.mark.parametrize("fault", PLANTED_FAULTS, ids=lambda f: f"{f[0]}{f[1]}")
 def test_planted_fault_is_reported_exactly(monkeypatch, fault):
     name, at = fault
+    # a fresh cache, so the inverse is rebuilt through any planted fault
+    monkeypatch.setattr(verify, "_inverse_of_F", cache(verify._inverse_of_F.__wrapped__))
     real, change = getattr(verify, name), FAULT_CHANGES.get(fault, lambda value: value + 1)
-    monkeypatch.setattr(verify, name, lambda *args: change(real(*args)) if args == at else real(*args))
+    monkeypatch.setattr(
+        verify, name,
+        lambda *args: change(real(*args)) if _fault_key(args) == at else real(*args),
+    )
     report = run_verify(3)
     failed = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
     assert failed == PLANTED_FAULTS[fault]
@@ -190,7 +235,7 @@ PLANTED_TABLE_FAULTS = {
     "S": ["gf-simple-exponential", "gf-quasi-exponential"],
     "A": ["gf-quasi-exponential", "gf-quasi-substitution"],
     "C": ["gf-quasi-exponential", "gf-connected-substitution", "gf-integral-identity"],
-    "G": ["gf-integral-identity", "gf-inverse-closed-form"],
+    "G": ["gf-inverse-closed-form"],
 }
 
 
@@ -211,6 +256,39 @@ def test_planted_table_fault_is_reported_exactly(monkeypatch, cold_memos, family
     report = run_verify(12)
     failed = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
     assert failed == [(name, "coefficient mismatch") for name in PLANTED_TABLE_FAULTS[family]]
+
+
+def test_planted_faults_cover_every_check(default_report):
+    # a check that compared a value with itself would have no fault here
+    failing = {name for failures in PLANTED_FAULTS.values() for name, _ in failures}
+    failing |= {name for names in PLANTED_TABLE_FAULTS.values() for name in names}
+    assert failing == {c.name for c in default_report.checks if c.status != "flagged"}
+
+
+def test_memo_fault_in_d_fails_the_integral_identity(cold_memos):
+    # D(9, 4) + 1 in the diagonal memo reaches C and G alike, but not the
+    # series inverse of F that gf-integral-identity integrates
+    assoc_stirling1(9, 4)
+    combinum._D_DIAGS[5][4] += 1
+    failed = [c.name for c in run_verify(12).checks if c.status == "fail"]
+    assert failed == [
+        "assoc-stirling-recursion", "assoc-stirling-closed-forms", "stirling-alternating-lemma",
+        "reciprocal-sum-vs-derangements", "reciprocal-corollary-corrected", "counts-c-duality",
+        "gf-integral-identity", "gf-inverse-closed-form",
+    ]
+
+
+def test_negative_e_route_row_is_a_failure_not_an_error(cold_memos, capsys):
+    # S2(11, 5) + 1 in the diagonal memo makes e_from_c(40) solve a negative
+    # E(11, 3), which its table refuses
+    stirling2(11, 5)
+    combinum._S2_DIAGS[6][5] += 1
+    checks = {c.name: c for c in run_verify(12).checks}
+    route = checks["counts-e-route-agreement"]
+    assert route.status == "fail"
+    assert route.detail.startswith("negative count in row n = 11: (0, 0, 0, -165, 0,")
+    assert main(["verify"]) == 1
+    assert "FAIL  counts-e-route-agreement" in capsys.readouterr().out
 
 
 def test_inversion_routes_compare_at_the_full_order():
