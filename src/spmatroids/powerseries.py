@@ -15,8 +15,9 @@ Storage and results are Fractions; inside, every operation is fraction-free.
 It lifts its input rows once to integer numerators over one lcm
 denominator, runs its recurrence in integers with an in-place
 multiply-accumulate, and builds each output Fraction by one division at
-_fit_row.  Rows solved one after another (exp, log, reversion) are each
-lifted once more, over their own denominator, for the rows that follow.
+_fit_row.  exp, log and reversion solve their rows one after another
+through one row solver, _solve_rows, which lifts each solved row once more,
+over its own denominator, for the rows that follow.
 
 Series values are immutable and all operations are pure, so they are safe
 to share across threads.
@@ -38,12 +39,6 @@ def _lift(rows):
     """(int_rows, d): the rows as integer numerators over their lcm denominator d."""
     d = lcm(*(v.denominator for row in rows for v in row))
     return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
-
-
-def _lift_row(row):
-    """(ints, d): one row as integer numerators over its lcm denominator d."""
-    (ints,), d = _lift([row])
-    return ints, d
 
 
 def _pmac(acc, a, b, w=1):
@@ -193,17 +188,33 @@ def series_mul_y(f: BivariateSeries) -> BivariateSeries:
 # exp / log / composition / integration
 # ---------------------------------------------------------------------------
 
-def _lifted_sum(terms):
-    """(acc, den) with acc / den = sum of w * (G / gamma) * b over the terms
-    ((G, gamma), b, w): an earlier result row as _lift_row returns it, an
-    integer y-polynomial b and an integer weight w.  den is the lcm of the
-    gammas, so each term is one integer multiply-accumulate."""
-    terms = list(terms)
-    den = lcm(*(gamma for (_, gamma), _, _ in terms))
-    acc = []
-    for (g, gamma), b, w in terms:
-        _pmac(acc, g, b, w * (den // gamma))
-    return acc, den
+def _solve_rows(seed_rows, order: int, step) -> BivariateSeries:
+    """The series of the given order whose first rows are seed_rows and whose
+    every later row n is solved from the rows before it.
+
+    step(n, lifted) returns (terms, scale): row n is the sum of w * (G / gamma) * b
+    over the terms ((G, gamma), b, w), divided by scale.  G / gamma is an
+    integer row over its denominator, such as lifted[m], solved row m over its
+    lcm denominator; b is an integer y-polynomial and w an integer weight.
+    Summed over the lcm of the gammas, each nonzero term is one integer
+    multiply-accumulate and the row one division.
+    """
+    rows, lifted = [], []
+    for n in range(order + 1):
+        if n < len(seed_rows):
+            row = seed_rows[n]
+        else:
+            terms, scale = step(n, lifted)
+            terms = [(g, gamma, b, w) for (g, gamma), b, w in terms if any(g) and any(b)]
+            den = lcm(*(gamma for _, gamma, _, _ in terms))
+            acc = []
+            for g, gamma, b, w in terms:
+                _pmac(acc, g, b, w * (den // gamma))
+            row = _fit_row(acc, n, scale * den)
+        rows.append(row)
+        (ints,), d = _lift([row])
+        lifted.append((ints, d))
+    return BivariateSeries(order, rows)
 
 
 def series_exp(f: BivariateSeries) -> BivariateSeries:
@@ -214,38 +225,26 @@ def series_exp(f: BivariateSeries) -> BivariateSeries:
     """
     if f.rows[0][0] != 0:
         raise ValueError("series_exp requires zero constant term")
-    n_max = f.order
     rows, d = _lift(f.rows)
-    g = [_fit_row([1], 0)]
-    lifted = [_lift_row(g[0])]
-    for n in range(1, n_max + 1):
-        acc, den = _lifted_sum(
-            (lifted[n - m], rows[m], m) for m in range(1, n + 1) if any(rows[m])
-        )
-        g.append(_fit_row(acc, n, n * d * den))
-        lifted.append(_lift_row(g[n]))
-    return BivariateSeries(n_max, g)
+
+    def step(n, lifted):
+        return [(lifted[n - m], rows[m], m) for m in range(1, n + 1)], n * d
+
+    return _solve_rows([_fit_row([1], 0)], f.order, step)
 
 
 def series_log(f: BivariateSeries) -> BivariateSeries:
     """log(f) for a series with constant term 1; inverse of series_exp."""
     if f.rows[0][0] != 1:
         raise ValueError("series_log requires constant term 1")
-    n_max = f.order
     rows, d = _lift(f.rows)
-    g = [_fit_row([0], 0)]
-    lifted = [_lift_row(g[0])]
-    for n in range(1, n_max + 1):
+
+    def step(n, lifted):
         # g_n = f_n - (1/n) sum_m m g_m f_{n-m}
-        acc, den = _lifted_sum(
-            (lifted[m], rows[n - m], -m)
-            for m in range(1, n)
-            if any(lifted[m][0]) and any(rows[n - m])
-        )
-        _pmac(acc, rows[n], [n * den])
-        g.append(_fit_row(acc, n, n * d * den))
-        lifted.append(_lift_row(g[n]))
-    return BivariateSeries(n_max, g)
+        terms = [(lifted[m], rows[n - m], -m) for m in range(1, n)]
+        return terms + [((rows[n], 1), [n], 1)], n * d
+
+    return _solve_rows([_fit_row([0], 0)], f.order, step)
 
 
 def _x_powers(rows, order: int):
@@ -320,24 +319,17 @@ def series_reverse_x(f: BivariateSeries) -> BivariateSeries:
     system [x^n] sum_m g_m (f^m) = [n == 1].
     """
     _check_reversible(f)
-    n_max = f.order
     rows, d = _lift(f.rows)
     c = rows[1][0]  # d times the x-linear coefficient
-    dpow = [d**k for k in range(n_max + 1)]
+    dpow = [d**k for k in range(f.order + 1)]
     # fpow[m][n] / d^m = y-polynomial coefficient of x^n in f^m
-    fpow = [None, *_x_powers(rows, n_max)]
-    g = [_fit_row([0], 0), _fit_row([d], 1, c)]
-    lifted = [_lift_row(row) for row in g]
-    for n in range(2, n_max + 1):
+    fpow = [None, *_x_powers(rows, f.order)]
+
+    def step(n, lifted):
         # g_n = -(d/c)^n sum_m g_m fpow[m][n] / d^m
-        acc, den = _lifted_sum(
-            (lifted[m], fpow[m][n], dpow[n - m])
-            for m in range(1, n)
-            if any(lifted[m][0]) and any(fpow[m][n])
-        )
-        g.append(_fit_row(acc, n, -(c**n) * den))
-        lifted.append(_lift_row(g[n]))
-    return BivariateSeries(n_max, g)
+        return [(lifted[m], fpow[m][n], dpow[n - m]) for m in range(1, n)], -(c**n)
+
+    return _solve_rows([_fit_row([0], 0), _fit_row([d], 1, c)], f.order, step)
 
 
 def _composition_sums(parts, max_sum: int):
@@ -370,7 +362,9 @@ def lagrange_invert(f: BivariateSeries) -> BivariateSeries:
     and G_1 = 1/F_1.  The inner sums over compositions come from
     _composition_sums, a dynamic program on the last part, in integer
     numerators over a common denominator: O(order^3) polynomial products.
-    This route shares no code with series_reverse_x.
+    With series_reverse_x it shares only the integer helpers _lift, _fit_row
+    and _pmac and the input check _check_reversible: it neither takes powers
+    of f (_x_powers) nor solves rows one after another (_solve_rows).
     """
     _check_reversible(f)
     n_max = f.order

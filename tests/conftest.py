@@ -4,7 +4,7 @@ import functools
 
 import pytest
 
-from spmatroids import combinum, oracle, spcounts
+from spmatroids import combinum, oracle, spcounts, verify
 from spmatroids.verify import run_verify
 
 
@@ -16,8 +16,8 @@ def default_report():
 
 @pytest.fixture
 def cold_memos(monkeypatch):
-    """Empty copies of every process-wide memo in combinum, spcounts and
-    oracle for one test: each diagonal memo back to its seed and each
+    """Empty copies of every process-wide memo in combinum, spcounts, oracle
+    and verify for one test: each diagonal memo back to its seed and each
     functools cache, found by its cache_clear, fresh.  oracle._CATALOG
     stays warm.
 
@@ -27,7 +27,7 @@ def cold_memos(monkeypatch):
     def empty():
         for name in ("_S2_DIAGS", "_D_DIAGS", "_H_DIAGS"):
             monkeypatch.setattr(combinum, name, [getattr(combinum, name)[0][:1]])
-        for module in (combinum, spcounts, oracle):
+        for module in (combinum, spcounts, oracle, verify):
             for name, cached in list(vars(module).items()):
                 if hasattr(cached, "cache_clear"):
                     fresh = functools.lru_cache(**cached.cache_parameters())(cached.__wrapped__)

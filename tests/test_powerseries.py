@@ -448,7 +448,7 @@ def test_lagrange_shares_nothing_with_coefficient_solving(monkeypatch):
     def refuse(*args):
         raise AssertionError("the coefficient-solving route was called")
 
-    for name in ("_x_powers", "series_compose_shared_y", "series_reverse_x"):
+    for name in ("_x_powers", "_solve_rows", "series_compose_shared_y", "series_reverse_x"):
         monkeypatch.setattr(powerseries, name, refuse)
     assert powerseries.lagrange_invert(f) == expected
 

@@ -119,6 +119,11 @@ def test_e_routes_share_nothing(route, forbidden):
     assert _names_in(route).isdisjoint(forbidden)
 
 
+def test_egf_exp_shares_nothing_with_the_series_exp_it_is_checked_against():
+    # gf-simple-exponential compares S from egf_exp with series_exp of E
+    assert _names_in("egf_exp").isdisjoint({"series_exp", "_solve_rows"})
+
+
 def test_printed_g_in_verify_shares_nothing_with_the_c_rows():
     # verify's second side of C(n, l) = G(n-1, l-1) is the printed G sum itself
     forbidden = {"c_closed", "g_closed", "_c_row", "_count_rows", "count_series", "build_tables"}

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracle_reference import compositions
-from spmatroids import combinum, spcounts, verify
+from spmatroids import combinum, powerseries, spcounts, verify
 from spmatroids.cli import main
 from spmatroids.powerseries import BivariateSeries
 from spmatroids.combinum import assoc_stirling1, binomial, h_value, stirling2
@@ -274,6 +274,32 @@ def test_memo_fault_in_d_fails_the_integral_identity(cold_memos):
     assert failed == [
         "assoc-stirling-recursion", "assoc-stirling-closed-forms", "stirling-alternating-lemma",
         "reciprocal-sum-vs-derangements", "reciprocal-corollary-corrected", "counts-c-duality",
+        "gf-integral-identity", "gf-inverse-closed-form",
+    ]
+
+
+def test_memo_fault_in_h_reaches_verify_after_a_warm_report(default_report, cold_memos):
+    # H(5, 3) + 1 in the diagonal memo, after the session report has warmed
+    # verify's own caches: the H grid of the composition lemma is rebuilt too
+    h_value(5, 3)
+    combinum._H_DIAGS[2][3] += 1
+    failed = [c.name for c in run_verify(12).checks if c.status == "fail"]
+    assert failed == [
+        "reciprocal-sum-recursion", "reciprocal-sum-vs-derangements", "reciprocal-composition-lemma",
+    ]
+
+
+def test_planted_fault_in_the_row_solver_is_reported_exactly(monkeypatch):
+    # exp, log and reversion all solve their rows in powerseries._solve_rows;
+    # lagrange_invert and spcounts.egf_exp do not, so sharing the loop hides
+    # no fault from the checks that compare against them
+    monkeypatch.setattr(verify, "_inverse_of_F", cache(verify._inverse_of_F.__wrapped__))
+    real = powerseries._solve_rows
+    monkeypatch.setattr(powerseries, "_solve_rows", lambda *args: _one_more_count(real(*args)))
+    failed = [c.name for c in run_verify(3).checks if c.status == "fail"]
+    assert failed == [
+        "series-exp-log-roundtrip", "series-inversion-route-agreement", "series-inverse-two-sided",
+        "series-inverse-palindromy", "gf-simple-exponential", "gf-quasi-exponential",
         "gf-integral-identity", "gf-inverse-closed-form",
     ]
 
