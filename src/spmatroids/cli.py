@@ -31,9 +31,10 @@ USAGE_ERROR = 2
 # 1.6-2.4 s for S or A, the slowest (both spend ~1.5 s in egf_exp), each
 # with a peak RSS of at most 26 MiB, on a 2-vCPU host.
 TABLE_MAX_N = 150
-# Largest `spm verify --order`.  A cold run takes about 0.35 s at order 16,
-# 0.5 s at 24 and 1 s with a peak RSS of 19 MiB at 30, on a 2-vCPU host;
-# both inversion routes run at the full order.  Past 30 the series
+# Largest `spm verify --order`.  A cold run, import included, takes about
+# 0.1 s at order 16, 0.25 s at 24 and 0.5 s with a peak RSS of 16 MiB at 30
+# (medians of 5, Python 3.11, a shared 2-vCPU host); both inversion routes
+# run at the full order.  Past 30 the series
 # composition's integers grow long and the cost steepens: run_verify()
 # takes 2.9 s at order 40 and 11 s at 50.
 VERIFY_MAX_ORDER = 30

@@ -11,7 +11,9 @@ memoised by diagonal c, as spcounts reads S2 and D, only as far as asked
 for.  One grower, _grow, lengthens all three by iteration, so a cold call at
 a large index needs no deep stack; each triangle passes only its recurrence
 step.  Growth is locked and only lengthens lists, so lock-free readers see
-serial values.
+serial values: stirling2, assoc_stirling1 and h_value index the memo entry
+in one step, without the lock, and call the grower only when that raises
+IndexError.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
 _S2_DIAGS: list[list[int]] = [[1]]
 _D_DIAGS: list[list[int]] = [[1]]
 _H_DIAGS: list[list[Fraction]] = [[Fraction(1)]]
+_H_ZERO = Fraction(0)  # shared: Fractions are immutable
 _GROWTH = Lock()
 
 
@@ -95,7 +98,10 @@ def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k nonempty blocks; S2(0,0) = 1."""
     if k < 0 or k > n:
         return 0
-    return _s2_diagonals(n - k, k + 1)[n - k][k]
+    try:
+        return _S2_DIAGS[n - k][k]
+    except IndexError:
+        return _s2_diagonals(n - k, k + 1)[n - k][k]
 
 
 def _d_step(diag: list[int], prev: list[int], i: int, length: int) -> None:
@@ -117,7 +123,10 @@ def assoc_stirling1(n: int, k: int) -> int:
     """
     if k < 0 or n < 2 * k:
         return 0
-    return _d_diagonals(n - k, k + 1)[n - k][k]
+    try:
+        return _D_DIAGS[n - k][k]
+    except IndexError:
+        return _d_diagonals(n - k, k + 1)[n - k][k]
 
 
 def _h_step(diag: list[Fraction], prev: list[Fraction], i: int, length: int) -> None:
@@ -137,5 +146,8 @@ def h_value(m: int, k: int) -> Fraction:
     k > m or (m > 0 and k = 0).
     """
     if m < 0 or k < 0 or k > m:
-        return Fraction(0)
-    return _grow(_H_DIAGS, m - k, k + 1, _h_step)[m - k][k]
+        return _H_ZERO
+    try:
+        return _H_DIAGS[m - k][k]
+    except IndexError:
+        return _grow(_H_DIAGS, m - k, k + 1, _h_step)[m - k][k]

@@ -42,16 +42,17 @@ def _lift(rows):
 
 
 def _pmac(acc, a, b, w=1):
-    """acc += w * a * b in place, for integer y-polynomials; acc grows as needed."""
+    """acc += w * a * b in place, for integer y-polynomials; acc grows as needed.
+    Only nonzero terms are multiplied; b's are listed once per call."""
     short = len(a) + len(b) - 1 - len(acc)
     if short > 0:
         acc.extend([0] * short)
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
             ai *= w
-            for k, bj in enumerate(b, i):
-                if bj:
-                    acc[k] += ai * bj
+            for j, bj in b_terms:
+                acc[i + j] += ai * bj
 
 
 def _fit_row(poly, n, den=1) -> Poly:

@@ -197,22 +197,28 @@ def e_from_c(max_n: int) -> TriangularCountTable:
 
     Solves C(n, l) = sum_{m=l}^{n} S2(n, m) E(m, l) for E by forward
     substitution (S2(n, n) = 1), seeding row 1 with the coloop convention
-    E(1, 0) = 0, E(1, 1) = 1, and reading the C rows, the S2 rows (built
-    largest first, so each memo grows once) and the rows already solved by
-    index.  The result must agree with e_closed entrywise.
+    E(1, 0) = 0, E(1, 1) = 1, and reading the C rows and the S2 rows (built
+    largest first, so each memo grows once).  Each entry subtracts one
+    C-level dot product of an S2 row slice with a column of the rows already
+    solved.  The result must agree with e_closed entrywise.
     """
     if max_n < 1:
         raise ValueError("e_from_c needs max_n >= 1")
     c_rows = _count_rows("C", max_n)
     s2_rows = {n: _s2_row(n) for n in range(max_n, 1, -1)}
-    rows = [(0,), (0, 1)]  # rows[m] = (E(m, 0), ..., E(m, m)); row 0 is never read
+    rows = [(0, 1)]  # (E(m, 0), ..., E(m, m)) for m = 1, 2, ...
+    cols = [[0], [1]]  # cols[l] = [E(m, l) for max(l, 1) <= m < n], the solved rows
     for n in range(2, max_n + 1):
         weights = s2_rows[n]
-        rows.append(tuple(
-            c_rows[n][l] - sum(weights[m] * rows[m][l] for m in range(max(l, 1), n))
+        cols.append([])
+        row = tuple(
+            c_rows[n][l] - sum(map(mul, weights[max(l, 1):n], cols[l]))
             for l in range(n + 1)
-        ))
-    return TriangularCountTable("E", 1, tuple(rows[1:]))
+        )
+        for col, value in zip(cols, row):
+            col.append(value)
+        rows.append(row)
+    return TriangularCountTable("E", 1, tuple(rows))
 
 
 def e_special(n: int, k: int, r: int) -> int:

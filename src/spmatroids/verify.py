@@ -7,6 +7,13 @@ its name, identity and range strings, its index tuples and the two sides of
 its identity to `_first_failure`; a series check gives (description, lhs,
 rhs) entries to `_first_mismatch`.
 
+Rational identities are decided in integers.  Where the sides are
+Fractions, the check also hands `_first_failure` an exact integer test:
+both sides as integer numerators over known scales, cross-multiplied.
+Fractions are built only for a failure's detail.  Every combinatorial
+number is read through stirling2, assoc_stirling1 and h_value by name,
+never from their memos, so a fault planted in one reaches every check.
+
 Four checks carry the status "flagged": they document printed formula
 variants that are contradicted by direct computation and by exhaustive
 enumeration.  Flagged items report both readings with numeric evidence and
@@ -102,15 +109,25 @@ _AT = "first failure at ({axes}) = ({at})"
 _NONZERO = "nonzero at ({axes}) = ({at})"
 
 
-def _first_failure(cases, lhs, rhs, axes="n, k", fmt=_VALUES):
-    """Detail for the first index tuple `case` with lhs(*case) != rhs(*case),
-    rendered by `fmt` from the axis names, the indices and both sides; None
-    when every case agrees."""
+def _first_failure(cases, lhs, rhs, axes="n, k", fmt=_VALUES, agree=None):
+    """Detail for the first index tuple `case` on which the sides disagree,
+    rendered by `fmt` from the axis names, the indices and both sides
+    lhs(*case) and rhs(*case); None when every case agrees.
+
+    Agreement is lhs(*case) == rhs(*case) unless `agree` is given: a
+    rational identity passes an exact integer test agree(*case), equal to
+    that comparison, so its Fraction sides are built only for the failure
+    that is rendered."""
     for case in cases:
-        a, b = lhs(*case), rhs(*case)
-        if a != b:
-            return fmt.format(axes=axes, at=", ".join(map(str, case)), lhs=a, rhs=b)
+        if not (agree(*case) if agree else lhs(*case) == rhs(*case)):
+            return fmt.format(axes=axes, at=", ".join(map(str, case)),
+                              lhs=lhs(*case), rhs=rhs(*case))
     return None
+
+
+def _rows_agree(a, da, b, db) -> bool:
+    # the integer rows a / da and b / db are equal entrywise, for da, db > 0
+    return all(x * db == y * da for x, y in zip(a, b, strict=True))
 
 
 def _first_mismatch(entries):
@@ -195,10 +212,13 @@ def _surjection_inner(k: int, m: int, j: int) -> int:
     )
 
 
+def _surjection_total(k: int, n: int, m: int) -> int:
+    # sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!), times (k-1)!
+    return sum(stirling2(n + 1, m - j) * _surjection_inner(k, m, j) for j in range(k))
+
+
 def _surjection_sum(k: int, n: int, m: int) -> Fraction:
-    # sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!), summed over (k-1)!
-    total = sum(stirling2(n + 1, m - j) * _surjection_inner(k, m, j) for j in range(k))
-    return Fraction(total, factorial(k - 1))
+    return Fraction(_surjection_total(k, n, m), factorial(k - 1))
 
 
 def check_stirling_surjection_lemma() -> CheckResult:
@@ -211,28 +231,59 @@ def check_stirling_surjection_lemma() -> CheckResult:
             lambda k, n, m: Fraction(stirling2(n + k, m)),
             _surjection_sum,
             "k, n, m",
+            agree=lambda k, n, m: (
+                stirling2(n + k, m) * factorial(k - 1) == _surjection_total(k, n, m)),
         ),
     )
+
+
+# H is checked for m + k <= 24: its recursion and its D form directly, and
+# the reciprocal lemma through H(l, p) with l, p <= 10
+_H_CHECK_MAX = 24
+
+
+@cache
+def _lifted_h_grid(h):
+    # every H(l, p), l + p <= 24, as integer numerators over their lcm d; keyed
+    # on the H function itself, so a replaced h_value gets a grid of its own
+    return _lift([[h(l, p) for p in range(_H_CHECK_MAX + 1 - l)]
+                  for l in range(_H_CHECK_MAX + 1)])
+
+
+def _h_recursion_agrees(n: int, k: int) -> bool:
+    # the recursion at (n, k) over the lifted grid, where H(-1, k-1) = H(-1, k) = 0 at k = n
+    h, _ = _lifted_h_grid(h_value)
+    below = h[n - k - 1][k - 1:k + 1] if k < n else (0, 0)
+    return n * h[n - k][k] == k * below[0] + (n - 1) * below[1]
+
+
+def _h_vs_derangements_agrees(n: int, k: int) -> bool:
+    # H(n-k, k) = k! D(n, k) / n!, cross-multiplied
+    h = h_value(n - k, k)
+    return h.numerator * factorial(n) == factorial(k) * assoc_stirling1(n, k) * h.denominator
 
 
 def check_h_recursion() -> CheckResult:
     return _result(
         "reciprocal-sum-recursion", "n H(n-k,k) = k H(n-k-1,k-1) + (n-1) H(n-k-1,k)",
-        "1 <= k <= n <= 24",
+        f"1 <= k <= n <= {_H_CHECK_MAX}",
         _first_failure(
-            ((n, k) for n in range(1, 25) for k in range(1, n + 1)),
+            ((n, k) for n in range(1, _H_CHECK_MAX + 1) for k in range(1, n + 1)),
             lambda n, k: n * h_value(n - k, k),
             lambda n, k: k * h_value(n - k - 1, k - 1) + (n - 1) * h_value(n - k - 1, k),
+            agree=_h_recursion_agrees,
         ),
     )
 
 
 def check_h_vs_derangements() -> CheckResult:
     return _result(
-        "reciprocal-sum-vs-derangements", "H(n-k, k) = k!/n! D(n, k)", "0 <= k <= n <= 24",
+        "reciprocal-sum-vs-derangements", "H(n-k, k) = k!/n! D(n, k)",
+        f"0 <= k <= n <= {_H_CHECK_MAX}",
         _first_failure(
-            _triangle(0, 24), lambda n, k: h_value(n - k, k),
+            _triangle(0, _H_CHECK_MAX), lambda n, k: h_value(n - k, k),
             lambda n, k: Fraction(factorial(k), factorial(n)) * assoc_stirling1(n, k),
+            agree=_h_vs_derangements_agrees,
         ),
     )
 
@@ -254,48 +305,58 @@ def _reciprocal_composition_sums():
     return _composition_sums(parts, _RECIPROCAL_MAX)
 
 
+def _product_row(m: int, k: int) -> list[int]:
+    # _reciprocal_product_poly(m, k) times L^k
+    return _reciprocal_composition_sums()[m][k][: m + 1] if k <= m else [0] * (m + 1)
+
+
 def _reciprocal_product_poly(m: int, k: int) -> tuple[Fraction, ...]:
     # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1)
-    if k > m:
-        return (Fraction(0),) * (m + 1)
     den = _PART_LCM**k
-    return tuple(Fraction(c, den) for c in _reciprocal_composition_sums()[m][k][: m + 1])
+    return tuple(Fraction(c, den) for c in _product_row(m, k))
 
 
-@cache
-def _lifted_h_grid(h):
-    # every H(l, p), l, p <= 10, as integer numerators over their lcm d; keyed
-    # on the H function itself, so a replaced h_value gets a grid of its own
-    grid = range(_RECIPROCAL_MAX + 1)
-    return _lift([[h(l, p) for p in grid] for l in grid])
+def _lemma_row(m: int, k: int) -> list[int]:
+    # _reciprocal_lemma(m, k) times d^2, d the denominator of the lifted H grid
+    h, _ = _lifted_h_grid(h_value)
+    return [sum(binomial(k, p) * h[l][p] * h[m - l][k - p] for p in range(k + 1))
+            for l in range(m + 1)]
 
 
 def _reciprocal_lemma(m: int, k: int) -> tuple[Fraction, ...]:
-    # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p), for m, k <= 10, over the
-    # lifted grid of H
-    h, d = _lifted_h_grid(h_value)
-    return tuple(
-        Fraction(sum(binomial(k, p) * h[l][p] * h[m - l][k - p] for p in range(k + 1)), d * d)
+    # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p), for m, k <= 10
+    d = _lifted_h_grid(h_value)[1]
+    return tuple(Fraction(v, d * d) for v in _lemma_row(m, k))
+
+
+def _corollary_row(m: int, k: int, top: int) -> list[int]:
+    # _reciprocal_corollary(m, k, top) times top!/k!
+    return [
+        sum(
+            binomial(top, l + p)
+            * assoc_stirling1(l + p, p)
+            * assoc_stirling1(m - l + k - p, k - p)
+            for p in range(k + 1)
+        )
         for l in range(m + 1)
-    )
+    ]
 
 
 def _reciprocal_corollary(m: int, k: int, top: int) -> tuple[Fraction, ...]:
     # (k!/top!) sum_l y^l sum_p C(top, l+p) D(l+p, p) D(m-l+k-p, k-p); top = m+k is
     # the corrected form, top = m-k the printed one
     scale, den = factorial(k), factorial(top)
-    return tuple(
-        Fraction(
-            scale * sum(
-                binomial(top, l + p)
-                * assoc_stirling1(l + p, p)
-                * assoc_stirling1(m - l + k - p, k - p)
-                for p in range(k + 1)
-            ),
-            den,
-        )
-        for l in range(m + 1)
-    )
+    return tuple(Fraction(scale * v, den) for v in _corollary_row(m, k, top))
+
+
+def _lemma_agrees(m: int, k: int) -> bool:
+    d = _lifted_h_grid(h_value)[1]
+    return _rows_agree(_product_row(m, k), _PART_LCM**k, _lemma_row(m, k), d * d)
+
+
+def _corollary_agrees(m: int, k: int) -> bool:
+    return _rows_agree(_product_row(m, k), _PART_LCM**k,
+                       _corollary_row(m, k, m + k), factorial(m + k) // factorial(k))
 
 
 def check_reciprocal_composition_lemma() -> CheckResult:
@@ -303,7 +364,8 @@ def check_reciprocal_composition_lemma() -> CheckResult:
         "reciprocal-composition-lemma",
         "sum prod (1+y^j_i)/(j_i+1) = sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)", "m, k <= 10",
         _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2),
-                       _reciprocal_product_poly, _reciprocal_lemma, "m, k", _AT),
+                       _reciprocal_product_poly, _reciprocal_lemma, "m, k", _AT,
+                       agree=_lemma_agrees),
     )
 
 
@@ -313,7 +375,8 @@ def check_reciprocal_corollary_corrected() -> CheckResult:
         "composition product = (k!/(m+k)!) sum_l y^l sum_p C(m+k, l+p) D(l+p,p) D(m-l+k-p,k-p)",
         "m, k <= 10",
         _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2), _reciprocal_product_poly,
-                       lambda m, k: _reciprocal_corollary(m, k, m + k), "m, k", _AT),
+                       lambda m, k: _reciprocal_corollary(m, k, m + k), "m, k", _AT,
+                       agree=_corollary_agrees),
     )
 
 

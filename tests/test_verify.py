@@ -1,5 +1,6 @@
 """Tests for the verification report machinery."""
 
+import ast
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -211,19 +212,82 @@ def _fault_key(args):
     return tuple(a.order if isinstance(a, BivariateSeries) else a for a in args)
 
 
-@pytest.mark.parametrize("fault", PLANTED_FAULTS, ids=lambda f: f"{f[0]}{f[1]}")
-def test_planted_fault_is_reported_exactly(monkeypatch, fault):
+def _plant(monkeypatch, fault):
+    # replace verify's name with one whose value at the fault's arguments is changed
     name, at = fault
-    # a fresh cache, so the inverse is rebuilt through any planted fault
-    monkeypatch.setattr(verify, "_inverse_of_F", cache(verify._inverse_of_F.__wrapped__))
     real, change = getattr(verify, name), FAULT_CHANGES.get(fault, lambda value: value + 1)
     monkeypatch.setattr(
         verify, name,
         lambda *args: change(real(*args)) if _fault_key(args) == at else real(*args),
     )
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS, ids=lambda f: f"{f[0]}{f[1]}")
+def test_planted_fault_is_reported_exactly(monkeypatch, fault):
+    # a fresh cache, so the inverse is rebuilt through any planted fault
+    monkeypatch.setattr(verify, "_inverse_of_F", cache(verify._inverse_of_F.__wrapped__))
+    _plant(monkeypatch, fault)
     report = run_verify(3)
     failed = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
     assert failed == PLANTED_FAULTS[fault]
+
+
+# The checks that decide a rational identity by an exact integer test, each
+# with a planted fault from PLANTED_FAULTS that it reports.
+INTEGER_AGREEMENT_CHECKS = {
+    "check_stirling_surjection_lemma": ("stirling2", (9, 4)),
+    "check_h_recursion": ("h_value", (5, 3)),
+    "check_h_vs_derangements": ("assoc_stirling1", (7, 2)),
+    "check_reciprocal_composition_lemma": ("h_value", (5, 3)),
+    "check_reciprocal_corollary_corrected": ("assoc_stirling1", (7, 2)),
+}
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+@pytest.mark.parametrize("check", INTEGER_AGREEMENT_CHECKS)
+def test_integer_agreement_equals_the_fraction_comparison(monkeypatch, check, planted):
+    # every case the check hands to _first_failure: its integer test agrees
+    # with comparing the Fraction sides, with and without a fault that fails it
+    if planted:
+        _plant(monkeypatch, INTEGER_AGREEMENT_CHECKS[check])
+    real, verdicts = verify._first_failure, []
+
+    def spy(cases, lhs, rhs, *args, agree, **kwargs):
+        cases = list(cases)
+        verdicts.extend((case, agree(*case), lhs(*case) == rhs(*case)) for case in cases)
+        return real(cases, lhs, rhs, *args, agree=agree, **kwargs)
+
+    monkeypatch.setattr(verify, "_first_failure", spy)
+    status = getattr(verify, check)().status
+    assert [v for v in verdicts if v[1] != v[2]] == []
+    assert status == ("fail" if planted else "pass")
+
+
+def test_integer_agreement_builds_no_fraction_on_warm_memos(default_report, monkeypatch):
+    # the Fraction sides are built only to render a failure
+    built, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert [getattr(verify, check)().status for check in INTEGER_AGREEMENT_CHECKS] == ["pass"] * 5
+    assert built == []
+
+
+def test_verify_reads_combinatorial_numbers_only_through_their_functions():
+    # a planted fault in stirling2, assoc_stirling1 or h_value reaches every
+    # check only if verify calls them by name and never reads the memos
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert names.isdisjoint({"_S2_DIAGS", "_D_DIAGS", "_H_DIAGS", "_s2_diagonals",
+                             "_d_diagonals", "_s2_row", "_grow", "combinum"})
+    called = {n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert {"stirling2", "assoc_stirling1", "h_value"} <= called
 
 
 # One family's count rows get +1 at (n, k) = (9, 4), and run_verify(12) must
