@@ -7,9 +7,8 @@ its name, identity and range strings, its index tuples and the two sides of
 its identity to `_first_failure`; a series check gives (description, lhs,
 rhs) entries to `_first_mismatch`.
 
-Rational identities are decided in integers.  Where the sides are
-Fractions, the check also hands `_first_failure` an exact integer test:
-both sides as integer numerators over known scales, cross-multiplied.
+Rational identities are decided on one integer path: each side is an
+integer numerator over a common scale, and the numerators are compared.
 Fractions are built only for a failure's detail.  Every combinatorial
 number is read through stirling2, assoc_stirling1 and h_value by name,
 never from their memos, so a fault planted in one reaches every check.
@@ -109,25 +108,21 @@ _AT = "first failure at ({axes}) = ({at})"
 _NONZERO = "nonzero at ({axes}) = ({at})"
 
 
-def _first_failure(cases, lhs, rhs, axes="n, k", fmt=_VALUES, agree=None):
-    """Detail for the first index tuple `case` on which the sides disagree,
-    rendered by `fmt` from the axis names, the indices and both sides
-    lhs(*case) and rhs(*case); None when every case agrees.
+def _first_failure(cases, lhs, rhs, axes="n, k", fmt=_VALUES, scale=None):
+    """Detail for the first index tuple `case` on which lhs(*case) and
+    rhs(*case) differ, rendered by `fmt` from the axis names, the indices
+    and both sides; None when every case agrees.
 
-    Agreement is lhs(*case) == rhs(*case) unless `agree` is given: a
-    rational identity passes an exact integer test agree(*case), equal to
-    that comparison, so its Fraction sides are built only for the failure
-    that is rendered."""
+    A rational identity hands over integer sides and `scale`: scale(*case)
+    is their common positive denominator, so the integers decide, and only
+    a failure's sides are rendered as Fractions over it."""
     for case in cases:
-        if not (agree(*case) if agree else lhs(*case) == rhs(*case)):
-            return fmt.format(axes=axes, at=", ".join(map(str, case)),
-                              lhs=lhs(*case), rhs=rhs(*case))
+        a, b = lhs(*case), rhs(*case)
+        if a != b:
+            if scale:
+                a, b = Fraction(a, scale(*case)), Fraction(b, scale(*case))
+            return fmt.format(axes=axes, at=", ".join(map(str, case)), lhs=a, rhs=b)
     return None
-
-
-def _rows_agree(a, da, b, db) -> bool:
-    # the integer rows a / da and b / db are equal entrywise, for da, db > 0
-    return all(x * db == y * da for x, y in zip(a, b, strict=True))
 
 
 def _first_mismatch(entries):
@@ -166,13 +161,13 @@ def check_assoc_vanishing() -> CheckResult:
     )
 
 
-def _assoc_closed_form(n: int, k: int) -> Fraction:
-    # D(2k, k), D(2k+1, k) and D(2k+2, k), selected by n - 2k
+def _assoc_closed_form(n: int, k: int) -> int:
+    # 3^(n-2k) times D(2k, k), D(2k+1, k) and D(2k+2, k), selected by n - 2k
     odd = double_factorial(2 * k + 1)
     return (
-        Fraction(double_factorial(2 * k - 1)),
-        Fraction(2, 3) * k * odd,
-        Fraction(1, 9) * (4 * k + 5) * (k + 1) * k * odd,
+        double_factorial(2 * k - 1),
+        2 * k * odd,
+        (4 * k + 5) * (k + 1) * k * odd,
     )[n - 2 * k]
 
 
@@ -183,7 +178,8 @@ def check_assoc_closed_forms() -> CheckResult:
         "D(2k+2,k) = (1/9)(4k+5)(k+1)k(2k+1)!!",
         "0 <= k <= 20",
         _first_failure(((2 * k + i, k) for k in range(21) for i in range(3)),
-                       assoc_stirling1, _assoc_closed_form),
+                       lambda n, k: 3 ** (n - 2 * k) * assoc_stirling1(n, k),
+                       _assoc_closed_form, scale=lambda n, k: 3 ** (n - 2 * k)),
     )
 
 
@@ -217,10 +213,6 @@ def _surjection_total(k: int, n: int, m: int) -> int:
     return sum(stirling2(n + 1, m - j) * _surjection_inner(k, m, j) for j in range(k))
 
 
-def _surjection_sum(k: int, n: int, m: int) -> Fraction:
-    return Fraction(_surjection_total(k, n, m), factorial(k - 1))
-
-
 def check_stirling_surjection_lemma() -> CheckResult:
     return _result(
         "stirling-surjection-lemma",
@@ -228,11 +220,10 @@ def check_stirling_surjection_lemma() -> CheckResult:
         "1 <= k <= 8, 0 <= n <= 8, 0 <= m <= n+k",
         _first_failure(
             ((k, n, m) for k in range(1, 9) for n in range(9) for m in range(n + k + 1)),
-            lambda k, n, m: Fraction(stirling2(n + k, m)),
-            _surjection_sum,
+            lambda k, n, m: stirling2(n + k, m) * factorial(k - 1),
+            _surjection_total,
             "k, n, m",
-            agree=lambda k, n, m: (
-                stirling2(n + k, m) * factorial(k - 1) == _surjection_total(k, n, m)),
+            scale=lambda k, n, m: factorial(k - 1),
         ),
     )
 
@@ -250,40 +241,31 @@ def _lifted_h_grid(h):
                   for l in range(_H_CHECK_MAX + 1)])
 
 
-def _h_recursion_agrees(n: int, k: int) -> bool:
-    # the recursion at (n, k) over the lifted grid, where H(-1, k-1) = H(-1, k) = 0 at k = n
-    h, _ = _lifted_h_grid(h_value)
-    below = h[n - k - 1][k - 1:k + 1] if k < n else (0, 0)
-    return n * h[n - k][k] == k * below[0] + (n - 1) * below[1]
-
-
-def _h_vs_derangements_agrees(n: int, k: int) -> bool:
-    # H(n-k, k) = k! D(n, k) / n!, cross-multiplied
-    h = h_value(n - k, k)
-    return h.numerator * factorial(n) == factorial(k) * assoc_stirling1(n, k) * h.denominator
-
-
 def check_h_recursion() -> CheckResult:
+    # over the lifted grid, where H(-1, k-1) = H(-1, k) = 0 at k = n
+    h, d = _lifted_h_grid(h_value)
     return _result(
         "reciprocal-sum-recursion", "n H(n-k,k) = k H(n-k-1,k-1) + (n-1) H(n-k-1,k)",
         f"1 <= k <= n <= {_H_CHECK_MAX}",
         _first_failure(
             ((n, k) for n in range(1, _H_CHECK_MAX + 1) for k in range(1, n + 1)),
-            lambda n, k: n * h_value(n - k, k),
-            lambda n, k: k * h_value(n - k - 1, k - 1) + (n - 1) * h_value(n - k - 1, k),
-            agree=_h_recursion_agrees,
+            lambda n, k: n * h[n - k][k],
+            lambda n, k: k * h[n - k - 1][k - 1] + (n - 1) * h[n - k - 1][k] if k < n else 0,
+            scale=lambda n, k: d,
         ),
     )
 
 
 def check_h_vs_derangements() -> CheckResult:
+    # both sides over n! times the denominator of H(n-k, k)
     return _result(
         "reciprocal-sum-vs-derangements", "H(n-k, k) = k!/n! D(n, k)",
         f"0 <= k <= n <= {_H_CHECK_MAX}",
         _first_failure(
-            _triangle(0, _H_CHECK_MAX), lambda n, k: h_value(n - k, k),
-            lambda n, k: Fraction(factorial(k), factorial(n)) * assoc_stirling1(n, k),
-            agree=_h_vs_derangements_agrees,
+            _triangle(0, _H_CHECK_MAX),
+            lambda n, k: h_value(n - k, k).numerator * factorial(n),
+            lambda n, k: factorial(k) * assoc_stirling1(n, k) * h_value(n - k, k).denominator,
+            scale=lambda n, k: factorial(n) * h_value(n - k, k).denominator,
         ),
     )
 
@@ -306,31 +288,22 @@ def _reciprocal_composition_sums():
 
 
 def _product_row(m: int, k: int) -> list[int]:
-    # _reciprocal_product_poly(m, k) times L^k
+    # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1),
+    # times L^k
     return _reciprocal_composition_sums()[m][k][: m + 1] if k <= m else [0] * (m + 1)
 
 
-def _reciprocal_product_poly(m: int, k: int) -> tuple[Fraction, ...]:
-    # sum over compositions of m into k parts of prod (1 + y^j_i) / (j_i + 1)
-    den = _PART_LCM**k
-    return tuple(Fraction(c, den) for c in _product_row(m, k))
-
-
 def _lemma_row(m: int, k: int) -> list[int]:
-    # _reciprocal_lemma(m, k) times d^2, d the denominator of the lifted H grid
+    # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p), for m, k <= 10, times d^2,
+    # d the denominator of the lifted H grid
     h, _ = _lifted_h_grid(h_value)
     return [sum(binomial(k, p) * h[l][p] * h[m - l][k - p] for p in range(k + 1))
             for l in range(m + 1)]
 
 
-def _reciprocal_lemma(m: int, k: int) -> tuple[Fraction, ...]:
-    # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p), for m, k <= 10
-    d = _lifted_h_grid(h_value)[1]
-    return tuple(Fraction(v, d * d) for v in _lemma_row(m, k))
-
-
 def _corollary_row(m: int, k: int, top: int) -> list[int]:
-    # _reciprocal_corollary(m, k, top) times top!/k!
+    # (k!/top!) sum_l y^l sum_p C(top, l+p) D(l+p, p) D(m-l+k-p, k-p), times
+    # top!/k!; top = m+k is the corrected form, top = m-k the printed one
     return [
         sum(
             binomial(top, l + p)
@@ -342,48 +315,40 @@ def _corollary_row(m: int, k: int, top: int) -> list[int]:
     ]
 
 
-def _reciprocal_corollary(m: int, k: int, top: int) -> tuple[Fraction, ...]:
-    # (k!/top!) sum_l y^l sum_p C(top, l+p) D(l+p, p) D(m-l+k-p, k-p); top = m+k is
-    # the corrected form, top = m-k the printed one
-    scale, den = factorial(k), factorial(top)
-    return tuple(Fraction(scale * v, den) for v in _corollary_row(m, k, top))
-
-
-def _lemma_agrees(m: int, k: int) -> bool:
-    d = _lifted_h_grid(h_value)[1]
-    return _rows_agree(_product_row(m, k), _PART_LCM**k, _lemma_row(m, k), d * d)
-
-
-def _corollary_agrees(m: int, k: int) -> bool:
-    return _rows_agree(_product_row(m, k), _PART_LCM**k,
-                       _corollary_row(m, k, m + k), factorial(m + k) // factorial(k))
+def _scaled(row: list[int], factor: int) -> list[int]:
+    return [v * factor for v in row]
 
 
 def check_reciprocal_composition_lemma() -> CheckResult:
+    # both rows over L^k d^2; _AT prints no values, so no scale is needed
+    dd = _lifted_h_grid(h_value)[1] ** 2
     return _result(
         "reciprocal-composition-lemma",
         "sum prod (1+y^j_i)/(j_i+1) = sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)", "m, k <= 10",
         _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2),
-                       _reciprocal_product_poly, _reciprocal_lemma, "m, k", _AT,
-                       agree=_lemma_agrees),
+                       lambda m, k: _scaled(_product_row(m, k), dd),
+                       lambda m, k: _scaled(_lemma_row(m, k), _PART_LCM**k), "m, k", _AT),
     )
 
 
 def check_reciprocal_corollary_corrected() -> CheckResult:
+    # both rows over L^k (m+k)!/k!; _AT prints no values, so no scale is needed
     return _result(
         "reciprocal-corollary-corrected",
         "composition product = (k!/(m+k)!) sum_l y^l sum_p C(m+k, l+p) D(l+p,p) D(m-l+k-p,k-p)",
         "m, k <= 10",
-        _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2), _reciprocal_product_poly,
-                       lambda m, k: _reciprocal_corollary(m, k, m + k), "m, k", _AT,
-                       agree=_corollary_agrees),
+        _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2),
+                       lambda m, k: _scaled(_product_row(m, k), factorial(m + k) // factorial(k)),
+                       lambda m, k: _scaled(_corollary_row(m, k, m + k), _PART_LCM**k),
+                       "m, k", _AT),
     )
 
 
 def flag_reciprocal_corollary_printed() -> CheckResult:
     # The printed variant uses prefactor k!/(m-k)! and binomial top m-k.
-    printed = _reciprocal_corollary(2, 1, 2 - 1)[0]
-    actual = _reciprocal_product_poly(2, 1)[0]
+    m, k = 2, 1
+    printed = Fraction(factorial(k) * _corollary_row(m, k, m - k)[0], factorial(m - k))
+    actual = Fraction(_product_row(m, k)[0], _PART_LCM**k)
     return CheckResult(
         "reciprocal-corollary-printed-variant",
         "flagged",

@@ -71,10 +71,13 @@ def test_surjection_sum_equals_literal_fraction_sum():
     for k in range(1, 9):
         for n in range(9):
             for m in range(n + k + 1):
-                assert verify._surjection_sum(k, n, m) == literal(k, n, m), (k, n, m)
+                total = Fraction(verify._surjection_total(k, n, m), factorial(k - 1))
+                assert total == literal(k, n, m), (k, n, m)
 
 
 def test_reciprocal_lemma_and_corollary_equal_literal_fraction_sums():
+    # the integer rows over their scales: d^2 for the lemma, (m+k)!/k! for the corollary
+    d = verify._lifted_h_grid(h_value)[1]
     for m in range(11):
         for k in range(11):
             lemma = tuple(
@@ -94,8 +97,11 @@ def test_reciprocal_lemma_and_corollary_equal_literal_fraction_sums():
                 )
                 for l in range(m + 1)
             )
-            assert verify._reciprocal_lemma(m, k) == lemma, (m, k)
-            assert verify._reciprocal_corollary(m, k, m + k) == corollary, (m, k)
+            scale = factorial(m + k) // factorial(k)
+            assert tuple(Fraction(v, d * d) for v in verify._lemma_row(m, k)) == lemma, (m, k)
+            assert tuple(
+                Fraction(v, scale) for v in verify._corollary_row(m, k, m + k)
+            ) == corollary, (m, k)
 
 
 def _negative_entry(table):
@@ -166,6 +172,15 @@ PLANTED_FAULTS = {
         ("reciprocal-sum-vs-derangements", "first failure at (n, k) = (9, 5): 0 != 1/3024"),
         ("reciprocal-corollary-corrected", "first failure at (m, k) = (4, 5)"),
     ],
+    ("assoc_stirling1", (11, 5)): [
+        ("assoc-stirling-recursion", "first failure at (n, k) = (11, 5): 34651 != 34650"),
+        ("assoc-stirling-closed-forms", "first failure at (n, k) = (11, 5): 34651 != 34650"),
+        ("stirling-alternating-lemma", "first failure at (m, l) = (6, 6): 0 != 1"),
+        ("reciprocal-sum-vs-derangements",
+         "first failure at (n, k) = (11, 5): 5/48 != 34651/332640"),
+        ("reciprocal-corollary-corrected", "first failure at (m, k) = (6, 5)"),
+        ("counts-c-vs-inverse-coefficients", "first failure at (n, l) = (8, 7): 1 != 0"),
+    ],
     ("assoc_stirling1", (12, 5)): [
         ("assoc-stirling-recursion", "first failure at (n, k) = (12, 5): 866251 != 866250"),
         ("assoc-stirling-closed-forms", "first failure at (n, k) = (12, 5): 866251 != 866250"),
@@ -232,39 +247,19 @@ def test_planted_fault_is_reported_exactly(monkeypatch, fault):
     assert failed == PLANTED_FAULTS[fault]
 
 
-# The checks that decide a rational identity by an exact integer test, each
-# with a planted fault from PLANTED_FAULTS that it reports.
-INTEGER_AGREEMENT_CHECKS = {
-    "check_stirling_surjection_lemma": ("stirling2", (9, 4)),
-    "check_h_recursion": ("h_value", (5, 3)),
-    "check_h_vs_derangements": ("assoc_stirling1", (7, 2)),
-    "check_reciprocal_composition_lemma": ("h_value", (5, 3)),
-    "check_reciprocal_corollary_corrected": ("assoc_stirling1", (7, 2)),
-}
-
-
-@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
-@pytest.mark.parametrize("check", INTEGER_AGREEMENT_CHECKS)
-def test_integer_agreement_equals_the_fraction_comparison(monkeypatch, check, planted):
-    # every case the check hands to _first_failure: its integer test agrees
-    # with comparing the Fraction sides, with and without a fault that fails it
-    if planted:
-        _plant(monkeypatch, INTEGER_AGREEMENT_CHECKS[check])
-    real, verdicts = verify._first_failure, []
-
-    def spy(cases, lhs, rhs, *args, agree, **kwargs):
-        cases = list(cases)
-        verdicts.extend((case, agree(*case), lhs(*case) == rhs(*case)) for case in cases)
-        return real(cases, lhs, rhs, *args, agree=agree, **kwargs)
-
-    monkeypatch.setattr(verify, "_first_failure", spy)
-    status = getattr(verify, check)().status
-    assert [v for v in verdicts if v[1] != v[2]] == []
-    assert status == ("fail" if planted else "pass")
+# The checks that decide a rational identity on integer sides over a scale.
+RATIONAL_IDENTITY_CHECKS = (
+    "check_assoc_closed_forms",
+    "check_stirling_surjection_lemma",
+    "check_h_recursion",
+    "check_h_vs_derangements",
+    "check_reciprocal_composition_lemma",
+    "check_reciprocal_corollary_corrected",
+)
 
 
 def test_integer_agreement_builds_no_fraction_on_warm_memos(default_report, monkeypatch):
-    # the Fraction sides are built only to render a failure
+    # Fractions are built only to render a failure
     built, new = [], Fraction.__new__
 
     def counting(cls, *args, **kwargs):
@@ -272,7 +267,8 @@ def test_integer_agreement_builds_no_fraction_on_warm_memos(default_report, monk
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    assert [getattr(verify, check)().status for check in INTEGER_AGREEMENT_CHECKS] == ["pass"] * 5
+    statuses = [getattr(verify, check)().status for check in RATIONAL_IDENTITY_CHECKS]
+    assert statuses == ["pass"] * len(RATIONAL_IDENTITY_CHECKS)
     assert built == []
 
 
@@ -415,9 +411,11 @@ def _product_poly_by_compositions(m, k):
 
 
 def test_reciprocal_product_poly_matches_composition_walk():
+    # the integer row over its scale L^k
     for m in range(9):
         for k in range(9):
-            assert verify._reciprocal_product_poly(m, k) == _product_poly_by_compositions(m, k), (m, k)
+            poly = tuple(Fraction(c, verify._PART_LCM**k) for c in verify._product_row(m, k))
+            assert poly == _product_poly_by_compositions(m, k), (m, k)
 
 
 def test_check_result_fields_are_read_only(default_report):
