@@ -10,11 +10,14 @@ lie in a series or parallel pair.  This reaches each matroid exactly once,
 so nothing is deduplicated.  A parent's series and parallel classes come
 from two masks per element filled in one pass over its bases, and the
 pairs and simplicity of each extension follow from them.  A matroid is its
-sorted tuple of basis masks.  Label n is the top bit, above every mask of
-the parent, so an extension writes its bases already in order and only a
-relabelled copy is sorted.  Counts per (ground size, rank) are read off
-each catalog level in one pass; the direct-sum families follow from them
-by a labelled product.
+sorted basis masks, held in the catalog as `bytes`, one byte per basis:
+`HARD_CAP` <= 8 keeps every mask below 256, so the byte is exact, and a
+level costs one byte per basis instead of a pointer to an int.  Label n is
+the top bit, above every mask of the parent, so an extension writes its
+bases already in order and only a relabelled copy is sorted, after one
+`bytes.translate` through a 256-byte table.  Counts per (ground size,
+rank) are read off each catalog level in one pass; the direct-sum families
+follow from them by a labelled product.
 The excluded-minor test works on byte-per-subset tables: one integer holds
 a byte for every subset of the ground set, so the rank table and the minor
 test take a few shifts per element instead of a Python loop over subsets.
@@ -33,21 +36,25 @@ import random
 from functools import cache
 from math import comb
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
-HARD_CAP = 8
+HARD_CAP = 8  # at most 8, so that every basis mask of the catalog fits a byte
 
 
 class MatroidSignature(NamedTuple):
     """Canonical matroid on ground set {1..ground_size}: the sorted basis masks.
 
-    Bit i of a mask stands for element i + 1.  Signature equality is matroid
-    equality.
+    Bit i of a mask stands for element i + 1.  In the catalog `bases` is
+    `bytes`, one byte per mask, exact because ground sets stop at
+    `HARD_CAP` <= 8; `direct_sum`, whose ground sets may be larger, gives a
+    tuple of ints.  Either reads as a sequence of int masks.  Between
+    signatures whose bases have the same type, signature equality is
+    matroid equality.
     """
 
     ground_size: int
     rank: int
-    bases: tuple[int, ...]
+    bases: bytes | tuple[int, ...]
 
 
 class CatalogEntry(NamedTuple):
@@ -55,29 +62,40 @@ class CatalogEntry(NamedTuple):
     simple: bool
 
 
-def parallel_extension(bases: tuple[int, ...], e: int, f: int) -> tuple[int, ...]:
+def parallel_extension(bases: Sequence[int], e: int, f: int) -> bytes:
     """Add label f parallel to element e: the bases B and B - e + f for e in B.
 
-    If `bases` is sorted and f lies above every element, so is the result:
-    the new masks all hold f and so follow every old one, and taking the
-    fixed bit e away from masks that all hold it keeps their order.  The
-    map B -> B - e + f is injective, so no basis is repeated.
+    `bases` is any sequence of masks and the result is `bytes`, one byte
+    per basis, so f <= 8.  If `bases` is sorted and f lies above every
+    element, so is the result: the new masks all hold f and so follow every
+    old one, and taking the fixed bit e away from masks that all hold it
+    keeps their order.  The map B -> B - e + f is injective, so no basis is
+    repeated.
     """
     eb, fb = 1 << (e - 1), 1 << (f - 1)
-    return bases + tuple([(b ^ eb) | fb for b in bases if b & eb])
+    return bytes(bases) + bytes([(b ^ eb) | fb for b in bases if b & eb])
 
 
-def series_extension(bases: tuple[int, ...], e: int, f: int) -> tuple[int, ...]:
+def series_extension(bases: Sequence[int], e: int, f: int) -> bytes:
     """Add label f in series with element e: the bases B + e for e not in B,
     and B + f.
 
-    If `bases` is sorted and f lies above every element, so is the result:
-    the first group lies below f and the second above it, and adding a fixed
-    bit that no mask of a group holds keeps its order.  Both maps are
-    injective and the groups disjoint, so no basis is repeated.
+    `bases` is any sequence of masks and the result is `bytes`, one byte
+    per basis, so f <= 8.  If `bases` is sorted and f lies above every
+    element, so is the result: the first group lies below f and the second
+    above it, and adding a fixed bit that no mask of a group holds keeps its
+    order.  Both maps are injective and the groups disjoint, so no basis is
+    repeated.
     """
     eb, fb = 1 << (e - 1), 1 << (f - 1)
-    return tuple([b | eb for b in bases if not b & eb] + [b | fb for b in bases])
+    return bytes([b | eb for b in bases if not b & eb] + [b | fb for b in bases])
+
+
+def _swap_table(i: int, j: int) -> bytes:
+    """The `bytes.translate` table that sends every byte mask to the same
+    mask with labels i and j swapped."""
+    swap = 1 << (i - 1) | 1 << (j - 1)
+    return bytes(b ^ swap if 0 < b & swap < swap else b for b in range(256))
 
 
 def _partners(bases, n: int) -> tuple[list[int], list[int]]:
@@ -138,18 +156,14 @@ def _reverse_search(parents, n: int) -> Iterator[CatalogEntry]:
     through e gains n); adding n in series is the dual.  A connected matroid
     on at least two elements is simple iff it has no parallel pair.
 
-    Nothing is sorted but the relabelled copies.  The parent's bases are a
-    sorted tuple and label n is the top bit, above every parent mask, so
+    Nothing is sorted but the relabelled copies.  The parent's bases are
+    sorted bytes and label n is the top bit, above every parent mask, so
     `parallel_extension` and `series_extension` write M's bases in order,
-    each once.  A swap of n with f reorders the masks, so each copy is
-    mapped through a table of all 2^n masks, built once per f, and sorted.
+    each once.  A swap of n with f reorders the masks, so each copy is one
+    `bytes.translate` through a 256-byte table (`_swap_table`), built once
+    per f, and sorted.
     """
-    top = 1 << (n - 1)
-    relabel = []  # relabel[f](b): mask b with labels n and f + 1 swapped
-    for f in range(n - 1):
-        swap = top | 1 << f
-        table = [b ^ swap if 0 < b & swap < swap else b for b in range(2 * top)]
-        relabel.append(table.__getitem__)
+    relabel = [_swap_table(f + 1, n) for f in range(n - 1)]  # labels n and f + 1 swapped
     for (_, rank, bases), _ in parents:
         par, ser = _partners(bases, n - 1)
         par_sp, par_others = _unions(par)
@@ -166,7 +180,7 @@ def _reverse_search(parents, n: int) -> Iterator[CatalogEntry]:
                 grown.append((m, rank + 1, ser_sp | eb | left, not left))
         for m, rank_m, sp, simple in grown:
             for f in range(sp.bit_length(), n - 1):
-                copy = tuple(sorted(map(relabel[f], m)))
+                copy = bytes(sorted(m.translate(relabel[f])))
                 yield CatalogEntry(MatroidSignature(n, rank_m, copy), simple)
             yield CatalogEntry(MatroidSignature(n, rank_m, m), simple)
 
@@ -176,7 +190,8 @@ _CATALOG: dict[int, tuple[CatalogEntry, ...]] = {}
 
 def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
     """Catalog of all connected series-parallel matroids on ground set
-    {1..n}, sorted by (rank, bases) and cached per n.
+    {1..n}, sorted by (rank, bases) and cached per n.  Each signature's
+    bases are `bytes`, one byte per mask, which `HARD_CAP` <= 8 keeps exact.
 
     n = 1 gives the loop and the coloop, and n = 2 gives U_{1,2}.  For
     n >= 3 the catalog is built from the one for n - 1 by reverse search
@@ -184,7 +199,8 @@ def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
     deduplication is needed, and writes each one's bases already sorted.
     Each parent's series and parallel classes come from one pass over its
     bases (`_partners`), and each new matroid's pairs and simplicity follow
-    from its parent's.  The level is then sorted in place by signature.
+    from its parent's.  The level is then sorted in place by signature,
+    which compares bases as bytes, by memcmp.
     """
     if n < 1:
         raise ValueError("enumerate_connected needs n >= 1")
@@ -194,11 +210,11 @@ def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
         return _CATALOG[n]
     if n == 1:
         entries = [
-            CatalogEntry(MatroidSignature(1, 0, (0,)), False),  # single loop
-            CatalogEntry(MatroidSignature(1, 1, (1,)), True),  # single coloop
+            CatalogEntry(MatroidSignature(1, 0, b"\x00"), False),  # single loop
+            CatalogEntry(MatroidSignature(1, 1, b"\x01"), True),  # single coloop
         ]
     elif n == 2:
-        entries = [CatalogEntry(MatroidSignature(2, 1, (1, 2)), False)]  # U_{1,2}
+        entries = [CatalogEntry(MatroidSignature(2, 1, b"\x01\x02"), False)]  # U_{1,2}
     else:
         entries = list(_reverse_search(enumerate_connected(n - 1), n))
         # within one n the ground sizes are equal and the bases unique, so
@@ -254,7 +270,8 @@ def count_rows(family: str, max_n: int) -> list[list[int]]:
 
 
 def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
-    """Direct sum: bases are unions of one basis from each summand."""
+    """Direct sum: bases are unions of one basis from each summand, as a
+    sorted tuple of ints, since the sum may have more than eight elements."""
     n = m1.ground_size + m2.ground_size
     shift = m1.ground_size
     bases = tuple(
@@ -288,7 +305,7 @@ def _lattice(n: int) -> tuple[list[int], list[int], int, int, bytes]:
     return lack, [full ^ x for x in lack], low, full // 255, bit_length
 
 
-def _rank_table(m: MatroidSignature) -> list[int]:
+def _rank_table(m: MatroidSignature) -> bytes:
     """Rank of every subset, indexed by mask, from whole-lattice integer ops.
 
     The bases are marked 0xFF and closed downward, one shift per element:
@@ -298,7 +315,8 @@ def _rank_table(m: MatroidSignature) -> list[int]:
     independent sets inside it.  Bit k - 1 of the byte at s is thus set iff
     s holds an independent k-set, so the rank of s, the size of its largest
     independent subset, is the byte's bit length.  Neither the rank field
-    nor any order of the bases is read.
+    nor any order of the bases is read.  The table is `bytes`, one rank
+    per subset.
     """
     n = m.ground_size
     lack, has, low, _, bit_length = _lattice(n)
@@ -311,15 +329,16 @@ def _rank_table(m: MatroidSignature) -> list[int]:
     sizes = indep & low
     for i in range(n):
         sizes |= sizes << (8 << i) & has[i]
-    return list(sizes.to_bytes(1 << n, "little").translate(bit_length))
+    return sizes.to_bytes(1 << n, "little").translate(bit_length)
 
 
+@cache
 def _marking(rank: int, byte: int) -> bytes:
     # translation table sending rank to byte and every other value to 0
     return bytes(rank) + bytes((byte,)) + bytes(255 - rank)
 
 
-def _in_many_flats(n: int, rk: list[int], t: int, c: int) -> bool:
+def _in_many_flats(n: int, rk: bytes, t: int, c: int) -> bool:
     """True iff some set of rank t - 1 lies in at least c flats of rank t.
 
     Such a set X holds an independent K of t - 1 elements with the same
@@ -337,9 +356,8 @@ def _in_many_flats(n: int, rk: list[int], t: int, c: int) -> bool:
     if t < 1 or n < c:
         return False
     lack, _, _, ones, _ = _lattice(n)
-    table = bytes(rk)
-    level = int.from_bytes(table.translate(_marking(t, 1)), "little")
-    below = int.from_bytes(table.translate(_marking(t - 1, 0xF8)), "little")
+    level = int.from_bytes(rk.translate(_marking(t, 1)), "little")
+    below = int.from_bytes(rk.translate(_marking(t - 1, 0xF8)), "little")
     grown = 0
     for i in range(n):
         grown |= level >> (8 << i) & lack[i]
@@ -349,7 +367,7 @@ def _in_many_flats(n: int, rk: list[int], t: int, c: int) -> bool:
     return (counts + (8 - c) * ones) & below != 0
 
 
-def _has_u24_minor(n: int, rk: list[int]) -> bool:
+def _has_u24_minor(n: int, rk: bytes) -> bool:
     """True iff some minor is U_{2,4}: iff some set of rank r - 2 lies in
     at least four hyperplanes.
 
@@ -360,7 +378,7 @@ def _has_u24_minor(n: int, rk: list[int]) -> bool:
     return _in_many_flats(n, rk, rk[-1] - 1, 4)
 
 
-def _has_mk4_minor(n: int, rk: list[int]) -> bool:
+def _has_mk4_minor(n: int, rk: bytes) -> bool:
     """True iff some minor is M(K4), given that no minor is U_{2,4}
     (`minor_check` asks only after `_has_u24_minor`): iff some set of rank
     r - 3 lies in at least six flats of rank r - 2.

@@ -201,11 +201,12 @@ def test_cold_memos_empties_every_memo(cold_memos):
         spcounts.build_tables(8, family)
     stirling2(9, 3), assoc_stirling1(9, 3), h_value(9, 3)
     oracle.count_rows("A", 4)
-    oracle.minor_check(oracle.enumerate_connected(4)[0].sig)
+    for entry in oracle.enumerate_connected(4):  # ranks 2 and 3 reach _marking
+        oracle.minor_check(entry.sig)
     caches = [(module, name) for module in (combinum, spcounts, oracle)
               for name, obj in vars(module).items() if hasattr(obj, "cache_clear")]
     assert {(spcounts, "_count_rows"), (spcounts, "_e_row"),
-            (oracle, "_level_counts"), (oracle, "_lattice")} <= set(caches)
+            (oracle, "_level_counts"), (oracle, "_lattice"), (oracle, "_marking")} <= set(caches)
     assert all(getattr(module, name).cache_info().currsize for module, name in caches)
     cold_memos()
     for module, name in caches:

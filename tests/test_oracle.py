@@ -38,11 +38,12 @@ U13_BASES = frozenset(U13)
 
 
 def test_signature_base_cases():
-    # U12 seeds the closure; the loop and the coloop are the n = 1 catalog
-    assert [e.sig for e in enumerate_connected(2)] == [U12]
+    # U12 seeds the closure; the loop and the coloop are the n = 1 catalog.
+    # The catalog holds its bases as bytes, one byte per mask.
+    assert [e.sig for e in enumerate_connected(2)] == [MatroidSignature(2, 1, b"\x01\x02")]
     assert [e.sig for e in enumerate_connected(1)] == [
-        MatroidSignature(1, 0, (0,)),
-        MatroidSignature(1, 1, (1,)),
+        MatroidSignature(1, 0, b"\x00"),
+        MatroidSignature(1, 1, b"\x01"),
     ]
     # the triangle: a third element in series with U12
     assert frozenset(series_extension(U12.bases, 2, 3)) == frozenset(U23.bases)
@@ -126,7 +127,7 @@ def test_rank_table_ignores_the_rank_field():
     # U_{2,4}'s bases under a wrong rank field give U_{2,4}'s rank table
     for rank in (1, 3):
         wrong = MatroidSignature(4, rank, U24.bases)
-        assert oracle._rank_table(wrong) == oracle_reference.rank_table(wrong)
+        assert list(oracle._rank_table(wrong)) == oracle_reference.rank_table(wrong)
         assert oracle._rank_table(wrong) == oracle._rank_table(U24)
 
 
@@ -134,7 +135,7 @@ def test_rank_table_matches_reference_on_every_catalog_matroid():
     catalog = [e.sig for n in range(1, 8) for e in enumerate_connected(n)]
     assert len(catalog) == 6041
     for m in catalog:
-        assert oracle._rank_table(m) == oracle_reference.rank_table(m), m
+        assert list(oracle._rank_table(m)) == oracle_reference.rank_table(m), m
 
 
 def _uniform(r, n):
@@ -412,7 +413,8 @@ def test_dump_catalog_digest_is_pinned(n, sha256):
 
 def test_sorted_tuple_moves_equal_set_moves():
     # every parent with n <= 7 and every e: the same bases as the set-valued
-    # moves, written in increasing order when the new label is the top one
+    # moves, written in increasing order when the new label is the top one;
+    # the catalog's bytes and the same masks as a tuple give equal bytes
     for n in range(1, 8):
         for entry in enumerate_connected(n):
             bases = entry.sig.bases
@@ -422,8 +424,25 @@ def test_sorted_tuple_moves_equal_set_moves():
                     (series_extension, oracle_reference.set_series_extension),
                 ]:
                     got = move(bases, e, n + 1)
+                    assert type(got) is bytes and move(tuple(bases), e, n + 1) == got
                     assert frozenset(got) == set_move(frozenset(bases), e, n + 1), (entry, e)
                     assert all(a < b for a, b in zip(got, got[1:])), (entry, e)
+
+
+def test_catalog_levels_store_bases_as_bytes():
+    for n in range(1, HARD_CAP + 1):
+        assert all(type(e.sig.bases) is bytes for e in enumerate_connected(n)), n
+
+
+def test_swap_table_swaps_two_labels_on_every_mask():
+    for n in range(2, HARD_CAP + 1):
+        for i in range(1, n):
+            table = oracle._swap_table(i, n)
+            assert len(table) == 256
+            for mask in range(1 << n):
+                labels = {j + 1 for j in range(n) if mask >> j & 1}
+                swapped = {n if j == i else i if j == n else j for j in labels}
+                assert table[mask] == sum(1 << (j - 1) for j in swapped), (n, i, mask)
 
 
 def test_connected_count_rows_equal_a_literal_recount(cold_memos):
