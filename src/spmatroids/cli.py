@@ -123,7 +123,8 @@ def run_oeis_compare(sequence_id: str, bfile: Path | None) -> tuple[str, int]:
     config = RunConfig()
     mapping = config.sequence_map.get(sequence_id)
     if mapping is None:
-        raise ValueError(f"no sequence mapping configured for {sequence_id!r}")
+        raise ValueError(f"--id: no sequence mapping configured for {sequence_id!r}; "
+                         f"configured: {', '.join(config.sequence_map)}")
     path = bfile if bfile is not None else bfile_path(config, sequence_id)
     if not path.exists():
         raise ValueError(f"b-file not found: {path}")

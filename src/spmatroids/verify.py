@@ -1,11 +1,15 @@
 """Identity verification suites.
 
 Every identity the library relies on is re-checked here, exactly, over
-pinned index ranges.  `run_verify` holds the check table: the `check_*` and
-`flag_*` functions in report order, grouped per area.  A grid check gives
-its name, identity and range strings, its index tuples and the two sides of
-its identity to `_first_failure`; a series check gives (description, lhs,
-rhs) entries to `_first_mismatch`.
+pinned index ranges.  `CHECKS` is the check table: one `Check` row per
+report line, in report order, grouped per area.  A row's `detail(order)`
+returns the first failure's text, or None when the identity holds; a grid
+check hands its index tuples and the two sides of its identity to
+`_first_failure`, a series check hands (description, lhs, rhs) entries to
+`_first_mismatch`, and a check of several steps keeps a small helper that
+returns only the detail.  `run_verify` walks the table and builds every
+result in one loop; a ValueError raised by a row's computation (a count
+table or coefficient that refuses a value) is that row's failure.
 
 Rational identities are decided on one integer path: each side is an
 integer numerator over a common scale, and the numerators are compared.
@@ -13,10 +17,10 @@ Fractions are built only for a failure's detail.  Every combinatorial
 number is read through stirling2, assoc_stirling1 and h_value by name,
 never from their memos, so a fault planted in one reaches every check.
 
-Four checks carry the status "flagged": they document printed formula
-variants that are contradicted by direct computation and by exhaustive
-enumeration.  Flagged items report both readings with numeric evidence and
-never fail the run.
+Four rows are flags: they document printed formula variants that are
+contradicted by direct computation and by exhaustive enumeration.  Their
+detail is both readings with numeric evidence, and they never fail the run
+unless their computation refuses a value.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import product
 from math import comb, factorial, lcm
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import oracle
 from .combinum import assoc_stirling1, binomial, double_factorial, h_value, stirling2
@@ -96,10 +100,16 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _result(name, identity, ranges, failure):
-    if failure is None:
-        return CheckResult(name, "pass", identity, ranges)
-    return CheckResult(name, "fail", identity, ranges, failure)
+class Check(NamedTuple):
+    """One report line.  `ranges` may name the series order as {order};
+    `detail(order)` returns the first failure's text or None, and for a
+    flag the evidence."""
+
+    name: str
+    identity: str
+    ranges: str
+    detail: Callable[[int], str | None]
+    flag: bool = False
 
 
 # Detail formats of a grid check's first failure.
@@ -141,26 +151,6 @@ def _triangle(first_n: int, last_n: int):
 # combinatorial-number checks
 # ---------------------------------------------------------------------------
 
-def check_assoc_recursion() -> CheckResult:
-    return _result(
-        "assoc-stirling-recursion", "D(n,k) = (n-1) D(n-2,k-1) + (n-1) D(n-1,k)",
-        "0 <= n, k <= 40",
-        _first_failure(
-            ((n, k) for n in range(1, 41) for k in range(41)), assoc_stirling1,
-            lambda n, k: (n - 1) * assoc_stirling1(n - 2, k - 1)
-            + (n - 1) * assoc_stirling1(n - 1, k),
-        ),
-    )
-
-
-def check_assoc_vanishing() -> CheckResult:
-    return _result(
-        "assoc-stirling-vanishing", "D(n,k) = 0 for n < 2k", "n <= 40",
-        _first_failure(((n, k) for n in range(41) for k in range(n // 2 + 1, 41)),
-                       assoc_stirling1, lambda n, k: 0, fmt=_NONZERO),
-    )
-
-
 def _assoc_closed_form(n: int, k: int) -> int:
     # 3^(n-2k) times D(2k, k), D(2k+1, k) and D(2k+2, k), selected by n - 2k
     odd = double_factorial(2 * k + 1)
@@ -169,34 +159,6 @@ def _assoc_closed_form(n: int, k: int) -> int:
         2 * k * odd,
         (4 * k + 5) * (k + 1) * k * odd,
     )[n - 2 * k]
-
-
-def check_assoc_closed_forms() -> CheckResult:
-    return _result(
-        "assoc-stirling-closed-forms",
-        "D(2k,k) = (2k-1)!!; D(2k+1,k) = (2/3)k(2k+1)!!; "
-        "D(2k+2,k) = (1/9)(4k+5)(k+1)k(2k+1)!!",
-        "0 <= k <= 20",
-        _first_failure(((2 * k + i, k) for k in range(21) for i in range(3)),
-                       lambda n, k: 3 ** (n - 2 * k) * assoc_stirling1(n, k),
-                       _assoc_closed_form, scale=lambda n, k: 3 ** (n - 2 * k)),
-    )
-
-
-def check_stirling_alternating_lemma() -> CheckResult:
-    return _result(
-        "stirling-alternating-lemma",
-        "sum_p (-1)^(l+p) C(m+p, l+p) D(l+p, p) = S2(m+1, m-l+1)", "0 <= l <= m <= 12",
-        _first_failure(
-            ((m, l) for m in range(13) for l in range(m + 1)),
-            lambda m, l: sum(
-                (-1) ** (l + p) * binomial(m + p, l + p) * assoc_stirling1(l + p, p)
-                for p in range(l + 1)
-            ),
-            lambda m, l: stirling2(m + 1, m - l + 1),
-            "m, l",
-        ),
-    )
 
 
 @cache
@@ -213,21 +175,6 @@ def _surjection_total(k: int, n: int, m: int) -> int:
     return sum(stirling2(n + 1, m - j) * _surjection_inner(k, m, j) for j in range(k))
 
 
-def check_stirling_surjection_lemma() -> CheckResult:
-    return _result(
-        "stirling-surjection-lemma",
-        "S2(n+k, m) = sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!)",
-        "1 <= k <= 8, 0 <= n <= 8, 0 <= m <= n+k",
-        _first_failure(
-            ((k, n, m) for k in range(1, 9) for n in range(9) for m in range(n + k + 1)),
-            lambda k, n, m: stirling2(n + k, m) * factorial(k - 1),
-            _surjection_total,
-            "k, n, m",
-            scale=lambda k, n, m: factorial(k - 1),
-        ),
-    )
-
-
 # H is checked for m + k <= 24: its recursion and its D form directly, and
 # the reciprocal lemma through H(l, p) with l, p <= 10
 _H_CHECK_MAX = 24
@@ -241,32 +188,14 @@ def _lifted_h_grid(h):
                   for l in range(_H_CHECK_MAX + 1)])
 
 
-def check_h_recursion() -> CheckResult:
+def _h_recursion_failure(_order: int) -> str | None:
     # over the lifted grid, where H(-1, k-1) = H(-1, k) = 0 at k = n
     h, d = _lifted_h_grid(h_value)
-    return _result(
-        "reciprocal-sum-recursion", "n H(n-k,k) = k H(n-k-1,k-1) + (n-1) H(n-k-1,k)",
-        f"1 <= k <= n <= {_H_CHECK_MAX}",
-        _first_failure(
-            ((n, k) for n in range(1, _H_CHECK_MAX + 1) for k in range(1, n + 1)),
-            lambda n, k: n * h[n - k][k],
-            lambda n, k: k * h[n - k - 1][k - 1] + (n - 1) * h[n - k - 1][k] if k < n else 0,
-            scale=lambda n, k: d,
-        ),
-    )
-
-
-def check_h_vs_derangements() -> CheckResult:
-    # both sides over n! times the denominator of H(n-k, k)
-    return _result(
-        "reciprocal-sum-vs-derangements", "H(n-k, k) = k!/n! D(n, k)",
-        f"0 <= k <= n <= {_H_CHECK_MAX}",
-        _first_failure(
-            _triangle(0, _H_CHECK_MAX),
-            lambda n, k: h_value(n - k, k).numerator * factorial(n),
-            lambda n, k: factorial(k) * assoc_stirling1(n, k) * h_value(n - k, k).denominator,
-            scale=lambda n, k: factorial(n) * h_value(n - k, k).denominator,
-        ),
+    return _first_failure(
+        ((n, k) for n in range(1, _H_CHECK_MAX + 1) for k in range(1, n + 1)),
+        lambda n, k: n * h[n - k][k],
+        lambda n, k: k * h[n - k - 1][k - 1] + (n - 1) * h[n - k - 1][k] if k < n else 0,
+        scale=lambda n, k: d,
     )
 
 
@@ -319,44 +248,21 @@ def _scaled(row: list[int], factor: int) -> list[int]:
     return [v * factor for v in row]
 
 
-def check_reciprocal_composition_lemma() -> CheckResult:
+def _composition_lemma_failure(_order: int) -> str | None:
     # both rows over L^k d^2; _AT prints no values, so no scale is needed
     dd = _lifted_h_grid(h_value)[1] ** 2
-    return _result(
-        "reciprocal-composition-lemma",
-        "sum prod (1+y^j_i)/(j_i+1) = sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)", "m, k <= 10",
-        _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2),
-                       lambda m, k: _scaled(_product_row(m, k), dd),
-                       lambda m, k: _scaled(_lemma_row(m, k), _PART_LCM**k), "m, k", _AT),
-    )
+    return _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2),
+                          lambda m, k: _scaled(_product_row(m, k), dd),
+                          lambda m, k: _scaled(_lemma_row(m, k), _PART_LCM**k), "m, k", _AT)
 
 
-def check_reciprocal_corollary_corrected() -> CheckResult:
-    # both rows over L^k (m+k)!/k!; _AT prints no values, so no scale is needed
-    return _result(
-        "reciprocal-corollary-corrected",
-        "composition product = (k!/(m+k)!) sum_l y^l sum_p C(m+k, l+p) D(l+p,p) D(m-l+k-p,k-p)",
-        "m, k <= 10",
-        _first_failure(product(range(_RECIPROCAL_MAX + 1), repeat=2),
-                       lambda m, k: _scaled(_product_row(m, k), factorial(m + k) // factorial(k)),
-                       lambda m, k: _scaled(_corollary_row(m, k, m + k), _PART_LCM**k),
-                       "m, k", _AT),
-    )
-
-
-def flag_reciprocal_corollary_printed() -> CheckResult:
+def _printed_corollary_evidence(_order: int) -> str:
     # The printed variant uses prefactor k!/(m-k)! and binomial top m-k.
     m, k = 2, 1
     printed = Fraction(factorial(k) * _corollary_row(m, k, m - k)[0], factorial(m - k))
     actual = Fraction(_product_row(m, k)[0], _PART_LCM**k)
-    return CheckResult(
-        "reciprocal-corollary-printed-variant",
-        "flagged",
-        "printed prefactor k!/(m-k)! with binomial top m-k",
-        "checked at (m, k) = (2, 1)",
-        f"printed form gives constant term {printed}, composition sum gives {actual}; "
-        "the corrected form with m+k in both places verifies for all m, k <= 10",
-    )
+    return (f"printed form gives constant term {printed}, composition sum gives {actual}; "
+            "the corrected form with m+k in both places verifies for all m, k <= 10")
 
 
 # ---------------------------------------------------------------------------
@@ -378,22 +284,19 @@ def _inverse_of_F(order: int) -> BivariateSeries:
     return series_reverse_x(build_F(order))
 
 
-def check_exp_log_roundtrip(order: int) -> CheckResult:
+def _roundtrip_mismatch(order: int) -> str | None:
     f = count_series("C", order)
     g = series_exp(f)
     u = BivariateSeries.x(order)
-    return _result(
-        "series-exp-log-roundtrip", "log(exp(f)) = f and exp(log(g)) = g", f"order {order}",
-        _first_mismatch([
-            ("log(exp(f)) != f for the connected-count series", lambda: series_log(g), lambda: f),
-            ("exp(log(g)) != g for the quasi-count series",
-             lambda: series_exp(series_log(g)), lambda: g),
-            ("log(exp(x)) != x", lambda: series_log(series_exp(u)), lambda: u),
-        ]),
-    )
+    return _first_mismatch([
+        ("log(exp(f)) != f for the connected-count series", lambda: series_log(g), lambda: f),
+        ("exp(log(g)) != g for the quasi-count series",
+         lambda: series_exp(series_log(g)), lambda: g),
+        ("log(exp(x)) != x", lambda: series_log(series_exp(u)), lambda: u),
+    ])
 
 
-def check_inversion_routes(order: int) -> CheckResult:
+def _inversion_route_mismatch(order: int) -> str | None:
     # the log-series' coefficient-solving side is the inverse the other checks share
     f = build_F(order)
     entries = [("routes disagree on the log-series", partial(_inverse_of_F, order),
@@ -403,108 +306,61 @@ def check_inversion_routes(order: int) -> CheckResult:
         f = _random_reversible_series(rng, min(order, 10))
         entries.append((f"routes disagree on random series #{trial}",
                         partial(series_reverse_x, f), partial(lagrange_invert, f)))
-    return _result(
-        "series-inversion-route-agreement", "coefficient solving = explicit inversion formula",
-        f"log-series at order {order}; 5 seeded random series at order <= 10",
-        _first_mismatch(entries),
-    )
+    return _first_mismatch(entries)
 
 
-def check_two_sided_inverse(order: int) -> CheckResult:
+def _two_sided_mismatch(order: int) -> str | None:
     f = build_F(order)
     g = _inverse_of_F(order)
     ident = BivariateSeries.x(order)
-    return _result(
-        "series-inverse-two-sided", "g(f(x,y), y) = x = f(g(x,y), y)", f"order {order}",
-        _first_mismatch([
-            ("g(f(x,y), y) != x", lambda: series_compose_shared_y(g, f), lambda: ident),
-            ("f(g(x,y), y) != x", lambda: series_compose_shared_y(f, g), lambda: ident),
-        ]),
-    )
+    return _first_mismatch([
+        ("g(f(x,y), y) != x", lambda: series_compose_shared_y(g, f), lambda: ident),
+        ("f(g(x,y), y) != x", lambda: series_compose_shared_y(f, g), lambda: ident),
+    ])
 
 
-def check_g_palindromy(order: int) -> CheckResult:
+def _palindromy_failure(order: int) -> str | None:
     g = _inverse_of_F(order)
-    return _result(
-        "series-inverse-palindromy", "n! [y^l x^n] g = n! [y^(n-1-l) x^n] g", f"n <= {order}",
-        _first_failure(((n, l) for n in range(1, order + 1) for l in range(n)),
-                       lambda n, l: count_coefficient(g, n, l),
-                       lambda n, l: count_coefficient(g, n, n - 1 - l), "n, l"),
-    )
+    return _first_failure(((n, l) for n in range(1, order + 1) for l in range(n)),
+                          lambda n, l: count_coefficient(g, n, l),
+                          lambda n, l: count_coefficient(g, n, n - 1 - l), "n, l")
 
 
-def check_g_integrality(order: int) -> CheckResult:
+def _negative_inverse_count(order: int) -> str | None:
+    # min(v, 0) differs from 0 exactly when the count v is negative;
+    # count_coefficient refuses a non-integral count
     g = _inverse_of_F(order)
-    try:
-        # min(v, 0) differs from 0 exactly when the count v is negative
-        failure = _first_failure(
-            _triangle(1, order), lambda n, l: min(count_coefficient(g, n, l), 0),
-            lambda n, l: 0, "n, l", "negative count at ({axes}) = ({at}): {lhs}",
-        )
-    except ValueError as exc:  # count_coefficient refuses a non-integral count
-        failure = str(exc)
-    return _result(
-        "series-inverse-integrality", "all n! [y^l x^n] g are nonnegative integers",
-        f"n <= {order}", failure,
-    )
+    return _first_failure(_triangle(1, order), lambda n, l: min(count_coefficient(g, n, l), 0),
+                          lambda n, l: 0, "n, l", "negative count at ({axes}) = ({at}): {lhs}")
 
 
-def check_compose_identity(order: int) -> CheckResult:
+def _compose_identity_mismatch(order: int) -> str | None:
     f = build_F(order)
-    return _result(
-        "series-compose-identity", "f(x) = f and x(f) = f", f"order {order}",
-        _first_mismatch([
-            ("f(x) != f under identity substitution",
-             lambda: series_compose_shared_y(f, BivariateSeries.x(order)), lambda: f),
-            ("x composed with f != f",
-             lambda: series_compose_shared_y(BivariateSeries.x(order), f), lambda: f),
-        ]),
-    )
+    return _first_mismatch([
+        ("f(x) != f under identity substitution",
+         lambda: series_compose_shared_y(f, BivariateSeries.x(order)), lambda: f),
+        ("x composed with f != f",
+         lambda: series_compose_shared_y(BivariateSeries.x(order), f), lambda: f),
+    ])
 
 
-def flag_inversion_formula_sign() -> CheckResult:
+def _inversion_sign_evidence(_order: int) -> str:
     # Without the alternating sign the n = 2 coefficient comes out negated.
-    f = build_F(4)
-    g = lagrange_invert(f)
+    g = lagrange_invert(build_F(4))
     with_sign = [count_coefficient(g, 2, 0), count_coefficient(g, 2, 1)]
-    unsigned = [-v for v in with_sign]
-    return CheckResult(
-        "inversion-formula-display-sign",
-        "flagged",
-        "rising-factorial form of the inversion formula omits (-1)^k",
-        "checked at n = 2",
-        f"with sign: G2 counts {with_sign} (match C(3,1) = C(3,2) = 1); "
-        f"without: {unsigned}",
-    )
+    return (f"with sign: G2 counts {with_sign} (match C(3,1) = C(3,2) = 1); "
+            f"without: {[-v for v in with_sign]}")
 
 
-def flag_inverse_defining_variable() -> CheckResult:
-    order = 8
-    ok = series_compose_shared_y(_inverse_of_F(order), build_F(order)) == BivariateSeries.x(order)
-    return CheckResult(
-        "inverse-defining-equation-variable",
-        "flagged",
-        "defining equation printed as g(f(x,y), x) = x",
-        f"order {order}",
-        "adopted the reading g(f(x,y), y) = x (y is the rank parameter); "
-        f"verified coefficientwise: {'holds' if ok else 'FAILS'}",
-    )
+def _defining_variable_evidence(_order: int) -> str:
+    ok = series_compose_shared_y(_inverse_of_F(8), build_F(8)) == BivariateSeries.x(8)
+    return ("adopted the reading g(f(x,y), y) = x (y is the rank parameter); "
+            f"verified coefficientwise: {'holds' if ok else 'FAILS'}")
 
 
 # ---------------------------------------------------------------------------
 # count-table checks
 # ---------------------------------------------------------------------------
-
-def check_route_agreement() -> CheckResult:
-    try:
-        failure = _first_failure(_triangle(1, 40), e_from_c(40).value, e_closed)
-    except ValueError as exc:  # a faulty C row can make e_from_c's table negative
-        failure = str(exc)
-    return _result(
-        "counts-e-route-agreement", "triangular inversion of C = closed form for E", "n <= 40",
-        failure,
-    )
-
 
 def _printed_g(n: int, l: int) -> int:
     # the printed G sum, term by term, sharing no code with spcounts' C rows
@@ -512,122 +368,162 @@ def _printed_g(n: int, l: int) -> int:
                for j in range(l + 1))
 
 
-def check_c_vs_g_shift() -> CheckResult:
-    return _result(
-        "counts-c-vs-inverse-coefficients", "C(n, l) = G(n-1, l-1)", "2 <= n <= 30",
-        _first_failure(_triangle(2, 30), c_closed,
-                       lambda n, l: _printed_g(n - 1, l - 1) if l >= 1 else 0, "n, l"),
-    )
+def _coefficients(lhs: BivariateSeries, rhs: BivariateSeries) -> str | None:
+    return None if lhs == rhs else "coefficient mismatch"
 
 
-def check_c_duality() -> CheckResult:
-    return _result(
-        "counts-c-duality", "C(n, k) = C(n, n-k)", "1 <= n <= 30",
-        _first_failure(_triangle(1, 30), c_closed, lambda n, k: c_closed(n, n - k), fmt=_AT),
-    )
-
-
-def check_gf_identities(order: int) -> list[CheckResult]:
-    e, c, s, a, g = (count_series(family, order) for family in "ECSAG")
-    em1 = exp_minus_one(order)
+def _integral_side(order: int) -> BivariateSeries:
+    # (1+y) x + y Int G dx
     linear = BivariateSeries(order, [[0], [1, 1]] + [[0] * (n + 1) for n in range(2, order + 1)])
-    identities = [
-        ("gf-simple-exponential", "S = exp(E)", s, series_exp(e)),
-        ("gf-quasi-exponential", "A = exp(C)", a, series_exp(c)),
-        ("gf-connected-substitution", "C = E(e^x - 1, y) + x",
-         c, series_add(series_compose_shared_y(e, em1), BivariateSeries.x(order))),
-        ("gf-quasi-substitution", "A = S(e^x - 1, y) e^x",
-         a, series_mul(series_compose_shared_y(s, em1), exp_x(order))),
-        ("gf-integral-identity", "C = (1+y) x + y Int G dx",
-         c, series_add(linear, series_mul_y(series_integrate_x(_inverse_of_F(order))))),
-        ("gf-inverse-closed-form", "closed-form G coefficients = inversion coefficients",
-         g, _inverse_of_F(order)),
-    ]
-    return [
-        _result(name, identity, f"order {order}", None if lhs == rhs else "coefficient mismatch")
-        for name, identity, lhs, rhs in identities
-    ]
+    return series_add(linear, series_mul_y(series_integrate_x(_inverse_of_F(order))))
 
 
-def check_stirling_convolution() -> CheckResult:
-    return _result(
-        "counts-stirling-convolution", "sum_m S2(n, m) E(m, l) = C(n, l)", "2 <= n <= 20",
-        _first_failure(
-            _triangle(2, 20),
-            lambda n, l: sum(stirling2(n, m) * e_closed(m, l) for m in range(1, n + 1)),
-            c_closed, "n, l",
-        ),
-    )
+def _negative_table(_order: int) -> None:
+    for family in FAMILIES:
+        build_tables(_NONNEGATIVITY_MAX_N, family)  # the constructor refuses negatives
 
 
-def check_e_vanishing() -> CheckResult:
-    return _result(
-        "counts-e-vanishing", "E(n, k) = 0 for n >= 2k > 0", "n <= 40",
-        _first_failure(((n, k) for n in range(1, 41) for k in range(1, n // 2 + 1)),
-                       e_closed, lambda n, k: 0, fmt=_NONZERO),
-    )
-
-
-def check_table_nonnegativity() -> CheckResult:
-    failure = None
-    try:
-        for family in FAMILIES:
-            build_tables(_NONNEGATIVITY_MAX_N, family)  # constructor rejects negatives
-    except ValueError as exc:
-        failure = str(exc)
-    return _result(
-        "counts-nonnegative-integral", "all table entries are nonnegative integers",
-        f"n <= {_NONNEGATIVITY_MAX_N}, all five families", failure,
-    )
-
-
-def flag_r2_special_case() -> CheckResult:
-    printed = e_special(4, 3, 2)
-    main = e_closed(4, 3)
-    via_c = e_from_c(4).value(4, 3)
-    oracle_count = oracle.count_rows("E", 4)[4][3]
-    return CheckResult(
-        "simple-count-r2-special-case",
-        "flagged",
-        "printed r = 2 special case has + on its last term",
-        "checked at (n, k) = (4, 3)",
-        f"printed variant gives {printed}; general formula gives {main}; "
-        f"triangular inversion gives {via_c}; exhaustive enumeration gives {oracle_count}",
-    )
+def _r2_evidence(_order: int) -> str:
+    return (f"printed variant gives {e_special(4, 3, 2)}; general formula gives {e_closed(4, 3)}; "
+            f"triangular inversion gives {e_from_c(4).value(4, 3)}; "
+            f"exhaustive enumeration gives {oracle.count_rows('E', 4)[4][3]}")
 
 
 # ---------------------------------------------------------------------------
-# suite driver
+# the check table and its driver
 # ---------------------------------------------------------------------------
+
+# Rows read module globals only when called, so a name replaced in this
+# module reaches every row that uses it.
+CHECKS = (
+    Check("assoc-stirling-recursion", "D(n,k) = (n-1) D(n-2,k-1) + (n-1) D(n-1,k)",
+          "0 <= n, k <= 40",
+          lambda _: _first_failure(
+              ((n, k) for n in range(1, 41) for k in range(41)), assoc_stirling1,
+              lambda n, k: (n - 1) * assoc_stirling1(n - 2, k - 1)
+              + (n - 1) * assoc_stirling1(n - 1, k))),
+    Check("assoc-stirling-vanishing", "D(n,k) = 0 for n < 2k", "n <= 40",
+          lambda _: _first_failure(((n, k) for n in range(41) for k in range(n // 2 + 1, 41)),
+                                   assoc_stirling1, lambda n, k: 0, fmt=_NONZERO)),
+    Check("assoc-stirling-closed-forms",
+          "D(2k,k) = (2k-1)!!; D(2k+1,k) = (2/3)k(2k+1)!!; "
+          "D(2k+2,k) = (1/9)(4k+5)(k+1)k(2k+1)!!",
+          "0 <= k <= 20",
+          lambda _: _first_failure(((2 * k + i, k) for k in range(21) for i in range(3)),
+                                   lambda n, k: 3 ** (n - 2 * k) * assoc_stirling1(n, k),
+                                   _assoc_closed_form, scale=lambda n, k: 3 ** (n - 2 * k))),
+    Check("stirling-alternating-lemma",
+          "sum_p (-1)^(l+p) C(m+p, l+p) D(l+p, p) = S2(m+1, m-l+1)", "0 <= l <= m <= 12",
+          lambda _: _first_failure(
+              ((m, l) for m in range(13) for l in range(m + 1)),
+              lambda m, l: sum((-1) ** (l + p) * binomial(m + p, l + p)
+                               * assoc_stirling1(l + p, p) for p in range(l + 1)),
+              lambda m, l: stirling2(m + 1, m - l + 1), "m, l")),
+    Check("stirling-surjection-lemma",
+          "S2(n+k, m) = sum_j S2(n+1, m-j) sum_i (-1)^i (m-i)^(k-1) / (i! (j-i)!)",
+          "1 <= k <= 8, 0 <= n <= 8, 0 <= m <= n+k",
+          lambda _: _first_failure(
+              ((k, n, m) for k in range(1, 9) for n in range(9) for m in range(n + k + 1)),
+              lambda k, n, m: stirling2(n + k, m) * factorial(k - 1), _surjection_total,
+              "k, n, m", scale=lambda k, n, m: factorial(k - 1))),
+    Check("reciprocal-sum-recursion", "n H(n-k,k) = k H(n-k-1,k-1) + (n-1) H(n-k-1,k)",
+          f"1 <= k <= n <= {_H_CHECK_MAX}", _h_recursion_failure),
+    # both sides over n! times the denominator of H(n-k, k)
+    Check("reciprocal-sum-vs-derangements", "H(n-k, k) = k!/n! D(n, k)",
+          f"0 <= k <= n <= {_H_CHECK_MAX}",
+          lambda _: _first_failure(
+              _triangle(0, _H_CHECK_MAX),
+              lambda n, k: h_value(n - k, k).numerator * factorial(n),
+              lambda n, k: factorial(k) * assoc_stirling1(n, k) * h_value(n - k, k).denominator,
+              scale=lambda n, k: factorial(n) * h_value(n - k, k).denominator)),
+    Check("reciprocal-composition-lemma",
+          "sum prod (1+y^j_i)/(j_i+1) = sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p)", "m, k <= 10",
+          _composition_lemma_failure),
+    # both rows over L^k (m+k)!/k!; _AT prints no values, so no scale is needed
+    Check("reciprocal-corollary-corrected",
+          "composition product = (k!/(m+k)!) sum_l y^l sum_p C(m+k, l+p) D(l+p,p) D(m-l+k-p,k-p)",
+          "m, k <= 10",
+          lambda _: _first_failure(
+              product(range(_RECIPROCAL_MAX + 1), repeat=2),
+              lambda m, k: _scaled(_product_row(m, k), factorial(m + k) // factorial(k)),
+              lambda m, k: _scaled(_corollary_row(m, k, m + k), _PART_LCM**k),
+              "m, k", _AT)),
+    Check("reciprocal-corollary-printed-variant",
+          "printed prefactor k!/(m-k)! with binomial top m-k", "checked at (m, k) = (2, 1)",
+          _printed_corollary_evidence, flag=True),
+    Check("series-exp-log-roundtrip", "log(exp(f)) = f and exp(log(g)) = g", "order {order}",
+          _roundtrip_mismatch),
+    Check("series-inversion-route-agreement", "coefficient solving = explicit inversion formula",
+          "log-series at order {order}; 5 seeded random series at order <= 10",
+          _inversion_route_mismatch),
+    Check("series-inverse-two-sided", "g(f(x,y), y) = x = f(g(x,y), y)", "order {order}",
+          _two_sided_mismatch),
+    Check("series-inverse-palindromy", "n! [y^l x^n] g = n! [y^(n-1-l) x^n] g", "n <= {order}",
+          _palindromy_failure),
+    Check("series-inverse-integrality", "all n! [y^l x^n] g are nonnegative integers",
+          "n <= {order}", _negative_inverse_count),
+    Check("series-compose-identity", "f(x) = f and x(f) = f", "order {order}",
+          _compose_identity_mismatch),
+    Check("inversion-formula-display-sign",
+          "rising-factorial form of the inversion formula omits (-1)^k", "checked at n = 2",
+          _inversion_sign_evidence, flag=True),
+    Check("inverse-defining-equation-variable", "defining equation printed as g(f(x,y), x) = x",
+          "order 8", _defining_variable_evidence, flag=True),
+    Check("counts-e-route-agreement", "triangular inversion of C = closed form for E", "n <= 40",
+          lambda _: _first_failure(_triangle(1, 40), e_from_c(40).value, e_closed)),
+    Check("counts-c-vs-inverse-coefficients", "C(n, l) = G(n-1, l-1)", "2 <= n <= 30",
+          lambda _: _first_failure(_triangle(2, 30), c_closed,
+                                   lambda n, l: _printed_g(n - 1, l - 1) if l >= 1 else 0,
+                                   "n, l")),
+    Check("counts-c-duality", "C(n, k) = C(n, n-k)", "1 <= n <= 30",
+          lambda _: _first_failure(_triangle(1, 30), c_closed,
+                                   lambda n, k: c_closed(n, n - k), fmt=_AT)),
+    Check("gf-simple-exponential", "S = exp(E)", "order {order}",
+          lambda order: _coefficients(count_series("S", order),
+                                      series_exp(count_series("E", order)))),
+    Check("gf-quasi-exponential", "A = exp(C)", "order {order}",
+          lambda order: _coefficients(count_series("A", order),
+                                      series_exp(count_series("C", order)))),
+    Check("gf-connected-substitution", "C = E(e^x - 1, y) + x", "order {order}",
+          lambda order: _coefficients(
+              count_series("C", order),
+              series_add(series_compose_shared_y(count_series("E", order), exp_minus_one(order)),
+                         BivariateSeries.x(order)))),
+    Check("gf-quasi-substitution", "A = S(e^x - 1, y) e^x", "order {order}",
+          lambda order: _coefficients(
+              count_series("A", order),
+              series_mul(series_compose_shared_y(count_series("S", order), exp_minus_one(order)),
+                         exp_x(order)))),
+    Check("gf-integral-identity", "C = (1+y) x + y Int G dx", "order {order}",
+          lambda order: _coefficients(count_series("C", order), _integral_side(order))),
+    Check("gf-inverse-closed-form", "closed-form G coefficients = inversion coefficients",
+          "order {order}",
+          lambda order: _coefficients(count_series("G", order), _inverse_of_F(order))),
+    Check("counts-stirling-convolution", "sum_m S2(n, m) E(m, l) = C(n, l)", "2 <= n <= 20",
+          lambda _: _first_failure(
+              _triangle(2, 20),
+              lambda n, l: sum(stirling2(n, m) * e_closed(m, l) for m in range(1, n + 1)),
+              c_closed, "n, l")),
+    Check("counts-e-vanishing", "E(n, k) = 0 for n >= 2k > 0", "n <= 40",
+          lambda _: _first_failure(((n, k) for n in range(1, 41) for k in range(1, n // 2 + 1)),
+                                   e_closed, lambda n, k: 0, fmt=_NONZERO)),
+    Check("counts-nonnegative-integral", "all table entries are nonnegative integers",
+          f"n <= {_NONNEGATIVITY_MAX_N}, all five families", _negative_table),
+    Check("simple-count-r2-special-case", "printed r = 2 special case has + on its last term",
+          "checked at (n, k) = (4, 3)", _r2_evidence, flag=True),
+)
+
 
 def run_verify(order: int) -> VerificationReport:
-    """Run every identity suite, the series checks at truncation order
-    `order`, and return the assembled report."""
-    return VerificationReport((  # the check table, in report order
-        check_assoc_recursion(),
-        check_assoc_vanishing(),
-        check_assoc_closed_forms(),
-        check_stirling_alternating_lemma(),
-        check_stirling_surjection_lemma(),
-        check_h_recursion(),
-        check_h_vs_derangements(),
-        check_reciprocal_composition_lemma(),
-        check_reciprocal_corollary_corrected(),
-        flag_reciprocal_corollary_printed(),
-        check_exp_log_roundtrip(order),
-        check_inversion_routes(order),
-        check_two_sided_inverse(order),
-        check_g_palindromy(order),
-        check_g_integrality(order),
-        check_compose_identity(order),
-        flag_inversion_formula_sign(),
-        flag_inverse_defining_variable(),
-        check_route_agreement(),
-        check_c_vs_g_shift(),
-        check_c_duality(),
-        *check_gf_identities(order),
-        check_stirling_convolution(),
-        check_e_vanishing(),
-        check_table_nonnegativity(),
-        flag_r2_special_case(),
-    ))
+    """Run every row of CHECKS in order, the series checks at truncation
+    order `order`, and return the assembled report.  A ValueError raised by
+    a row's computation is that row's failure, with its message as detail."""
+    results = []
+    for name, identity, ranges, detail, flag in CHECKS:
+        try:
+            text = detail(order)
+            status = "flagged" if flag else "pass" if text is None else "fail"
+        except ValueError as exc:
+            text, status = str(exc), "fail"
+        results.append(CheckResult(name, status, identity, ranges.format(order=order), text or ""))
+    return VerificationReport(tuple(results))

@@ -287,6 +287,13 @@ def test_oeis_unknown_id(capsys):
     assert "no sequence mapping" in err
 
 
+def test_oeis_unknown_id_names_the_option_and_the_configured_ids(capsys):
+    code, out, err = run_cli(capsys, "oeis", "--id", "A000001")
+    assert code == 2 and out == ""
+    assert err == ("error: --id: no sequence mapping configured for 'A000001'; "
+                   "configured: A140945, A361355, A359985, A361353\n")
+
+
 @pytest.mark.parametrize(
     "payload, messages",
     [(b"1 1\ngarbage\n", ("b-file {path}", "line 2")),

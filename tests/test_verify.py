@@ -13,7 +13,7 @@ from spmatroids import combinum, powerseries, spcounts, verify
 from spmatroids.cli import main
 from spmatroids.powerseries import BivariateSeries
 from spmatroids.combinum import assoc_stirling1, binomial, h_value, stirling2
-from spmatroids.verify import check_inversion_routes, run_verify
+from spmatroids.verify import CHECKS, run_verify
 
 EXPECTED_O12 = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "verify-o12.txt"
 
@@ -249,12 +249,12 @@ def test_planted_fault_is_reported_exactly(monkeypatch, fault):
 
 # The checks that decide a rational identity on integer sides over a scale.
 RATIONAL_IDENTITY_CHECKS = (
-    "check_assoc_closed_forms",
-    "check_stirling_surjection_lemma",
-    "check_h_recursion",
-    "check_h_vs_derangements",
-    "check_reciprocal_composition_lemma",
-    "check_reciprocal_corollary_corrected",
+    "assoc-stirling-closed-forms",
+    "stirling-surjection-lemma",
+    "reciprocal-sum-recursion",
+    "reciprocal-sum-vs-derangements",
+    "reciprocal-composition-lemma",
+    "reciprocal-corollary-corrected",
 )
 
 
@@ -267,8 +267,8 @@ def test_integer_agreement_builds_no_fraction_on_warm_memos(default_report, monk
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    statuses = [getattr(verify, check)().status for check in RATIONAL_IDENTITY_CHECKS]
-    assert statuses == ["pass"] * len(RATIONAL_IDENTITY_CHECKS)
+    details = [row.detail(12) for row in CHECKS if row.name in RATIONAL_IDENTITY_CHECKS]
+    assert details == [None] * len(RATIONAL_IDENTITY_CHECKS)
     assert built == []
 
 
@@ -318,11 +318,13 @@ def test_planted_table_fault_is_reported_exactly(monkeypatch, cold_memos, family
     assert failed == [(name, "coefficient mismatch") for name in PLANTED_TABLE_FAULTS[family]]
 
 
-def test_planted_faults_cover_every_check(default_report):
+def test_planted_faults_cover_every_check():
     # a check that compared a value with itself would have no fault here
     failing = {name for failures in PLANTED_FAULTS.values() for name, _ in failures}
     failing |= {name for names in PLANTED_TABLE_FAULTS.values() for name in names}
-    assert failing == {c.name for c in default_report.checks if c.status != "flagged"}
+    names = [row.name for row in CHECKS]
+    assert len(set(names)) == len(names)
+    assert failing == {row.name for row in CHECKS if not row.flag}
 
 
 def test_memo_fault_in_d_fails_the_integral_identity(cold_memos):
@@ -378,9 +380,41 @@ def test_negative_e_route_row_is_a_failure_not_an_error(cold_memos, capsys):
 
 
 def test_inversion_routes_compare_at_the_full_order():
-    result = check_inversion_routes(20)
-    assert result.status == "pass"
-    assert result.ranges.startswith("log-series at order 20;")
+    row = next(row for row in CHECKS if row.name == "series-inversion-route-agreement")
+    assert row.detail(20) is None
+    assert row.ranges.format(order=20).startswith("log-series at order 20;")
+
+
+def test_refused_count_is_a_failure_in_a_printed_report(monkeypatch, cold_memos, capsys):
+    # C(3, 1) - 5 makes the C table negative: every row whose computation
+    # refuses it, flags included, fails with the refusal as its detail, and
+    # spm verify still prints the report and exits 1
+    real = spcounts._count_rows
+
+    def planted(fam, max_n):
+        rows = real(fam, max_n)
+        if fam != "C" or max_n < 3:
+            return rows
+        rows = [list(row) for row in rows]
+        rows[3][1] -= 5
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(spcounts, "_count_rows", planted)
+    failed = [(c.name, c.detail) for c in run_verify(12).checks if c.status == "fail"]
+    # e_from_c refuses the E row it solves, build_tables the C row itself
+    solved, planted_row = "(0, -5, 1, 0)", "(0, -4, 1, 0)"
+    assert failed == [
+        ("counts-e-route-agreement", f"negative count in row n = 3: {solved}"),
+        ("gf-quasi-exponential", "coefficient mismatch"),
+        ("gf-connected-substitution", "coefficient mismatch"),
+        ("gf-integral-identity", "coefficient mismatch"),
+        ("counts-nonnegative-integral", f"negative count in row n = 3: {planted_row}"),
+        ("simple-count-r2-special-case", f"negative count in row n = 3: {solved}"),
+    ]
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  simple-count-r2-special-case" in out
+    assert out.endswith("verification: 22 passed, 3 flagged, 6 failed\n")
 
 
 def test_low_order_config_reported_as_such():
