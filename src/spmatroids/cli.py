@@ -32,11 +32,11 @@ USAGE_ERROR = 2
 # with a peak RSS of at most 26 MiB, on a 2-vCPU host.
 TABLE_MAX_N = 150
 # Largest `spm verify --order`.  A cold run, import included, takes about
-# 0.1 s at order 16, 0.25 s at 24 and 0.5 s with a peak RSS of 16 MiB at 30
-# (medians of 5, Python 3.11, a shared 2-vCPU host); both inversion routes
-# run at the full order.  Past 30 the series
+# 0.11 s at order 16, 0.16 s at 24 and 0.30 s with a peak RSS of 17 MiB at
+# 30 (medians of 5, Python 3.11, a shared 2-vCPU host); both inversion
+# routes run at the full order.  Past 30 the series
 # composition's integers grow long and the cost steepens: run_verify()
-# takes 2.9 s at order 40 and 11 s at 50.
+# takes 1.1 s at order 40 and 5.4 s at 50 (one run each).
 VERIFY_MAX_ORDER = 30
 
 

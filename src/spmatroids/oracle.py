@@ -8,16 +8,16 @@ parallel at one element of each series or parallel class, and each result
 is relabelled by swapping n with every label above the other elements that
 lie in a series or parallel pair.  This reaches each matroid exactly once,
 so nothing is deduplicated.  A parent's series and parallel classes come
-from two masks per element filled in one pass over its bases, and the
-pairs and simplicity of each extension follow from them.  A matroid is its
-sorted basis masks, held in the catalog as `bytes`, one byte per basis:
-`HARD_CAP` <= 8 keeps every mask below 256, so the byte is exact, and a
-level costs one byte per basis instead of a pointer to an int.  Label n is
-the top bit, above every mask of the parent, so an extension writes its
-bases already in order and only a relabelled copy is sorted, after one
-`bytes.translate` through a 256-byte table.  Counts per (ground size,
-rank) are read off each catalog level in one pass; the direct-sum families
-follow from them by a labelled product.
+from two masks per element, each one byte-level filter and fold of its
+bases, and the pairs and simplicity of each extension follow from them.
+A matroid is its sorted basis masks, held in the catalog as `bytes`, one
+byte per basis: `HARD_CAP` <= 8 keeps every mask below 256, so the byte is
+exact, and a level costs one byte per basis instead of a pointer to an
+int.  Label n is the top bit, above every mask of the parent, so an
+extension writes its bases already in order and only a relabelled copy is
+sorted, after one `bytes.translate` through a 256-byte table.  Counts per
+(ground size, rank) are read off each catalog level in one pass; the
+direct-sum families follow from them by a labelled product.
 The excluded-minor test works on byte-per-subset tables: one integer holds
 a byte for every subset of the ground set, so the rank table and the minor
 test take a few shifts per element instead of a Python loop over subsets.
@@ -33,9 +33,9 @@ the point: the two routes validate each other.
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, reduce
 from math import comb
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 from typing import Iterator, NamedTuple, Sequence
 
 HARD_CAP = 8  # at most 8, so that every basis mask of the catalog fits a byte
@@ -62,6 +62,33 @@ class CatalogEntry(NamedTuple):
     simple: bool
 
 
+# `bytes.translate` tables over byte masks, built on first use and kept:
+# _LABEL_TABLES[e] holds the masks with e and the masks without e (as
+# deletion sets) and the table that adds e; _MOVE_TABLES[e, f] replaces e
+# by f.  Plain dicts, like _BITS: they depend on the labels alone.
+_LABEL_TABLES: dict[int, tuple[bytes, bytes, bytes]] = {}
+_MOVE_TABLES: dict[tuple[int, int], bytes] = {}
+
+
+def _label_tables(e: int) -> tuple[bytes, bytes, bytes]:
+    tables = _LABEL_TABLES.get(e)
+    if tables is None:
+        bit = 1 << (e - 1)
+        tables = _LABEL_TABLES[e] = (
+            bytes(b for b in range(256) if b & bit),
+            bytes(b for b in range(256) if not b & bit),
+            bytes(b | bit for b in range(256)),
+        )
+    return tables
+
+
+def _move_table(e: int, f: int) -> bytes:
+    table = _MOVE_TABLES.get((e, f))
+    if table is None:
+        table = _MOVE_TABLES[e, f] = bytes(b & ~(1 << (e - 1)) | 1 << (f - 1) for b in range(256))
+    return table
+
+
 def parallel_extension(bases: Sequence[int], e: int, f: int) -> bytes:
     """Add label f parallel to element e: the bases B and B - e + f for e in B.
 
@@ -70,10 +97,12 @@ def parallel_extension(bases: Sequence[int], e: int, f: int) -> bytes:
     element, so is the result: the new masks all hold f and so follow every
     old one, and taking the fixed bit e away from masks that all hold it
     keeps their order.  The map B -> B - e + f is injective, so no basis is
-    repeated.
+    repeated.  The new masks are one C-level `bytes.translate` through
+    kept 256-byte tables, which drops the masks without e and moves e to
+    f in the rest.
     """
-    eb, fb = 1 << (e - 1), 1 << (f - 1)
-    return bytes(bases) + bytes([(b ^ eb) | fb for b in bases if b & eb])
+    bases = bytes(bases)
+    return bases + bases.translate(_move_table(e, f), _label_tables(e)[1])
 
 
 def series_extension(bases: Sequence[int], e: int, f: int) -> bytes:
@@ -85,10 +114,12 @@ def series_extension(bases: Sequence[int], e: int, f: int) -> bytes:
     element, so is the result: the first group lies below f and the second
     above it, and adding a fixed bit that no mask of a group holds keeps its
     order.  Both maps are injective and the groups disjoint, so no basis is
-    repeated.
+    repeated.  Each group is one C-level `bytes.translate` through kept
+    256-byte tables.
     """
-    eb, fb = 1 << (e - 1), 1 << (f - 1)
-    return bytes([b | eb for b in bases if not b & eb] + [b | fb for b in bases])
+    with_e, _, add_e = _label_tables(e)
+    bases = bytes(bases)
+    return bases.translate(add_e, with_e) + bases.translate(_label_tables(f)[2])
 
 
 def _swap_table(i: int, j: int) -> bytes:
@@ -98,26 +129,24 @@ def _swap_table(i: int, j: int) -> bytes:
     return bytes(b ^ swap if 0 < b & swap < swap else b for b in range(256))
 
 
-def _partners(bases, n: int) -> tuple[list[int], list[int]]:
-    """Parallel and series partners of each element of [n], as masks, from
-    one pass over the bases of a matroid without loops or coloops.
+def _partners(bases: bytes, n: int) -> tuple[list[int], list[int]]:
+    """Parallel and series partners of each element of [n], as masks, for
+    the `bytes` bases of a matroid without loops or coloops.
 
-    cover[i] is the union of the bases that contain i, and miss[i] the union
-    of the complements of the bases that avoid i.  Then j is parallel to i
-    iff no basis holds both, that is j is not in cover[i]; and j is in series
-    with i iff every basis that avoids i holds j, that is j is not in miss[i].
+    j is parallel to i iff no basis holds both, so par[i] is the complement
+    of the union of the bases that hold i; and j is in series with i iff
+    every basis that avoids i holds j, so ser[i] is the intersection of the
+    bases that avoid i.  Per element, each is one C-level `bytes.translate`
+    that deletes the other bases (kept 256-byte sets) and one
+    `functools.reduce` over the rest.
     """
     full = (1 << n) - 1
-    cover = [0] * n
-    miss = [0] * n
-    for b in bases:
-        out = full ^ b
-        for i in range(n):
-            if b >> i & 1:
-                cover[i] |= b
-            else:
-                miss[i] |= out
-    return [full ^ c for c in cover], [full ^ m for m in miss]
+    par, ser = [], []
+    for i in range(1, n + 1):
+        with_i, without_i, _ = _label_tables(i)
+        par.append(full ^ reduce(or_, bases.translate(None, without_i), 0))
+        ser.append(reduce(and_, bases.translate(None, with_i), full))
+    return par, ser
 
 
 def _unions(masks: list[int]) -> tuple[int, list[int]]:
@@ -197,10 +226,11 @@ def enumerate_connected(n: int) -> tuple[CatalogEntry, ...]:
     n >= 3 the catalog is built from the one for n - 1 by reverse search
     (`_reverse_search`), which emits each matroid exactly once, so no
     deduplication is needed, and writes each one's bases already sorted.
-    Each parent's series and parallel classes come from one pass over its
-    bases (`_partners`), and each new matroid's pairs and simplicity follow
-    from its parent's.  The level is then sorted in place by signature,
-    which compares bases as bytes, by memcmp.
+    Each parent's series and parallel classes come from two masks per
+    element, each a byte-level filter and fold of its bases (`_partners`),
+    and each new matroid's pairs and simplicity follow from its parent's.
+    The level is then sorted in place by signature, which compares bases
+    as bytes, by memcmp.
     """
     if n < 1:
         raise ValueError("enumerate_connected needs n >= 1")

@@ -23,17 +23,17 @@ which compare C and G with the series inverse at the verify order.
 
 Tables are built in exact integers, each family in O(N^3) operations but
 S, which applies egf_exp to the integer E rows; powerseries holds only the
-Fraction reference kernel.  Each E and C term reads one diagonal of the
+exact rational reference kernel.  Each E and C term reads one diagonal of the
 combinum S2 and D memos, so each entry of the cached rows _e_row and
 _c_row is a signed dot product of diagonal slices.  E has one route,
 _e_row(n): each inner sum of the E closed form is a scaled backward
 difference of t^e, and the Leibniz rule for those differences never leaves
 the row, so row n is built alone in O(n^2) integer products.  e_closed and
 the E table both read it; e_from_c, which inverts C, is the independent
-second route.  A = exp(C) is only a cross-check against the Fraction
+second route.  A = exp(C) is only a cross-check against the rational
 series_exp(C).  _count_rows caches each family's rows per max_n, so S
-reuses the E rows and A the S rows of the same length; count_series wraps
-them as a Fraction series (raw = count / n!).
+reuses the E rows and A the S rows of the same length; count_series hands
+them to the series kernel as integer rows over n! (raw = count / n!).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, factorial
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
@@ -276,7 +276,7 @@ def egf_exp(rows) -> tuple[tuple[int, ...], ...]:
 
     on y-polynomials (Flajolet & Sedgewick, Analytic Combinatorics, ch. II).
     This is the route to the S table; powerseries.series_exp is the
-    Fraction reference it is checked against.  Each product walks only the
+    rational reference it is checked against.  Each product walks only the
     nonzero spans of its two rows: E and S rows vanish for k <= n/2.
     """
     for n, row in enumerate(rows):
@@ -338,11 +338,8 @@ def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def count_series(family: str, order: int) -> BivariateSeries:
-    """A family's rows up to `order` as a Fraction series, raw = count / n!."""
-    rows = _count_rows(family, order)
-    return BivariateSeries(
-        order, [[Fraction(c, factorial(n)) for c in row] for n, row in enumerate(rows)]
-    )
+    """A family's rows up to `order` as a series, raw = count / n!."""
+    return BivariateSeries.from_counts(order, _count_rows(family, order))
 
 
 def build_tables(max_n: int, family: str) -> TriangularCountTable:

@@ -14,6 +14,10 @@ took and returned a frozenset of basis masks, and the generator sorted each
 result.  `set_parallel_extension` and `set_series_extension` keep those
 moves to check the sorted-tuple ones against.
 
+Before the byte-level filters, the oracle's `_partners` filled a cover and
+a miss mask per element in one Python pass over the bases.  `partners`
+keeps that pass to check the filter-and-fold one against.
+
 Before the rank-lowering search, the excluded-minor test tried every
 contraction set K outside every four- or six-element set T, over a rank
 table built from the set of every submask of every basis.  `rank_table`,
@@ -63,6 +67,28 @@ def set_series_extension(bases: frozenset[int], e: int, f: int) -> frozenset[int
     not in B."""
     eb, fb = 1 << (e - 1), 1 << (f - 1)
     return frozenset([b | fb for b in bases] + [b | eb for b in bases if not b & eb])
+
+
+def partners(bases, n: int) -> tuple[list[int], list[int]]:
+    """Parallel and series partners of each element of [n], as masks, from
+    one pass over the bases of a matroid without loops or coloops.
+
+    cover[i] is the union of the bases that contain i, and miss[i] the union
+    of the complements of the bases that avoid i.  Then j is parallel to i
+    iff no basis holds both, that is j is not in cover[i]; and j is in series
+    with i iff every basis that avoids i holds j, that is j is not in miss[i].
+    """
+    full = (1 << n) - 1
+    cover = [0] * n
+    miss = [0] * n
+    for b in bases:
+        out = full ^ b
+        for i in range(n):
+            if b >> i & 1:
+                cover[i] |= b
+            else:
+                miss[i] |= out
+    return [full ^ c for c in cover], [full ^ m for m in miss]
 
 
 def _ground(bases: frozenset[int]) -> int:

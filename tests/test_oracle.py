@@ -482,6 +482,14 @@ def test_partners_from_cover_and_miss_masks():
     assert ser == [0, 0, 0b1000, 0b0100]
 
 
+def test_partners_equal_the_one_pass_reference():
+    # every catalog entry with n <= 7, loops and coloops included
+    for n in range(1, 8):
+        for entry in enumerate_connected(n):
+            bases = entry.sig.bases
+            assert oracle._partners(bases, n) == oracle_reference.partners(bases, n), entry
+
+
 def test_catalog_rank_multiset_duality():
     for c_row in count_rows("C", 6)[1:]:
         assert c_row == c_row[::-1]

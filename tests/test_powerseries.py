@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,7 @@ from spmatroids.powerseries import (
     series_mul_y,
     series_reverse_x,
 )
-from spmatroids.powerseries import _check_reversible, _composition_sums, _fit_row
+from spmatroids.powerseries import _check_reversible, _composition_sums
 
 N = 12
 
@@ -187,6 +187,21 @@ def test_lagrange_matches_reverse():
 # Literal Fraction references: the series operations as they were written
 # before the kernel went fraction-free, on Fraction polynomial helpers.
 # ---------------------------------------------------------------------------
+
+def _fit_row(poly, n, den=1):
+    # the row poly / den as a Fraction row of length n + 1, as the kernel
+    # stored it before it kept integer rows
+    vals = list(poly)
+    while vals and vals[-1] == 0:
+        vals.pop()
+    if len(vals) > n + 1:
+        raise ValueError(
+            f"y-degree {len(vals) - 1} exceeds x-degree {n}: "
+            "triangular invariant violated"
+        )
+    vals.extend([0] * (n + 1 - len(vals)))
+    return tuple(Fraction(v, den) for v in vals)
+
 
 def _padd(a, b):
     n = max(len(a), len(b))
@@ -507,3 +522,129 @@ def test_exp_x_multiplier():
     e = exp_x(N)
     assert all(e.coeff(n, 0) == Fraction(1, factorial(n)) for n in range(N + 1))
     assert series_mul(e, from_univariate_coeffs([1], N)) == e
+
+
+# ---------------------------------------------------------------------------
+# Integer rows: storage in lowest terms, the Fraction view and equality
+# ---------------------------------------------------------------------------
+
+def assert_lowest_terms(s):
+    for n, (row, den) in enumerate(zip(s._num, s._den)):
+        assert type(row) is tuple and len(row) == n + 1
+        assert den > 0 and gcd(*row, den) == 1, (n, row, den)
+
+
+def literal_series_add(a, b):
+    order = min(a.order, b.order)
+    return BivariateSeries(order, [[a.rows[n][k] + b.rows[n][k] for k in range(n + 1)]
+                                   for n in range(order + 1)])
+
+
+def literal_series_integrate_x(f):
+    return BivariateSeries(f.order + 1, [[0]] + [[v / (n + 1) for v in row] + [0]
+                                                 for n, row in enumerate(f.rows)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_results_are_in_lowest_terms_and_read_as_the_literal_references(data):
+    order = data.draw(st.integers(0, 7))
+    a, b = draw_series(data.draw, order), draw_series(data.draw, order)
+    f0, f1 = draw_series(data.draw, order, 0), draw_series(data.draw, order, 1)
+    pairs = [
+        (a, None),
+        (series_add(a, b), literal_series_add(a, b)),
+        (series_mul(a, b), literal_series_mul(a, b)),
+        (series_exp(f0), literal_series_exp(f0)),
+        (series_log(f1), literal_series_log(f1)),
+        (series_integrate_x(a), literal_series_integrate_x(a)),
+    ]
+    if order >= 1:
+        g = draw_reversible(data.draw, order)
+        pairs += [
+            (series_reverse_x(g), literal_series_reverse_x(g)),
+            (lagrange_invert(g), literal_lagrange_invert(g)),
+            (series_compose_shared_y(a, g), None),
+            (series_mul_y(g), None),
+        ]
+    for got, want in pairs:
+        assert_lowest_terms(got)
+        assert got.rows == tuple(tuple(Fraction(v, d) for v in row) for row, d in zip(got._num, got._den))
+        if want is not None:
+            assert got.rows == want.rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_equality_agrees_with_fraction_row_equality_across_orders(data):
+    a = draw_series(data.draw, data.draw(st.integers(0, 6)))
+    order = data.draw(st.integers(0, 6))
+    rows = [list(row) for row in a.rows[: order + 1]]
+    rows += [[0] * (n + 1) for n in range(len(rows), order + 1)]
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(0, order))
+        rows[n][data.draw(st.integers(0, n))] += data.draw(RATIONALS)
+    b = BivariateSeries(order, rows)
+    common = min(a.order, b.order) + 1
+    assert (a == b) == (b == a) == (a.rows[:common] == b.rows[:common])
+
+
+def test_constructor_refuses_float_coefficients():
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(1, 0\) is a float"):
+        BivariateSeries(2, [[0], [0.1, 0], [0, 0, 0]])
+    assert BivariateSeries(1, [[0], [Fraction(1, 10), 0]]).coeff(1, 0) == Fraction(1, 10)
+
+
+def test_from_counts_divides_each_row_by_n_factorial():
+    counts = [[1], [1, 1], [2, 3, 1], [6, 11, 6, 1]]
+    s = BivariateSeries.from_counts(3, counts)
+    assert_lowest_terms(s)
+    assert s.rows == tuple(tuple(Fraction(c, factorial(n)) for c in row) for n, row in enumerate(counts))
+    assert [[count_coefficient(s, n, k) for k in range(n + 1)] for n in range(4)] == counts
+
+
+def test_count_coefficient_non_integral_message():
+    third = from_univariate_coeffs([0, 0, Fraction(1, 3)], N)
+    with pytest.raises(ValueError) as err:
+        count_coefficient(third, 2, 0)
+    assert str(err.value) == "non-integral count at (n, k) = (2, 0): 2/3"
+
+
+def test_kernel_operations_build_no_fraction(monkeypatch):
+    rng = random.Random(34)
+    f = random_reversible(rng, N)
+    one_plus_f = series_add(series_exp(BivariateSeries.zero(N)), f)
+    e, big_f = exp_minus_one(N), build_F(N)
+    built, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    series_exp(f)
+    series_log(one_plus_f)
+    series_mul(f, e)
+    series_add(f, e)
+    series_integrate_x(f)
+    series_compose_shared_y(big_f, e)
+    assert series_compose_shared_y(f, e) != f
+    assert built == []
+    for invert in (series_reverse_x, lagrange_invert):
+        built.clear()
+        invert(big_f)
+        assert len(built) <= 1  # the x-linear coefficient _check_reversible returns
+
+
+def test_composition_builds_only_the_powers_it_reads(monkeypatch):
+    taken, real = [], powerseries._x_powers
+
+    def counted(*args):
+        for power in real(*args):
+            taken.append(power)
+            yield power
+
+    monkeypatch.setattr(powerseries, "_x_powers", counted)
+    f = build_F(N)
+    assert series_compose_shared_y(poly_x(), f) == f
+    assert len(taken) == 1
