@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 
@@ -16,12 +17,12 @@ class SequenceMapping(NamedTuple):
     family: str
 
 
-DEFAULT_SEQUENCE_MAP: dict[str, SequenceMapping] = {
+DEFAULT_SEQUENCE_MAP: MappingProxyType[str, SequenceMapping] = MappingProxyType({
     "A140945": SequenceMapping("A140945", "C"),
     "A361355": SequenceMapping("A361355", "E"),
     "A359985": SequenceMapping("A359985", "A"),
     "A361353": SequenceMapping("A361353", "S"),
-}
+})
 
 
 def default_fixtures_dir() -> Path:
@@ -31,24 +32,13 @@ def default_fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-class _RunConfigFields(NamedTuple):
-    fixtures_dir: Path
-    sequence_map: dict[str, SequenceMapping]
-
-
-class RunConfig(_RunConfigFields):
-    """Defaults are made per instance: `default_fixtures_dir()`, read when
-    the config is made, and a fresh copy of DEFAULT_SEQUENCE_MAP."""
+class RunConfig:
+    """Nothing to set: `sequence_map` is the read-only DEFAULT_SEQUENCE_MAP,
+    and `fixtures_dir` is `default_fixtures_dir()`, read on each use."""
 
     __slots__ = ()
+    sequence_map = DEFAULT_SEQUENCE_MAP
 
-    def __new__(
-        cls,
-        fixtures_dir: Path | None = None,
-        sequence_map: dict[str, SequenceMapping] | None = None,
-    ):
-        return super().__new__(
-            cls,
-            default_fixtures_dir() if fixtures_dir is None else fixtures_dir,
-            dict(DEFAULT_SEQUENCE_MAP) if sequence_map is None else sequence_map,
-        )
+    @property
+    def fixtures_dir(self) -> Path:
+        return default_fixtures_dir()

@@ -63,30 +63,22 @@ class CatalogEntry(NamedTuple):
 
 
 # `bytes.translate` tables over byte masks, built on first use and kept:
-# _LABEL_TABLES[e] holds the masks with e and the masks without e (as
-# deletion sets) and the table that adds e; _MOVE_TABLES[e, f] replaces e
-# by f.  Plain dicts, like _BITS: they depend on the labels alone.
-_LABEL_TABLES: dict[int, tuple[bytes, bytes, bytes]] = {}
-_MOVE_TABLES: dict[tuple[int, int], bytes] = {}
-
-
+# _label_tables(e) gives the masks with e and the masks without e (as
+# deletion sets) and the table that adds e; _move_table(e, f) replaces e
+# by f.  They depend on the labels alone.
+@cache
 def _label_tables(e: int) -> tuple[bytes, bytes, bytes]:
-    tables = _LABEL_TABLES.get(e)
-    if tables is None:
-        bit = 1 << (e - 1)
-        tables = _LABEL_TABLES[e] = (
-            bytes(b for b in range(256) if b & bit),
-            bytes(b for b in range(256) if not b & bit),
-            bytes(b | bit for b in range(256)),
-        )
-    return tables
+    bit = 1 << (e - 1)
+    return (
+        bytes(b for b in range(256) if b & bit),
+        bytes(b for b in range(256) if not b & bit),
+        bytes(b | bit for b in range(256)),
+    )
 
 
+@cache
 def _move_table(e: int, f: int) -> bytes:
-    table = _MOVE_TABLES.get((e, f))
-    if table is None:
-        table = _MOVE_TABLES[e, f] = bytes(b & ~(1 << (e - 1)) | 1 << (f - 1) for b in range(256))
-    return table
+    return bytes(b & ~(1 << (e - 1)) | 1 << (f - 1) for b in range(256))
 
 
 def parallel_extension(bases: Sequence[int], e: int, f: int) -> bytes:

@@ -101,10 +101,12 @@ def e_closed(n: int, k: int) -> int:
         E(2k-r, k) = sum_{p=1}^{r} D(2k-p-1, k-p)
                      sum_{i=0}^{r-p} (-1)^(i+p+1) (2k-p-i)^(k-p-1) / (i! (r-p-i)!).
 
-    Returns 0 for k = 0, k > n, or n >= 2k > 0 without building anything;
-    else reads row n of _e_row, the one route to E rows.
+    Reads row n of _e_row, the one route to E rows, for every 0 <= k <= n
+    with n >= 1, so the vanishing entries (k = 0 or n >= 2k) come from the
+    row too and verify's counts-e-vanishing tests it; 0 outside the
+    triangle, without building anything.
     """
-    return _e_row(n)[k] if 0 < k <= n < 2 * k else 0
+    return _e_row(n)[k] if n >= 1 and 0 <= k <= n else 0
 
 
 @cache

@@ -32,7 +32,6 @@ from spmatroids.spcounts import (
     e_closed,
     e_from_c,
     e_special,
-    g_closed,
 )
 
 ORDER = 12
@@ -65,15 +64,15 @@ def test_criterion_2_special_cases():
                "plus E(1,1) = E(3,2) = 1 and E(7,4) = 735")
 
 
-def test_criterion_3_route_agreement():
+def test_criterion_3_route_agreement(default_report):
     table = e_from_c(40)
     for n in range(1, 41):
         for k in range(n + 1):
             assert table.value(n, k) == e_closed(n, k), (n, k)
-    for n in range(2, 31):
-        for l in range(n + 1):
-            want = g_closed(n - 1, l - 1) if l >= 1 else 0
-            assert c_closed(n, l) == want, (n, l)
+    # g_closed reads C's rows, so the check that evaluates the printed G sum
+    # on its own is the one that can fail
+    c_vs_g = next(c for c in default_report.checks if c.name == "counts-c-vs-inverse-coefficients")
+    assert (c_vs_g.status, c_vs_g.ranges) == ("pass", "2 <= n <= 30"), c_vs_g
     _report(3, "E route agreement to n = 40; C(n,l) = G(n-1,l-1) to n = 30, exact")
 
 

@@ -122,16 +122,13 @@ def test_fixtures_dir_env_override(tmp_path, monkeypatch):
     assert default_fixtures_dir().name == "fixtures"
 
 
-def test_run_config_defaults_are_made_per_instance(tmp_path, monkeypatch):
-    # read at construction, not at import
+def test_run_config_has_nothing_to_set(tmp_path, monkeypatch):
+    with pytest.raises(TypeError):
+        RunConfig("x")
+    config = RunConfig()
+    with pytest.raises(TypeError):
+        del config.sequence_map["A140945"]
+    assert list(config.sequence_map) == ["A140945", "A361355", "A359985", "A361353"]
+    # SPM_FIXTURES is read on each use, not when the config is made
     monkeypatch.setenv("SPM_FIXTURES", str(tmp_path))
-    a, b = RunConfig(), RunConfig()
-    assert a.fixtures_dir == b.fixtures_dir == tmp_path
-    assert a.sequence_map == b.sequence_map == DEFAULT_SEQUENCE_MAP
-    assert a.sequence_map is not b.sequence_map
-    assert a.sequence_map is not DEFAULT_SEQUENCE_MAP
-    assert b.sequence_map is not DEFAULT_SEQUENCE_MAP
-    del a.sequence_map["A140945"]
-    assert "A140945" in b.sequence_map and "A140945" in DEFAULT_SEQUENCE_MAP
-    explicit = RunConfig(fixtures_dir=tmp_path / "other", sequence_map={})
-    assert (explicit.fixtures_dir, explicit.sequence_map) == (tmp_path / "other", {})
+    assert config.fixtures_dir == tmp_path

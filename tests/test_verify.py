@@ -379,6 +379,24 @@ def test_negative_e_route_row_is_a_failure_not_an_error(cold_memos, capsys):
     assert "FAIL  counts-e-route-agreement" in capsys.readouterr().out
 
 
+def test_planted_vanishing_e_entry_is_reported_exactly(monkeypatch, cold_memos):
+    # E(31, 10) + 1 in the one E row route: e_closed and the E table read it,
+    # e_from_c does not, and no other check reads an E, S or A row past 30
+    real = spcounts._e_row
+
+    @cache
+    def planted(n):
+        row = real(n)
+        return row[:10] + (row[10] + 1,) + row[11:] if n == 31 else row
+
+    monkeypatch.setattr(spcounts, "_e_row", planted)
+    failed = [(c.name, c.detail) for c in run_verify(12).checks if c.status == "fail"]
+    assert failed == [
+        ("counts-e-route-agreement", "first failure at (n, k) = (31, 10): 0 != 1"),
+        ("counts-e-vanishing", "nonzero at (n, k) = (31, 10)"),
+    ]
+
+
 def test_inversion_routes_compare_at_the_full_order():
     row = next(row for row in CHECKS if row.name == "series-inversion-route-agreement")
     assert row.detail(20) is None
