@@ -27,9 +27,9 @@ from .verify import run_verify
 
 USAGE_ERROR = 2
 # Largest `spm table --max-n`.  A cold `spm table` at n = 150 takes about
-# 0.3 s for E (0.1 s of it building the rows), 0.3-0.5 s for C or G and
-# 1.6-2.4 s for S or A, the slowest (both spend ~1.5 s in egf_exp), each
-# with a peak RSS of at most 26 MiB, on a 2-vCPU host.
+# 0.1 s for E, 0.15 s for C or G and 0.75-0.8 s for S or A, the slowest
+# (both spend ~0.65 s in egf_exp), each with a peak RSS of at most 26 MiB
+# (3 runs each, Python 3.11, a shared 2-vCPU host).
 TABLE_MAX_N = 150
 # Largest `spm verify --order`.  A cold run, import included, takes about
 # 0.11 s at order 16, 0.16 s at 24 and 0.30 s with a peak RSS of 17 MiB at

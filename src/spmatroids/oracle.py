@@ -10,14 +10,15 @@ lie in a series or parallel pair.  This reaches each matroid exactly once,
 so nothing is deduplicated.  A parent's series and parallel classes come
 from two masks per element, each one byte-level filter and fold of its
 bases, and the pairs and simplicity of each extension follow from them.
-A matroid is its sorted basis masks, held in the catalog as `bytes`, one
-byte per basis: `HARD_CAP` <= 8 keeps every mask below 256, so the byte is
-exact, and a level costs one byte per basis instead of a pointer to an
-int.  Label n is the top bit, above every mask of the parent, so an
-extension writes its bases already in order and only a relabelled copy is
-sorted, after one `bytes.translate` through a 256-byte table.  Counts per
-(ground size, rank) are read off each catalog level in one pass; the
-direct-sum families follow from them by a labelled product.
+A matroid is its sorted basis masks, held in every signature built here
+as `bytes`, one byte per basis: `HARD_CAP` <= 8 bounds every ground set,
+direct sums included, so each mask is below 256 and its byte exact, and a
+level costs one byte per basis instead of a pointer to an int.  Label n is
+the top bit, above every mask of the parent, so an extension writes its
+bases already in order and only a relabelled copy is sorted, after one
+`bytes.translate` through a 256-byte table.  Counts per (ground size,
+rank) are read off each catalog level in one pass; the direct-sum families
+follow from them by a labelled product.
 The excluded-minor test works on byte-per-subset tables: one integer holds
 a byte for every subset of the ground set, so the rank table and the minor
 test take a few shifts per element instead of a Python loop over subsets.
@@ -38,16 +39,15 @@ from math import comb
 from operator import and_, itemgetter, or_
 from typing import Iterator, NamedTuple, Sequence
 
-HARD_CAP = 8  # at most 8, so that every basis mask of the catalog fits a byte
+HARD_CAP = 8  # at most 8, so that every basis mask built here fits a byte
 
 
 class MatroidSignature(NamedTuple):
     """Canonical matroid on ground set {1..ground_size}: the sorted basis masks.
 
-    Bit i of a mask stands for element i + 1.  In the catalog `bases` is
-    `bytes`, one byte per mask, exact because ground sets stop at
-    `HARD_CAP` <= 8; `direct_sum`, whose ground sets may be larger, gives a
-    tuple of ints.  Either reads as a sequence of int masks.  Between
+    Bit i of a mask stands for element i + 1.  Every signature built here
+    holds `bytes`, one byte per mask, exact because ground sets stop at
+    `HARD_CAP` <= 8; the readers take any sequence of int masks.  Between
     signatures whose bases have the same type, signature equality is
     matroid equality.
     """
@@ -292,13 +292,13 @@ def count_rows(family: str, max_n: int) -> list[list[int]]:
 
 
 def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
-    """Direct sum: bases are unions of one basis from each summand, as a
-    sorted tuple of ints, since the sum may have more than eight elements."""
+    """Direct sum: bases are unions of one basis from each summand, as sorted
+    `bytes`, so the summands may hold at most `HARD_CAP` elements together."""
     n = m1.ground_size + m2.ground_size
+    if n > HARD_CAP:
+        raise ValueError(f"direct_sum capped at ground size {HARD_CAP}, got {n}")
     shift = m1.ground_size
-    bases = tuple(
-        sorted(b1 | (b2 << shift) for b1 in m1.bases for b2 in m2.bases)
-    )
+    bases = bytes(sorted(b1 | (b2 << shift) for b1 in m1.bases for b2 in m2.bases))
     return MatroidSignature(n, m1.rank + m2.rank, bases)
 
 
@@ -434,34 +434,34 @@ def minor_check(m: MatroidSignature) -> bool:
     return not _has_u24_minor(n, rk) and not _has_mk4_minor(n, rk)
 
 
-# _BITS[mask]: the single-bit masks of the set bits of mask, in increasing
-# order; doubled on demand to cover every mask of the largest ground set seen
-_BITS: list[tuple[int, ...]] = [()]
+@cache
+def _single_bits() -> tuple[tuple[int, ...], ...]:
+    # entry b: the single-bit masks of the set bits of byte mask b, in increasing order
+    return tuple(tuple(1 << i for i in range(HARD_CAP) if b >> i & 1) for b in range(256))
 
 
-def check_basis_exchange(m: MatroidSignature, rng: random.Random, trials: int = 40) -> bool:
-    """Randomized spot check of the basis-exchange axiom.
+def check_basis_exchange(m: MatroidSignature, rng: random.Random) -> bool:
+    """Randomized spot check of the basis-exchange axiom, in 40 trials.
 
     Each pick is rng.choice's draw written out (CPython's
     _randbelow_with_getrandbits: getrandbits(len.bit_length()) until below
     len), so the rng advances exactly as three rng.choice calls per trial
     would, without their per-call overhead.  The elements of a set are read
-    from the one `_BITS` table, first grown to 2^ground_size entries.  A
-    matroid has a basis, so an empty basis tuple fails at once, with no
-    draw.
+    from one fixed table over the byte masks (`_single_bits`), which
+    `HARD_CAP` <= 8 makes cover every mask.  A matroid has a basis, so an
+    empty basis sequence fails at once, with no draw.
     """
+    if m.ground_size > HARD_CAP:
+        raise ValueError(f"check_basis_exchange capped at ground size {HARD_CAP}")
     bases = m.bases
     if not bases:
         return False
-    bits = _BITS
-    while len(bits) < 1 << m.ground_size:
-        bit = len(bits)  # 1 << i once the table holds every mask below it
-        bits.extend([t + (bit,) for t in bits])
+    bits = _single_bits()
     base_set = set(bases)
     getrandbits = rng.getrandbits
     n_bases = len(bases)
     width = n_bases.bit_length()
-    for _ in range(trials):
+    for _ in range(40):
         i = getrandbits(width)
         while i >= n_bases:
             i = getrandbits(width)

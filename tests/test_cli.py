@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spmatroids import cli
+from spmatroids import cli, oracle
 from spmatroids.cli import (
     TABLE_MAX_N,
     VERIFY_MAX_ORDER,
@@ -18,7 +19,7 @@ from spmatroids.cli import (
     run_table,
 )
 from spmatroids.oeis import parse_bfile, render_bfile
-from spmatroids.spcounts import build_tables
+from spmatroids.spcounts import FAMILIES, build_tables
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,49 @@ def test_table_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert "3,2,1" in out_path.read_text()
+
+
+def test_table_json_text_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "table", "--family", "C", "--max-n", "3", "--format", "json")
+    assert code == 0
+    assert out == """\
+{
+  "family": "C",
+  "start_n": 1,
+  "max_n": 3,
+  "rows": [
+    [
+      1,
+      1
+    ],
+    [
+      0,
+      1,
+      0
+    ],
+    [
+      0,
+      1,
+      1,
+      0
+    ]
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "E", "--max-n", "1"],
+    ["table", "--family", "E", "--max-n", str(TABLE_MAX_N)],
+    ["oracle", "--max-n", "1"],
+    ["oracle", "--max-n", str(oracle.HARD_CAP)],
+    ["verify", "--order", "1"],
+    ["verify", "--order", str(VERIFY_MAX_ORDER)],
+], ids=lambda argv: "-".join(argv[0:1] + argv[-1:]))
+def test_both_ends_of_each_range_are_accepted(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out and err == ""
 
 
 def test_table_unknown_family_usage_error(capsys):
@@ -236,7 +280,23 @@ def test_verify_order_above_cap_is_config_error(capsys, monkeypatch):
     assert "capped" in err and f"got {order}" in err
 
 
-EXPECTED_TABLES = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "tables-n60.json"
+EXPECTED_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+EXPECTED_TABLES = EXPECTED_DIR / "tables-n60.json"
+
+
+def test_table_csv_at_n60_matches_the_benchmark_digests(capsys):
+    golden = json.loads(EXPECTED_TABLES.read_text(encoding="utf-8"))["csv_sha256"]
+    assert sorted(golden) == sorted(FAMILIES)
+    for family, digest in golden.items():
+        code, out, _ = run_cli(capsys, "table", "--family", family, "--max-n", "60")
+        assert code == 0, family
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, family
+
+
+def test_oracle_n7_compare_matches_the_benchmark_text(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--max-n", "7", "--compare")
+    assert code == 0
+    assert out == (EXPECTED_DIR / "oracle-n7.txt").read_text(encoding="utf-8")
 
 
 def test_oeis_fixture_comparison(capsys):

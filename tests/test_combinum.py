@@ -203,6 +203,7 @@ def test_cold_memos_empties_every_memo(cold_memos):
     oracle.count_rows("A", 4)
     for entry in oracle.enumerate_connected(4):  # ranks 2 and 3 reach _marking
         oracle.minor_check(entry.sig)
+        oracle.check_basis_exchange(entry.sig, random.Random(4))  # reaches _single_bits
     # the catalog stays warm, so its reverse search builds no label table here
     bases = oracle.enumerate_connected(4)[0].sig.bases
     oracle.parallel_extension(bases, 1, 5), oracle.series_extension(bases, 1, 5)
@@ -210,7 +211,8 @@ def test_cold_memos_empties_every_memo(cold_memos):
               for name, obj in vars(module).items() if hasattr(obj, "cache_clear")]
     assert {(spcounts, "_count_rows"), (spcounts, "_e_row"),
             (oracle, "_level_counts"), (oracle, "_lattice"), (oracle, "_marking"),
-            (oracle, "_label_tables"), (oracle, "_move_table")} <= set(caches)
+            (oracle, "_label_tables"), (oracle, "_move_table"),
+            (oracle, "_single_bits")} <= set(caches)
     assert all(getattr(module, name).cache_info().currsize for module, name in caches)
     cold_memos()
     for module, name in caches:

@@ -3,6 +3,8 @@
 import ast
 import hashlib
 import random
+import sys
+import threading
 from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
@@ -245,8 +247,10 @@ def test_minor_check_at_the_cap():
     eight = [e.sig for e in enumerate_connected(HARD_CAP)]
     for m in random.Random(8).sample(eight, 300):
         assert minor_check(m), m
-    with pytest.raises(ValueError, match=f"capped at ground size {HARD_CAP}"):
-        minor_check(direct_sum(_fano(), U12))
+    # built by hand: direct_sum refuses nine elements itself
+    nine = MatroidSignature(9, 4, tuple(b | u << 7 for b in _fano().bases for u in U12.bases))
+    with pytest.raises(ValueError, match=f"minor_check capped at ground size {HARD_CAP}"):
+        minor_check(nine)
 
 
 @pytest.mark.parametrize("module, forbidden", [
@@ -557,21 +561,24 @@ def test_basis_exchange_rejects_non_matroid():
     # {1,2} and {3,4} as "bases" violate exchange.
     fake = MatroidSignature(4, 2, (0b0011, 0b1100))
     rng = random.Random(3)
-    assert not check_basis_exchange(fake, rng, trials=200)
+    assert not check_basis_exchange(fake, rng)
 
 
 def test_basis_exchange_fails_an_empty_basis_tuple_without_a_draw():
-    for ground_size in (3, 14):  # below and past HARD_CAP
-        rng = random.Random(0)
-        state = rng.getstate()
-        assert not check_basis_exchange(MatroidSignature(ground_size, 1, ()), rng)
-        assert rng.getstate() == state
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert not check_basis_exchange(MatroidSignature(3, 1, ()), rng)
+    assert rng.getstate() == state
+    # past HARD_CAP the cap is refused first, again with no draw
+    with pytest.raises(ValueError, match=f"check_basis_exchange capped at ground size {HARD_CAP}"):
+        check_basis_exchange(MatroidSignature(14, 1, ()), rng)
+    assert rng.getstate() == state
 
 
-def ground_loop_basis_exchange(m, rng, trials=40):
+def ground_loop_basis_exchange(m, rng):
     # the candidate lists built by a loop over the whole ground set
     base_set = set(m.bases)
-    for _ in range(trials):
+    for _ in range(40):  # check_basis_exchange's trials
         b1 = rng.choice(m.bases)
         b2 = rng.choice(m.bases)
         out_bits = b1 & ~b2
@@ -598,23 +605,25 @@ def test_basis_exchange_draws_as_ground_loop_reference():
         assert fast.getstate() == slow.getstate()
 
 
-def test_basis_exchange_above_the_cap():
-    # ground size 14, past HARD_CAP: a direct sum of two 7-element entries
-    sevens = enumerate_connected(7)
+def test_basis_exchange_on_direct_sums_up_to_the_cap():
+    # ground size 5 to HARD_CAP: a direct sum of two catalog entries passes
     rng = random.Random(14)
-    for _ in range(5):
-        m = direct_sum(rng.choice(sevens).sig, rng.choice(sevens).sig)
-        assert m.ground_size == 14
-        fast, slow = random.Random(m.rank), random.Random(m.rank)
-        assert check_basis_exchange(m, fast, trials=200)
-        assert ground_loop_basis_exchange(m, slow, trials=200)
-        assert fast.getstate() == slow.getstate()
+    for ground_size in range(5, HARD_CAP + 1):
+        for _ in range(5):
+            n1 = rng.randint(1, ground_size - 1)
+            m = direct_sum(rng.choice(enumerate_connected(n1)).sig,
+                           rng.choice(enumerate_connected(ground_size - n1)).sig)
+            assert m.ground_size == ground_size
+            fast, slow = random.Random(m.rank), random.Random(m.rank)
+            assert check_basis_exchange(m, fast)
+            assert ground_loop_basis_exchange(m, slow)
+            assert fast.getstate() == slow.getstate()
 
 
-def test_basis_exchange_draws_as_ground_loop_reference_above_the_cap():
-    # seeded direct sums with ground size 9 to 12, past HARD_CAP, some
-    # with the non-matroid of test_basis_exchange_rejects_non_matroid as a
-    # summand: the same verdict and the same rng draws as the reference
+def test_basis_exchange_draws_as_ground_loop_reference_on_direct_sums():
+    # seeded direct sums with ground size 5 to HARD_CAP, some with the
+    # non-matroid of test_basis_exchange_rejects_non_matroid as a summand:
+    # the same verdict and the same rng draws as the reference
     fake = MatroidSignature(4, 2, (0b0011, 0b1100))
     rng = random.Random(912)
 
@@ -622,19 +631,60 @@ def test_basis_exchange_draws_as_ground_loop_reference_above_the_cap():
         return rng.choice(enumerate_connected(n)).sig
 
     verdicts = Counter()
-    for ground_size in range(HARD_CAP + 1, 13):
+    for ground_size in range(5, HARD_CAP + 1):
         for _ in range(6):
-            n1 = rng.randint(ground_size - 7, 7)
+            n1 = rng.randint(1, ground_size - 1)
             for m in (direct_sum(pick(n1), pick(ground_size - n1)),
                       direct_sum(fake, pick(ground_size - 4))):
                 assert m.ground_size == ground_size
                 seed = rng.getrandbits(32)
                 fast, slow = random.Random(seed), random.Random(seed)
-                verdict = check_basis_exchange(m, fast, trials=100)
-                assert verdict == ground_loop_basis_exchange(m, slow, trials=100), m
+                verdict = check_basis_exchange(m, fast)
+                assert verdict == ground_loop_basis_exchange(m, slow), m
                 assert fast.getstate() == slow.getstate()
                 verdicts[verdict] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+
+
+def test_direct_sum_and_basis_exchange_refuse_past_the_cap():
+    sevens = enumerate_connected(7)
+    with pytest.raises(ValueError, match=f"direct_sum capped at ground size {HARD_CAP}"):
+        direct_sum(sevens[0].sig, sevens[-1].sig)
+    nine = MatroidSignature(9, 1, tuple(1 << i for i in range(9)))  # U_{1,9}
+    with pytest.raises(ValueError, match=f"check_basis_exchange capped at ground size {HARD_CAP}"):
+        check_basis_exchange(nine, random.Random(9))
+
+
+def test_concurrent_cold_basis_exchange_matches_serial(cold_memos):
+    # sixteen threads, switching every microsecond, check the same n = 8
+    # entries from a cold bit table: each must read what a lone caller reads
+    sigs = [e.sig for e in random.Random(16).sample(enumerate_connected(HARD_CAP), 40)]
+
+    def run(seed):
+        rng = random.Random(seed)
+        return [check_basis_exchange(m, rng) for m in sigs], rng.getstate()
+
+    serial = [run(seed) for seed in range(16)]
+    cold_memos()
+    barrier = threading.Barrier(16)
+    results = [None] * 16
+
+    def work(seed):
+        barrier.wait(timeout=60)
+        results[seed] = run(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial
 
 
 def test_dump_catalog_format():
@@ -650,3 +700,5 @@ def test_direct_sum():
     s = direct_sum(U12, U23)
     assert s.ground_size == 5 and s.rank == 3
     assert len(s.bases) == 2 * 3
+    # sorted bytes, one per basis, like the catalog's signatures
+    assert s.bases == bytes(sorted(a | b << 2 for a in U12.bases for b in U23.bases))
