@@ -15,28 +15,29 @@ configuration.
 
 from __future__ import annotations
 
+# the package modules load first, in this order: peak RSS moves with load order
+from . import combinum, powerseries, spcounts, oracle, verify
+
 import argparse
 import sys
 from pathlib import Path
 
-from . import oracle
 from .config import RunConfig, default_fixtures_dir
 from .oeis import bfile_last_row, bfile_path, compare_with_bfile, parse_bfile, render_bfile
 from .spcounts import FAMILIES, FAMILY_START_N, TriangularCountTable, build_tables
 from .verify import run_verify
 
 USAGE_ERROR = 2
-# Largest `spm table --max-n`.  A cold `spm table` at n = 150 takes about
-# 0.1 s for E, 0.15 s for C or G and 0.75-0.8 s for S or A, the slowest
-# (both spend ~0.65 s in egf_exp), each with a peak RSS of at most 26 MiB
-# (3 runs each, Python 3.11, a shared 2-vCPU host).
+# Largest `spm table --max-n`.  A cold `spm table` at n = 150 takes
+# 0.11-0.25 s for E, 0.14-0.33 s for C or G and 0.75-1.9 s for S or A,
+# mostly in egf_exp, with a peak RSS of at most 26 MiB (medians of 3-5 cold
+# runs, Python 3.11, on two shared 2-vCPU hosts).
 TABLE_MAX_N = 150
-# Largest `spm verify --order`.  A cold run, import included, takes about
-# 0.11 s at order 16, 0.16 s at 24 and 0.30 s with a peak RSS of 17 MiB at
-# 30 (medians of 5, Python 3.11, a shared 2-vCPU host); both inversion
-# routes run at the full order.  Past 30 the series
-# composition's integers grow long and the cost steepens: run_verify()
-# takes 1.1 s at order 40 and 5.4 s at 50 (one run each).
+# Largest `spm verify --order`.  A cold run takes 0.06-0.12 s at order 12
+# and 0.17-0.39 s at 30, with a peak RSS of 17 MiB (the same hosts); both
+# inversion routes run at the full order.  Past 30 the composition's
+# integers grow long: run_verify() takes 1.4 s at order 40 and 5.0 s at 50
+# (one run each).
 VERIFY_MAX_ORDER = 30
 
 

@@ -32,8 +32,9 @@ the row, so row n is built alone in O(n^2) integer products.  e_closed and
 the E table both read it; e_from_c, which inverts C, is the independent
 second route.  A = exp(C) is only a cross-check against the rational
 series_exp(C).  _count_rows caches each family's rows per max_n, so S
-reuses the E rows and A the S rows of the same length; count_series hands
-them to the series kernel as integer rows over n! (raw = count / n!).
+reuses the E rows and A the S rows of the same length; verify's
+count_series hands them to the series kernel as integer rows over n!
+(raw = count / n!).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .combinum import _d_diagonals, _s2_diagonals, _s2_row, double_factorial
-from .powerseries import BivariateSeries
 
 FAMILIES = ("E", "C", "A", "S", "G")
 
@@ -264,7 +264,7 @@ def e_special(n: int, k: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# count rows and their series
+# count rows and tables
 # ---------------------------------------------------------------------------
 
 def egf_exp(rows) -> tuple[tuple[int, ...], ...]:
@@ -337,11 +337,6 @@ def _count_rows(family: str, max_n: int) -> tuple[tuple[int, ...], ...]:
     # G's row n is C's row n + 1 without its l = 0 entry
     row = {"E": _e_row, "C": _c_row, "G": lambda n: _c_row(n + 1)[1:]}[family]
     return ((0,),) + tuple(reversed([row(n) for n in range(max_n, 0, -1)]))
-
-
-def count_series(family: str, order: int) -> BivariateSeries:
-    """A family's rows up to `order` as a series, raw = count / n!."""
-    return BivariateSeries.from_counts(order, _count_rows(family, order))
 
 
 def build_tables(max_n: int, family: str) -> TriangularCountTable:

@@ -32,7 +32,7 @@ from itertools import product
 from math import comb, factorial, lcm
 from typing import Callable, NamedTuple
 
-from . import oracle
+from . import oracle, spcounts
 from .combinum import assoc_stirling1, binomial, double_factorial, h_value, stirling2
 from .powerseries import (
     BivariateSeries,
@@ -52,15 +52,7 @@ from .powerseries import (
     series_mul_y,
     series_reverse_x,
 )
-from .spcounts import (
-    FAMILIES,
-    build_tables,
-    c_closed,
-    count_series,
-    e_closed,
-    e_from_c,
-    e_special,
-)
+from .spcounts import FAMILIES, build_tables, c_closed, e_closed, e_from_c, e_special
 
 _RANDOM_SEED = 20240814
 # every family's table is built to this n and checked for negative entries
@@ -268,6 +260,12 @@ def _printed_corollary_evidence(_order: int) -> str:
 # ---------------------------------------------------------------------------
 # power-series checks
 # ---------------------------------------------------------------------------
+
+def count_series(family: str, order: int) -> BivariateSeries:
+    """A family's rows up to `order` as a series, raw = count / n!."""
+    # through the module, so a row fault planted in spcounts reaches the checks
+    return BivariateSeries.from_counts(order, spcounts._count_rows(family, order))
+
 
 def _random_reversible_series(rng: random.Random, order: int) -> BivariateSeries:
     # Row n gets y-degree at most n - 1: that class is closed under

@@ -25,14 +25,8 @@ from spmatroids.powerseries import (
     series_mul_y,
     series_reverse_x,
 )
-from spmatroids.spcounts import (
-    build_tables,
-    c_closed,
-    count_series,
-    e_closed,
-    e_from_c,
-    e_special,
-)
+from spmatroids.spcounts import build_tables, c_closed, e_closed, e_from_c, e_special
+from spmatroids.verify import count_series
 
 ORDER = 12
 

@@ -2,12 +2,15 @@
 
 import ast
 import hashlib
+import os
 import random
+import subprocess
 import sys
 import threading
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, permutations
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -262,7 +265,12 @@ def test_minor_check_at_the_cap():
     # convolution among them, stay outside it.
     ("powerseries",
      [f"spmatroids.{m}" for m in ("spcounts", "combinum", "oracle", "verify")] + ["math.comb"]),
-], ids=["oracle", "powerseries"])
+    # The closed forms are checked against the series kernel and the oracle.
+    ("spcounts", [f"spmatroids.{m}" for m in ("powerseries", "oracle", "verify")]),
+    # The combinatorial numbers stand on nothing in the package.
+    ("combinum", [f"spmatroids.{m}" for m in
+                  ("powerseries", "spcounts", "oracle", "verify", "oeis", "config", "cli")]),
+], ids=["oracle", "powerseries", "spcounts", "combinum"])
 def test_independent_route_imports(module, forbidden):
     # For `from pkg import name` both pkg and pkg.name count as imported.
     path = Path(oracle.__file__).with_name(f"{module}.py")
@@ -275,6 +283,15 @@ def test_independent_route_imports(module, forbidden):
             imported.add(base)
             imported.update(f"{base}.{alias.name}" for alias in node.names)
     assert imported.isdisjoint(forbidden)
+    # and in a running process: a fresh interpreter imports the module alone,
+    # so neither the package root nor a module it reaches loads a forbidden one
+    src = str(path.resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, spmatroids.{module}; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()).isdisjoint(forbidden)
 
 
 def test_mk4_literal():
@@ -573,6 +590,17 @@ def test_basis_exchange_fails_an_empty_basis_tuple_without_a_draw():
     with pytest.raises(ValueError, match=f"check_basis_exchange capped at ground size {HARD_CAP}"):
         check_basis_exchange(MatroidSignature(14, 1, ()), rng)
     assert rng.getstate() == state
+
+
+def test_single_bits_table_splits_every_byte():
+    # an entry missing a bit would leave check_basis_exchange drawing from an
+    # empty candidate list, getrandbits(0), forever instead of failing
+    table = oracle._single_bits()
+    assert len(table) == 256
+    for b, masks in enumerate(table):
+        assert all(m > 0 and m & (m - 1) == 0 for m in masks), b
+        assert all(lo < hi for lo, hi in zip(masks, masks[1:])), b
+        assert reduce(or_, masks, 0) == b
 
 
 def ground_loop_basis_exchange(m, rng):

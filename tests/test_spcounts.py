@@ -16,13 +16,13 @@ from spmatroids.spcounts import (
     TriangularCountTable,
     build_tables,
     c_closed,
-    count_series,
     e_closed,
     e_from_c,
     e_special,
     egf_exp,
     g_closed,
 )
+from spmatroids.verify import count_series
 
 
 def test_e_closed_pinned_values():
