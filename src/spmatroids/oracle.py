@@ -27,6 +27,12 @@ t: U_{2,4} is (t, c) = (r - 1, 4), and M(K4) is (r - 2, 6) once U_{2,4} is
 excluded, since the matroid is then binary (Tutte) and each rank-3
 contraction simplifies into the Fano plane, whose six-point restrictions
 are M(K4).
+The basis-exchange check reads the same independence lattice and rank
+table and is exact: a nonempty family of equal-size bases is a matroid's
+iff r(cl(I)) = |I| for every independent I, with cl(I) the elements that
+lie in I or make it dependent; cl is one shift, mask and OR per element,
+and r(cl(s)) for every subset s one `bytes.translate`.  No pair of bases
+is visited and nothing is drawn at random.
 Everything here is independent of the closed formulas, which is
 the point: the two routes validate each other.
 """
@@ -303,55 +309,70 @@ def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
 
 
 # ---------------------------------------------------------------------------
-# excluded-minor characterization
+# excluded-minor characterization and basis exchange, on the subset lattice
 # ---------------------------------------------------------------------------
 
 @cache
-def _lattice(n: int) -> tuple[list[int], list[int], int, int, bytes]:
+def _lattice(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]],
+                              list[tuple[int, int]], int, int, int, bytes]:
     """The subset lattice of [n] as byte masks, built on first use per n.
 
     A lattice value is one integer with a byte per subset mask s, at bits
     8s to 8s + 7, so one shift by 8 << i moves every subset's byte onto the
-    subset with or without element i.  lack[i] and has[i] are 0xFF at the
-    subsets without and with element i, low is 2^(|s| - 1) at every
-    nonempty s and ones is 1 at every s, and bit_length maps each byte to
-    its bit length.
+    subset with or without element i.  lack, has and adds hold one pair
+    (8 << i, mask) per element i, the shift beside its mask: the mask is
+    0xFF at the subsets without i in lack, 0xFF at those with i in has, and
+    2^i at those without i in adds.  low is 2^(|s| - 1) at every nonempty
+    s, ones is 1 and labels is s at every s, and bit_length maps each byte
+    to its bit length.
     """
     full = int.from_bytes(b"\xff" * (1 << n), "little")
-    lack = [
-        int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (1 << (n - 1 - i)), "little")
-        for i in range(n)
-    ]
+    ones = full // 255
+    lack, has, adds = [], [], []
+    for i in range(n):
+        without = int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (1 << (n - 1 - i)), "little")
+        lack.append((8 << i, without))
+        has.append((8 << i, full ^ without))
+        adds.append((8 << i, without & ones << i))
     low = int.from_bytes(bytes((1 << s.bit_count()) >> 1 for s in range(1 << n)), "little")
+    labels = int.from_bytes(bytes(range(1 << n)), "little")
     bit_length = bytes(b.bit_length() for b in range(256))
-    return lack, [full ^ x for x in lack], low, full // 255, bit_length
+    return lack, has, adds, low, ones, labels, bit_length
 
 
-def _rank_table(m: MatroidSignature) -> bytes:
-    """Rank of every subset, indexed by mask, from whole-lattice integer ops.
+def _rank_lattice(m: MatroidSignature) -> tuple[int, bytes]:
+    """The independent sets of m, as a lattice value, and the rank of every
+    subset, indexed by mask, from whole-lattice integer ops.
 
     The bases are marked 0xFF and closed downward, one shift per element:
     a subset is marked iff it lies in a basis, that is iff it is
-    independent.  Each independent nonempty I then gets the byte
-    2^(|I| - 1), and an upward closure ORs into every s the bytes of the
-    independent sets inside it.  Bit k - 1 of the byte at s is thus set iff
-    s holds an independent k-set, so the rank of s, the size of its largest
-    independent subset, is the byte's bit length.  Neither the rank field
-    nor any order of the bases is read.  The table is `bytes`, one rank
-    per subset.
+    independent, and this marking is the lattice value returned.  Each
+    independent nonempty I then gets the byte 2^(|I| - 1), and an upward
+    closure ORs into every s the bytes of the independent sets inside it.
+    Bit k - 1 of the byte at s is thus set iff s holds an independent k-set,
+    so the rank of s, the size of its largest independent subset, is the
+    byte's bit length.  Neither the rank field nor any order of the bases is
+    read.  The rank table is `bytes`, one rank per subset.  A basis mask
+    outside the ground set is refused with a `ValueError`.
     """
     n = m.ground_size
-    lack, has, low, _, bit_length = _lattice(n)
-    marks = bytearray(1 << n)
-    for b in m.bases:
-        marks[b] = 255
+    lack, has, _, low, _, _, bit_length = _lattice(n)
+    size = 1 << n
+    marks = bytearray(size)
+    try:
+        # bytes() refuses a mask outside 0..255, and marks[b] one at or above size
+        for b in bytes(m.bases):
+            marks[b] = 255
+    except (ValueError, IndexError):
+        bad = next(b for b in m.bases if not 0 <= b < size)
+        raise ValueError(f"basis mask {bad} lies outside the ground set of size {n}") from None
     indep = int.from_bytes(marks, "little")
-    for i in range(n):
-        indep |= indep >> (8 << i) & lack[i]
+    for shift, without in lack:
+        indep |= indep >> shift & without
     sizes = indep & low
-    for i in range(n):
-        sizes |= sizes << (8 << i) & has[i]
-    return sizes.to_bytes(1 << n, "little").translate(bit_length)
+    for shift, with_i in has:
+        sizes |= sizes << shift & with_i
+    return indep, sizes.to_bytes(size, "little").translate(bit_length)
 
 
 @cache
@@ -377,15 +398,15 @@ def _in_many_flats(n: int, rk: bytes, t: int, c: int) -> bool:
     """
     if t < 1 or n < c:
         return False
-    lack, _, _, ones, _ = _lattice(n)
+    lack, _, _, _, ones, _, _ = _lattice(n)
     level = int.from_bytes(rk.translate(_marking(t, 1)), "little")
     below = int.from_bytes(rk.translate(_marking(t - 1, 0xF8)), "little")
     grown = 0
-    for i in range(n):
-        grown |= level >> (8 << i) & lack[i]
+    for shift, without in lack:
+        grown |= level >> shift & without
     counts = level & ~grown
-    for i in range(n):
-        counts += counts >> (8 << i) & lack[i]
+    for shift, without in lack:
+        counts += counts >> shift & without
     return (counts + (8 - c) * ones) & below != 0
 
 
@@ -430,61 +451,52 @@ def minor_check(m: MatroidSignature) -> bool:
     if m.ground_size > HARD_CAP:
         raise ValueError(f"minor_check capped at ground size {HARD_CAP}")
     n = m.ground_size
-    rk = _rank_table(m)
+    rk = _rank_lattice(m)[1]
     return not _has_u24_minor(n, rk) and not _has_mk4_minor(n, rk)
 
 
-@cache
-def _single_bits() -> tuple[tuple[int, ...], ...]:
-    # entry b: the single-bit masks of the set bits of byte mask b, in increasing order
-    return tuple(tuple(1 << i for i in range(HARD_CAP) if b >> i & 1) for b in range(256))
+def check_basis_exchange(m: MatroidSignature, rng: random.Random | None = None) -> bool:
+    """True iff the bases are the basis family of a matroid, decided exactly
+    on the subset lattice.
 
+    A down-closed family is the independent sets of a matroid iff, inside
+    every set, all maximal independent subsets have one size (Oxley,
+    *Matroid Theory*, 2nd ed., ch. 1).  With cl(I) = I + {e : I + e is
+    dependent}, that holds iff r(cl(I)) = |I| for every independent I: if
+    some independent J larger than I had no e in J - I with I + e
+    independent, J would lie in cl(I), so r(cl(I)) >= |J|, and in a matroid
+    cl(I) is the closure of I, of rank |I|.  The bases of that matroid are
+    the maximal members of the family, which are all of them iff they have
+    one size.  So the check passes iff the bases are nonempty, each of the
+    rank of the ground set, and r(cl(I)) = |I| for every independent I.  An
+    empty basis sequence fails at once.
 
-def check_basis_exchange(m: MatroidSignature, rng: random.Random) -> bool:
-    """Randomized spot check of the basis-exchange axiom, in 40 trials.
+    The cost is that of `_rank_lattice` (which refuses a mask outside the
+    ground set) and, per element, one shift, mask and OR that write cl(s)
+    as the byte at every independent s (s itself at every dependent s).
+    One C-level `bytes.translate` through the rank table then reads
+    r(cl(s)) for every s, and the check is one comparison with the rank
+    table.  No pair of bases is visited.
 
-    Each pick is rng.choice's draw written out (CPython's
-    _randbelow_with_getrandbits: getrandbits(len.bit_length()) until below
-    len), so the rng advances exactly as three rng.choice calls per trial
-    would, without their per-call overhead.  The elements of a set are read
-    from one fixed table over the byte masks (`_single_bits`), which
-    `HARD_CAP` <= 8 makes cover every mask.  A matroid has a basis, so an
-    empty basis sequence fails at once, with no draw.
+    `rng` is ignored and never drawn from, so its state is unchanged; it is
+    accepted so that callers written for the seeded random spot check this
+    exact test replaced keep working.
     """
     if m.ground_size > HARD_CAP:
         raise ValueError(f"check_basis_exchange capped at ground size {HARD_CAP}")
     bases = m.bases
     if not bases:
         return False
-    bits = _single_bits()
-    base_set = set(bases)
-    getrandbits = rng.getrandbits
-    n_bases = len(bases)
-    width = n_bases.bit_length()
-    for _ in range(40):
-        i = getrandbits(width)
-        while i >= n_bases:
-            i = getrandbits(width)
-        b1 = bases[i]
-        i = getrandbits(width)
-        while i >= n_bases:
-            i = getrandbits(width)
-        b2 = bases[i]
-        out_bits = b1 & ~b2
-        if not out_bits:
-            continue
-        outs = bits[out_bits]
-        n_outs = len(outs)
-        i = getrandbits(n_outs.bit_length())
-        while i >= n_outs:
-            i = getrandbits(n_outs.bit_length())
-        stripped = b1 ^ outs[i]
-        for bit in bits[b2 & ~b1]:
-            if stripped | bit in base_set:
-                break
-        else:
-            return False
-    return True
+    n = m.ground_size
+    indep, rk = _rank_lattice(m)
+    ranks = rk + bytes(256 - len(rk))  # a translate table from masks to ranks
+    if bytes(bases).translate(ranks).count(rk[-1]) != len(bases):
+        return False  # bases of two sizes
+    _, _, adds, _, _, closure, _ = _lattice(n)
+    for shift, add in adds:
+        # 2^i at every independent s without i for which s + i is dependent
+        closure |= (indep ^ indep >> shift) & add
+    return closure.to_bytes(1 << n, "little").translate(ranks) == rk
 
 
 # ---------------------------------------------------------------------------

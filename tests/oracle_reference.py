@@ -37,6 +37,11 @@ E block vectors once per partition.  `set_partitions` and `quasi_counts`
 keep that sum, over C and E rows that `catalog_rows` recounts from the
 catalog rank by rank.
 
+Before the lattice test, the oracle's `check_basis_exchange` drew 40
+seeded random exchanges and could miss a violation.  `basis_exchange`
+checks the axiom over every pair of bases and every element, exactly, to
+check the lattice test against.
+
 `compositions` lists the compositions of an integer, for the literal
 composition sums that the tests check the dynamic programs of combinum,
 powerseries and verify against.
@@ -274,6 +279,21 @@ def has_mk4_minor(n: int, rk: list[int]) -> bool:
             ):
                 return True
     return False
+
+
+_SINGLE_BITS = [[1 << i for i in range(8) if m >> i & 1] for m in range(256)]
+
+
+def basis_exchange(bases) -> bool:
+    """True iff `bases`, masks below 256, are the basis family of a
+    matroid: they are nonempty, and for all B1 and B2 among them and every
+    e in B1 - B2 some f in B2 - B1 makes B1 - e + f one of them.  Repeated
+    masks count once."""
+    base_set = set(bases)
+    return bool(base_set) and all(
+        any(b1 ^ e | f in base_set for f in _SINGLE_BITS[b2 & ~b1])
+        for b1 in base_set for b2 in base_set for e in _SINGLE_BITS[b1 & ~b2]
+    )
 
 
 def k4_signature() -> MatroidSignature:

@@ -8,9 +8,8 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations, permutations
-from operator import or_
 from pathlib import Path
 
 import pytest
@@ -116,7 +115,7 @@ def test_series_is_dual_of_parallel(data):
 
 def test_rank_table_matches_rank_of_subset():
     for m in SMALL_CATALOG + [U24, k4_signature()]:
-        table = oracle._rank_table(m)
+        table = oracle._rank_lattice(m)[1]
         assert len(table) == 1 << m.ground_size
         for mask, r in enumerate(table):
             assert r == rank_of_subset(m, mask), (m, mask)
@@ -132,15 +131,15 @@ def test_rank_table_ignores_the_rank_field():
     # U_{2,4}'s bases under a wrong rank field give U_{2,4}'s rank table
     for rank in (1, 3):
         wrong = MatroidSignature(4, rank, U24.bases)
-        assert list(oracle._rank_table(wrong)) == oracle_reference.rank_table(wrong)
-        assert oracle._rank_table(wrong) == oracle._rank_table(U24)
+        assert list(oracle._rank_lattice(wrong)[1]) == oracle_reference.rank_table(wrong)
+        assert oracle._rank_lattice(wrong)[1] == oracle._rank_lattice(U24)[1]
 
 
 def test_rank_table_matches_reference_on_every_catalog_matroid():
     catalog = [e.sig for n in range(1, 8) for e in enumerate_connected(n)]
     assert len(catalog) == 6041
     for m in catalog:
-        assert list(oracle._rank_table(m)) == oracle_reference.rank_table(m), m
+        assert list(oracle._rank_lattice(m)[1]) == oracle_reference.rank_table(m), m
 
 
 def _uniform(r, n):
@@ -199,7 +198,7 @@ NOT_SERIES_PARALLEL = [
 def test_minor_search_matches_reference_off_the_series_parallel_class():
     assert len(NOT_SERIES_PARALLEL) == 116
     for m in NOT_SERIES_PARALLEL:
-        n, rk = m.ground_size, oracle._rank_table(m)
+        n, rk = m.ground_size, oracle._rank_lattice(m)[1]
         u24 = oracle._has_u24_minor(n, rk)
         assert u24 == oracle_reference.has_u24_minor(n, rk), m
         if not u24:
@@ -226,7 +225,7 @@ def test_u24_hyperplane_count_matches_point_search():
     for name, sigs in cases.items():
         with_u24[name] = with_mk4[name] = 0
         for m in sigs:
-            n, rk = m.ground_size, oracle._rank_table(m)
+            n, rk = m.ground_size, oracle._rank_lattice(m)[1]
             got = oracle._has_u24_minor(n, rk)
             assert got == oracle_reference.has_u24_minor_by_points(n, rk), (name, m)
             with_u24[name] += got
@@ -313,15 +312,6 @@ def test_mk4_literal():
 BITS_OF = [[1 << i for i in range(6) if m >> i & 1] for m in range(64)]  # six labels
 
 
-def _exchange_holds(bases):
-    # the basis-exchange axiom, checked exactly over every pair of bases
-    base_set = set(bases)
-    return all(
-        any(b1 ^ e | f in base_set for f in BITS_OF[b2 & ~b1])
-        for b1 in bases for b2 in bases for e in BITS_OF[b1 & ~b2]
-    )
-
-
 @cache
 def _six_label_rank3():
     # every rank-3 matroid on six labels with 16 bases
@@ -329,7 +319,7 @@ def _six_label_rank3():
     matroids = []
     for dependent in combinations(triples, 4):
         bases = tuple(t for t in triples if t not in dependent)
-        if _exchange_holds(bases):
+        if oracle_reference.basis_exchange(bases):
             matroids.append(MatroidSignature(6, 3, bases))
     return matroids
 
@@ -350,7 +340,7 @@ def test_mk4_test_is_sixteen_bases_without_a_parallel_pair():
     assert len(matroids) == 60
     with_u24 = wrong_without_precondition = 0
     for m in matroids:
-        rk = oracle._rank_table(m)
+        rk = oracle._rank_lattice(m)[1]
         is_mk4 = canonical(m.bases) == mk4
         no_parallel_pair = all(rk[p] == 2 for p in map(sum, combinations(BITS_OF[63], 2)))
         wrong_without_precondition += no_parallel_pair != is_mk4
@@ -568,17 +558,30 @@ def test_minor_check_catches_planted_minor():
 
 
 def test_basis_exchange_spot_checks():
+    # the call shape of a caller that passes an rng: the rng is never drawn from
     rng = random.Random(11)
+    state = rng.getstate()
     for n in range(1, 6):
         for entry in enumerate_connected(n):
             assert check_basis_exchange(entry.sig, rng)
+    assert rng.getstate() == state
+
+
+def test_every_catalog_matroid_up_to_seven_passes_both_checks():
+    catalog = [e.sig for n in range(1, 8) for e in enumerate_connected(n)]
+    assert len(catalog) == 6041
+    for m in catalog:
+        assert minor_check(m), m
+        assert check_basis_exchange(m), m
+
+
+FAKE = MatroidSignature(4, 2, (0b0011, 0b1100))  # {1,2} and {3,4} as "bases"
 
 
 def test_basis_exchange_rejects_non_matroid():
     # {1,2} and {3,4} as "bases" violate exchange.
-    fake = MatroidSignature(4, 2, (0b0011, 0b1100))
     rng = random.Random(3)
-    assert not check_basis_exchange(fake, rng)
+    assert not check_basis_exchange(FAKE, rng)
 
 
 def test_basis_exchange_fails_an_empty_basis_tuple_without_a_draw():
@@ -592,45 +595,53 @@ def test_basis_exchange_fails_an_empty_basis_tuple_without_a_draw():
     assert rng.getstate() == state
 
 
-def test_single_bits_table_splits_every_byte():
-    # an entry missing a bit would leave check_basis_exchange drawing from an
-    # empty candidate list, getrandbits(0), forever instead of failing
-    table = oracle._single_bits()
-    assert len(table) == 256
-    for b, masks in enumerate(table):
-        assert all(m > 0 and m & (m - 1) == 0 for m in masks), b
-        assert all(lo < hi for lo, hi in zip(masks, masks[1:])), b
-        assert reduce(or_, masks, 0) == b
+def _verdict_without_a_draw(m, seed):
+    # check_basis_exchange's verdict, asserting that the rng passed is untouched
+    rng = random.Random(seed)
+    state = rng.getstate()
+    verdict = check_basis_exchange(m, rng)
+    assert rng.getstate() == state
+    return verdict
 
 
-def ground_loop_basis_exchange(m, rng):
-    # the candidate lists built by a loop over the whole ground set
-    base_set = set(m.bases)
-    for _ in range(40):  # check_basis_exchange's trials
-        b1 = rng.choice(m.bases)
-        b2 = rng.choice(m.bases)
-        out_bits = b1 & ~b2
-        if not out_bits:
-            continue
-        e = rng.choice([i for i in range(m.ground_size) if out_bits >> i & 1])
-        stripped = b1 & ~(1 << e)
-        in_bits = b2 & ~b1
-        swaps = [i for i in range(m.ground_size) if in_bits >> i & 1]
-        if not any(stripped | (1 << f) in base_set for f in swaps):
-            return False
-    return True
-
-
-def test_basis_exchange_draws_as_ground_loop_reference():
-    # same verdict and the same rng draws, so every seeded sweep is unchanged
+def test_basis_exchange_equals_all_pairs_reference():
     sigs = [entry.sig for n in range(1, 7) for entry in enumerate_connected(n)]
     for n in (7, HARD_CAP):  # up to the enumeration cap
         sigs += [e.sig for e in random.Random(n).sample(enumerate_connected(n), 100)]
-    sigs.append(MatroidSignature(4, 2, (0b0011, 0b1100)))
+    sigs.append(FAKE)
     for seed, sig in enumerate(sigs):
-        fast, slow = random.Random(seed), random.Random(seed)
-        assert check_basis_exchange(sig, fast) == ground_loop_basis_exchange(sig, slow)
-        assert fast.getstate() == slow.getstate()
+        assert _verdict_without_a_draw(sig, seed) == oracle_reference.basis_exchange(sig.bases), sig
+
+
+def test_basis_exchange_finds_the_needle_a_spot_check_misses():
+    # U_{3,7} without the bases {1,2,5}, {2,3,5} and {1,3,7} (masks 19, 22
+    # and 69) is no matroid: for B1 = {2,4,5}, B2 = {1,2,3} and e = 4 the
+    # only candidates B1 - 4 + 1 and B1 - 4 + 3 are the removed {1,2,5} and
+    # {2,3,5}.  Six of its 32 * 32 pairs fail, and a seeded spot check of 40
+    # random exchanges passed it at 15 of the seeds 0 to 19.
+    triples = {sum(1 << i for i in c) for c in combinations(range(7), 3)}
+    needle = MatroidSignature(7, 3, tuple(sorted(triples - {19, 22, 69})))
+    assert not oracle_reference.basis_exchange(needle.bases)
+    assert not check_basis_exchange(needle)
+
+
+def _families(max_n):
+    # random families of masks on [n]: any sizes, repeats and the empty
+    # family, or some of the k-subsets, so that matroids come up often
+    def on(n):
+        k_sets = st.integers(0, n).map(
+            lambda k: sorted(sum(1 << i for i in c) for c in combinations(range(n), k)))
+        return st.one_of(
+            st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+            k_sets.flatmap(lambda sets: st.lists(st.sampled_from(sets), max_size=len(sets) + 2)),
+        ).map(lambda bases: MatroidSignature(n, 0, tuple(bases)))
+    return st.integers(0, max_n).flatmap(on)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_families(5), st.integers(0, 2**32))
+def test_basis_exchange_equals_all_pairs_reference_on_random_families(m, seed):
+    assert _verdict_without_a_draw(m, seed) == oracle_reference.basis_exchange(m.bases)
 
 
 def test_basis_exchange_on_direct_sums_up_to_the_cap():
@@ -642,17 +653,13 @@ def test_basis_exchange_on_direct_sums_up_to_the_cap():
             m = direct_sum(rng.choice(enumerate_connected(n1)).sig,
                            rng.choice(enumerate_connected(ground_size - n1)).sig)
             assert m.ground_size == ground_size
-            fast, slow = random.Random(m.rank), random.Random(m.rank)
-            assert check_basis_exchange(m, fast)
-            assert ground_loop_basis_exchange(m, slow)
-            assert fast.getstate() == slow.getstate()
+            assert _verdict_without_a_draw(m, m.rank)
+            assert oracle_reference.basis_exchange(m.bases)
 
 
-def test_basis_exchange_draws_as_ground_loop_reference_on_direct_sums():
+def test_basis_exchange_equals_all_pairs_reference_on_direct_sums():
     # seeded direct sums with ground size 5 to HARD_CAP, some with the
-    # non-matroid of test_basis_exchange_rejects_non_matroid as a summand:
-    # the same verdict and the same rng draws as the reference
-    fake = MatroidSignature(4, 2, (0b0011, 0b1100))
+    # non-matroid FAKE as a summand: the reference's verdict, no draw
     rng = random.Random(912)
 
     def pick(n):
@@ -663,15 +670,22 @@ def test_basis_exchange_draws_as_ground_loop_reference_on_direct_sums():
         for _ in range(6):
             n1 = rng.randint(1, ground_size - 1)
             for m in (direct_sum(pick(n1), pick(ground_size - n1)),
-                      direct_sum(fake, pick(ground_size - 4))):
+                      direct_sum(FAKE, pick(ground_size - 4))):
                 assert m.ground_size == ground_size
-                seed = rng.getrandbits(32)
-                fast, slow = random.Random(seed), random.Random(seed)
-                verdict = check_basis_exchange(m, fast)
-                assert verdict == ground_loop_basis_exchange(m, slow), m
-                assert fast.getstate() == slow.getstate()
+                verdict = _verdict_without_a_draw(m, rng.getrandbits(32))
+                assert verdict == oracle_reference.basis_exchange(m.bases), m
                 verdicts[verdict] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+
+
+@pytest.mark.parametrize("check", [minor_check, check_basis_exchange])
+def test_checks_refuse_a_mask_outside_the_ground_set(check):
+    for m, bad in ((MatroidSignature(2, 1, b"\x04"), 4),
+                   (MatroidSignature(3, 1, (1, 300)), 300),
+                   (MatroidSignature(3, 1, (-1, 1)), -1)):
+        with pytest.raises(ValueError, match=f"basis mask {bad} lies outside the ground set "
+                                             f"of size {m.ground_size}"):
+            check(m)
 
 
 def test_direct_sum_and_basis_exchange_refuse_past_the_cap():
@@ -685,7 +699,7 @@ def test_direct_sum_and_basis_exchange_refuse_past_the_cap():
 
 def test_concurrent_cold_basis_exchange_matches_serial(cold_memos):
     # sixteen threads, switching every microsecond, check the same n = 8
-    # entries from a cold bit table: each must read what a lone caller reads
+    # entries from a cold lattice table: each must read what a lone caller reads
     sigs = [e.sig for e in random.Random(16).sample(enumerate_connected(HARD_CAP), 40)]
 
     def run(seed):
