@@ -100,7 +100,7 @@ def run_oracle(max_n: int, compare: bool, dump_path: Path | None) -> tuple[str, 
     _check_range("--max-n", "oracle", "max_n", max_n, oracle.HARD_CAP)
     lines = [f"exhaustive enumeration up to n = {max_n}"]
     mismatches = []
-    for family in ("C", "E", "A", "S"):
+    for family in oracle.FAMILIES:
         start = FAMILY_START_N[family]
         rows = oracle.count_rows(family, max_n)[start:]
         wants = build_tables(max_n, family).rows if compare else rows
@@ -114,7 +114,7 @@ def run_oracle(max_n: int, compare: bool, dump_path: Path | None) -> tuple[str, 
     elif compare:
         lines.append("COMPARE: formula tables match enumeration for all four families")
     if dump_path is not None:
-        dump_path.write_text(oracle.dump_catalog(max_n), encoding="utf-8")
+        _write_file("--dump", dump_path, oracle.dump_catalog(max_n))
         lines.append(f"catalog dumped to {dump_path}")
     return "\n".join(lines) + "\n", 1 if mismatches else 0
 
@@ -131,6 +131,8 @@ def run_oeis_compare(sequence_id: str, bfile: Path | None) -> tuple[str, int]:
         raise ValueError(f"b-file not found: {path}")
     try:
         entries = parse_bfile(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"--bfile: cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"b-file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
@@ -147,11 +149,12 @@ def run_oeis_compare(sequence_id: str, bfile: Path | None) -> tuple[str, int]:
     return report.render(), 0 if report.ok else 1
 
 
-def _write_output(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
+def _write_file(option: str, path: Path, text: str) -> None:
+    """Write `text` to `path`, naming the user's option if that fails."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{option}: cannot write {path}: {exc.strerror}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +192,10 @@ def main(argv=None) -> int:
         if args.command == "table":
             _refuse_fixture_path("--out", args.out)
             text = run_table(args.family, args.max_n, args.format)
-            _write_output(text, args.out)
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
+                _write_file("--out", args.out, text)
             return 0
         if args.command == "verify":
             _check_range("--order", "verify", "order", args.order, VERIFY_MAX_ORDER)

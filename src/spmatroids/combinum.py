@@ -1,10 +1,9 @@
 """Exact combinatorial numbers.
 
-Double factorials, binomial coefficients, Stirling numbers of the second
-kind, derangement numbers refined by cycle count (the unsigned
-associated Stirling numbers of the first kind) and reciprocal composition
-sums.  Everything is exact: integers are unbounded and
-rational values are fractions.Fraction.
+Double factorials, Stirling numbers of the second kind, derangement
+numbers refined by cycle count (the unsigned associated Stirling numbers
+of the first kind) and reciprocal composition sums.  Everything is exact:
+integers are unbounded and rational values are fractions.Fraction.
 
 All functions are pure.  S2(b + c, b), D(k + c, k) and H(k + c, k) are
 memoised by diagonal c, as spcounts reads S2 and D, only as far as asked
@@ -20,32 +19,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
 from operator import add, mul
 from threading import Lock
-
-__all__ = [
-    "binomial",
-    "double_factorial",
-    "stirling2",
-    "assoc_stirling1",
-    "h_value",
-]
 
 _S2_DIAGS: list[list[int]] = [[1]]
 _D_DIAGS: list[list[int]] = [[1]]
 _H_DIAGS: list[list[Fraction]] = [[Fraction(1)]]
 _H_ZERO = Fraction(0)  # shared: Fractions are immutable
 _GROWTH = Lock()
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 outside the range 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def double_factorial(n: int) -> int:

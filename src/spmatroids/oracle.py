@@ -46,6 +46,7 @@ from operator import and_, itemgetter, or_
 from typing import Iterator, NamedTuple, Sequence
 
 HARD_CAP = 8  # at most 8, so that every basis mask built here fits a byte
+FAMILIES = ("C", "E", "A", "S")  # the families count_rows counts, in report order
 
 
 class MatroidSignature(NamedTuple):
@@ -70,8 +71,9 @@ class CatalogEntry(NamedTuple):
 
 # `bytes.translate` tables over byte masks, built on first use and kept:
 # _label_tables(e) gives the masks with e and the masks without e (as
-# deletion sets) and the table that adds e; _move_table(e, f) replaces e
-# by f.  They depend on the labels alone.
+# deletion sets) and the table that adds e; _swap_table(i, j) swaps i and
+# j, so on masks with e and without f it replaces e by f.  They depend on
+# the labels alone.
 @cache
 def _label_tables(e: int) -> tuple[bytes, bytes, bytes]:
     bit = 1 << (e - 1)
@@ -83,8 +85,11 @@ def _label_tables(e: int) -> tuple[bytes, bytes, bytes]:
 
 
 @cache
-def _move_table(e: int, f: int) -> bytes:
-    return bytes(b & ~(1 << (e - 1)) | 1 << (f - 1) for b in range(256))
+def _swap_table(i: int, j: int) -> bytes:
+    """The `bytes.translate` table that sends every byte mask to the same
+    mask with labels i and j swapped."""
+    swap = 1 << (i - 1) | 1 << (j - 1)
+    return bytes(b ^ swap if 0 < b & swap < swap else b for b in range(256))
 
 
 def parallel_extension(bases: Sequence[int], e: int, f: int) -> bytes:
@@ -96,11 +101,11 @@ def parallel_extension(bases: Sequence[int], e: int, f: int) -> bytes:
     old one, and taking the fixed bit e away from masks that all hold it
     keeps their order.  The map B -> B - e + f is injective, so no basis is
     repeated.  The new masks are one C-level `bytes.translate` through
-    kept 256-byte tables, which drops the masks without e and moves e to
-    f in the rest.
+    kept 256-byte tables, which drops the masks without e and swaps e and
+    f in the rest, none of which holds f.
     """
     bases = bytes(bases)
-    return bases + bases.translate(_move_table(e, f), _label_tables(e)[1])
+    return bases + bases.translate(_swap_table(e, f), _label_tables(e)[1])
 
 
 def series_extension(bases: Sequence[int], e: int, f: int) -> bytes:
@@ -118,13 +123,6 @@ def series_extension(bases: Sequence[int], e: int, f: int) -> bytes:
     with_e, _, add_e = _label_tables(e)
     bases = bytes(bases)
     return bases.translate(add_e, with_e) + bases.translate(_label_tables(f)[2])
-
-
-def _swap_table(i: int, j: int) -> bytes:
-    """The `bytes.translate` table that sends every byte mask to the same
-    mask with labels i and j swapped."""
-    swap = 1 << (i - 1) | 1 << (j - 1)
-    return bytes(b ^ swap if 0 < b & swap < swap else b for b in range(256))
 
 
 def _partners(bases: bytes, n: int) -> tuple[list[int], list[int]]:
@@ -187,8 +185,8 @@ def _reverse_search(parents, n: int) -> Iterator[CatalogEntry]:
     sorted bytes and label n is the top bit, above every parent mask, so
     `parallel_extension` and `series_extension` write M's bases in order,
     each once.  A swap of n with f reorders the masks, so each copy is one
-    `bytes.translate` through a 256-byte table (`_swap_table`), built once
-    per f, and sorted.
+    `bytes.translate` through a kept 256-byte table (`_swap_table`), and
+    sorted.
     """
     relabel = [_swap_table(f + 1, n) for f in range(n - 1)]  # labels n and f + 1 swapped
     for (_, rank, bases), _ in parents:
@@ -277,7 +275,7 @@ def count_rows(family: str, max_n: int) -> list[list[int]]:
     where C_m A_{n-m} multiplies two rank polynomials; S is the same sum
     over E.  n = 0 gives the empty matroid, counted once at rank 0.
     """
-    if family not in ("C", "E", "A", "S"):
+    if family not in FAMILIES:
         raise ValueError(f"unknown oracle family {family!r}; expected C, E, A or S")
     if max_n < 0:
         raise ValueError(f"count_rows needs max_n >= 0, got {max_n}")
@@ -312,32 +310,30 @@ def direct_sum(m1: MatroidSignature, m2: MatroidSignature) -> MatroidSignature:
 # excluded-minor characterization and basis exchange, on the subset lattice
 # ---------------------------------------------------------------------------
 
+# the `bytes.translate` table from each byte to its bit length
+_BIT_LENGTH = bytes(b.bit_length() for b in range(256))
+
+
 @cache
-def _lattice(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]],
-                              list[tuple[int, int]], int, int, int, bytes]:
+def _lattice(n: int) -> tuple[list[tuple[int, int, int]], int, int, int]:
     """The subset lattice of [n] as byte masks, built on first use per n.
 
     A lattice value is one integer with a byte per subset mask s, at bits
     8s to 8s + 7, so one shift by 8 << i moves every subset's byte onto the
-    subset with or without element i.  lack, has and adds hold one pair
-    (8 << i, mask) per element i, the shift beside its mask: the mask is
-    0xFF at the subsets without i in lack, 0xFF at those with i in has, and
-    2^i at those without i in adds.  low is 2^(|s| - 1) at every nonempty
-    s, ones is 1 and labels is s at every s, and bit_length maps each byte
-    to its bit length.
+    subset with or without element i.  steps holds one triple
+    (8 << i, without, add) per element i: without is 0xFF and add is 2^i
+    at the subsets without i, and both are 0 at those with i.  low is
+    2^(|s| - 1) at every nonempty s, and ones is 1 and labels is s at
+    every s.
     """
-    full = int.from_bytes(b"\xff" * (1 << n), "little")
-    ones = full // 255
-    lack, has, adds = [], [], []
+    ones = int.from_bytes(b"\x01" * (1 << n), "little")
+    steps = []
     for i in range(n):
         without = int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (1 << (n - 1 - i)), "little")
-        lack.append((8 << i, without))
-        has.append((8 << i, full ^ without))
-        adds.append((8 << i, without & ones << i))
+        steps.append((8 << i, without, without & ones << i))
     low = int.from_bytes(bytes((1 << s.bit_count()) >> 1 for s in range(1 << n)), "little")
     labels = int.from_bytes(bytes(range(1 << n)), "little")
-    bit_length = bytes(b.bit_length() for b in range(256))
-    return lack, has, adds, low, ones, labels, bit_length
+    return steps, low, ones, labels
 
 
 def _rank_lattice(m: MatroidSignature) -> tuple[int, bytes]:
@@ -356,7 +352,7 @@ def _rank_lattice(m: MatroidSignature) -> tuple[int, bytes]:
     outside the ground set is refused with a `ValueError`.
     """
     n = m.ground_size
-    lack, has, _, low, _, _, bit_length = _lattice(n)
+    steps, low, _, _ = _lattice(n)
     size = 1 << n
     marks = bytearray(size)
     try:
@@ -367,12 +363,12 @@ def _rank_lattice(m: MatroidSignature) -> tuple[int, bytes]:
         bad = next(b for b in m.bases if not 0 <= b < size)
         raise ValueError(f"basis mask {bad} lies outside the ground set of size {n}") from None
     indep = int.from_bytes(marks, "little")
-    for shift, without in lack:
+    for shift, without, _ in steps:
         indep |= indep >> shift & without
     sizes = indep & low
-    for shift, with_i in has:
-        sizes |= sizes << shift & with_i
-    return indep, sizes.to_bytes(size, "little").translate(bit_length)
+    for shift, without, _ in steps:
+        sizes |= (sizes & without) << shift
+    return indep, sizes.to_bytes(size, "little").translate(_BIT_LENGTH)
 
 
 @cache
@@ -398,14 +394,14 @@ def _in_many_flats(n: int, rk: bytes, t: int, c: int) -> bool:
     """
     if t < 1 or n < c:
         return False
-    lack, _, _, _, ones, _, _ = _lattice(n)
+    steps, _, ones, _ = _lattice(n)
     level = int.from_bytes(rk.translate(_marking(t, 1)), "little")
     below = int.from_bytes(rk.translate(_marking(t - 1, 0xF8)), "little")
     grown = 0
-    for shift, without in lack:
+    for shift, without, _ in steps:
         grown |= level >> shift & without
     counts = level & ~grown
-    for shift, without in lack:
+    for shift, without, _ in steps:
         counts += counts >> shift & without
     return (counts + (8 - c) * ones) & below != 0
 
@@ -492,8 +488,8 @@ def check_basis_exchange(m: MatroidSignature, rng: random.Random | None = None) 
     ranks = rk + bytes(256 - len(rk))  # a translate table from masks to ranks
     if bytes(bases).translate(ranks).count(rk[-1]) != len(bases):
         return False  # bases of two sizes
-    _, _, adds, _, _, closure, _ = _lattice(n)
-    for shift, add in adds:
+    steps, _, _, closure = _lattice(n)
+    for shift, _, add in steps:
         # 2^i at every independent s without i for which s + i is dependent
         closure |= (indep ^ indep >> shift) & add
     return closure.to_bytes(1 << n, "little").translate(ranks) == rk

@@ -48,10 +48,9 @@ from typing import NamedTuple
 
 from .combinum import _d_diagonals, _s2_diagonals, _s2_row, double_factorial
 
-FAMILIES = ("E", "C", "A", "S", "G")
-
 # rows of E, C and G start at n = 1; A and S include the empty matroid row
 FAMILY_START_N = {"E": 1, "C": 1, "A": 0, "S": 0, "G": 1}
+FAMILIES = tuple(FAMILY_START_N)
 
 
 class _TableFields(NamedTuple):

@@ -15,7 +15,8 @@ Rational identities are decided on one integer path: each side is an
 integer numerator over a common scale, and the numerators are compared.
 Fractions are built only for a failure's detail.  Every combinatorial
 number is read through stirling2, assoc_stirling1 and h_value by name,
-never from their memos, so a fault planted in one reaches every check.
+never from their memos, so a fault planted in one reaches every check;
+binomials come from `math.comb`.
 
 Four rows are flags: they document printed formula variants that are
 contradicted by direct computation and by exhaustive enumeration.  Their
@@ -33,7 +34,7 @@ from math import comb, factorial, lcm
 from typing import Callable, NamedTuple
 
 from . import oracle, spcounts
-from .combinum import assoc_stirling1, binomial, double_factorial, h_value, stirling2
+from .combinum import assoc_stirling1, double_factorial, h_value, stirling2
 from .powerseries import (
     BivariateSeries,
     _composition_sums,
@@ -218,7 +219,7 @@ def _lemma_row(m: int, k: int) -> list[int]:
     # sum_l y^l sum_p C(k,p) H(l,p) H(m-l,k-p), for m, k <= 10, times d^2,
     # d the denominator of the lifted H grid
     h, _ = _lifted_h_grid(h_value)
-    return [sum(binomial(k, p) * h[l][p] * h[m - l][k - p] for p in range(k + 1))
+    return [sum(comb(k, p) * h[l][p] * h[m - l][k - p] for p in range(k + 1))
             for l in range(m + 1)]
 
 
@@ -227,7 +228,7 @@ def _corollary_row(m: int, k: int, top: int) -> list[int]:
     # top!/k!; top = m+k is the corrected form, top = m-k the printed one
     return [
         sum(
-            binomial(top, l + p)
+            comb(top, l + p)
             * assoc_stirling1(l + p, p)
             * assoc_stirling1(m - l + k - p, k - p)
             for p in range(k + 1)
@@ -414,7 +415,7 @@ CHECKS = (
           "sum_p (-1)^(l+p) C(m+p, l+p) D(l+p, p) = S2(m+1, m-l+1)", "0 <= l <= m <= 12",
           lambda _: _first_failure(
               ((m, l) for m in range(13) for l in range(m + 1)),
-              lambda m, l: sum((-1) ** (l + p) * binomial(m + p, l + p)
+              lambda m, l: sum((-1) ** (l + p) * comb(m + p, l + p)
                                * assoc_stirling1(l + p, p) for p in range(l + 1)),
               lambda m, l: stirling2(m + 1, m - l + 1), "m, l")),
     Check("stirling-surjection-lemma",

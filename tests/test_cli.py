@@ -341,6 +341,19 @@ def test_oeis_missing_bfile_is_usage_error(tmp_path, capsys):
     assert err == f"error: b-file not found: {missing}\n"
 
 
+@pytest.mark.parametrize("argv, option, verb, path, reason", [
+    (["table", "--family", "E", "--max-n", "3", "--out"], "--out", "write",
+     "absent/x.csv", "No such file or directory"),
+    (["oracle", "--max-n", "3", "--dump"], "--dump", "write", ".", "Is a directory"),
+    (["oeis", "--id", "A140945", "--bfile"], "--bfile", "read", ".", "Is a directory"),
+])
+def test_file_errors_name_their_option(tmp_path, capsys, argv, option, verb, path, reason):
+    target = tmp_path / path
+    code, out, err = run_cli(capsys, *argv, str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: {option}: cannot {verb} {target}: {reason}\n"
+
+
 def test_oeis_unknown_id(capsys):
     code, _, err = run_cli(capsys, "oeis", "--id", "A000001")
     assert code == 2

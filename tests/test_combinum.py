@@ -23,7 +23,6 @@ from spmatroids import combinum, oracle, spcounts
 from oracle_reference import compositions
 from spmatroids.combinum import (
     assoc_stirling1,
-    binomial,
     double_factorial,
     h_value,
     stirling2,
@@ -67,15 +66,6 @@ def brute_derangement_counts(n: int) -> list[int]:
         if all(perm[i] != i for i in range(n)):
             counts[cycle_count(perm)] += 1
     return counts
-
-
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(4, 0) == 1
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_double_factorial():
@@ -210,7 +200,7 @@ def test_cold_memos_empties_every_memo(cold_memos):
               for name, obj in vars(module).items() if hasattr(obj, "cache_clear")]
     assert {(spcounts, "_count_rows"), (spcounts, "_e_row"),
             (oracle, "_level_counts"), (oracle, "_lattice"), (oracle, "_marking"),
-            (oracle, "_label_tables"), (oracle, "_move_table")} <= set(caches)
+            (oracle, "_label_tables"), (oracle, "_swap_table")} <= set(caches)
     assert all(getattr(module, name).cache_info().currsize for module, name in caches)
     cold_memos()
     for module, name in caches:

@@ -456,6 +456,17 @@ def test_swap_table_swaps_two_labels_on_every_mask():
                 assert table[mask] == sum(1 << (j - 1) for j in swapped), (n, i, mask)
 
 
+def test_swap_table_moves_a_label_on_every_mask_without_the_other():
+    # parallel_extension reads the swap table only on masks with e and without f
+    for e in range(1, 9):
+        for f in range(1, 9):
+            if e != f:
+                table = oracle._swap_table(e, f)
+                for b in range(256):
+                    if b >> (e - 1) & 1 and not b >> (f - 1) & 1:
+                        assert table[b] == b & ~(1 << e - 1) | 1 << f - 1, (e, f, b)
+
+
 def test_connected_count_rows_equal_a_literal_recount(cold_memos):
     # A and S are checked against the set-partition sum over the same recount
     # in test_quasi_counts_match_set_partition_sum

@@ -3,7 +3,7 @@
 import ast
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ from oracle_reference import compositions
 from spmatroids import combinum, powerseries, spcounts, verify
 from spmatroids.cli import main
 from spmatroids.powerseries import BivariateSeries
-from spmatroids.combinum import assoc_stirling1, binomial, h_value, stirling2
+from spmatroids.combinum import assoc_stirling1, h_value, stirling2
 from spmatroids.verify import CHECKS, run_verify
 
 EXPECTED_O12 = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "verify-o12.txt"
@@ -40,6 +40,54 @@ def test_flagged_items_present_with_evidence(default_report):
 
 def test_default_report_matches_golden_text(default_report):
     assert default_report.render() == EXPECTED_O12.read_text(encoding="utf-8")
+
+
+# (first case, last case, number of cases) of every grid row at order 12,
+# so a range that starts or stops one step off fails here even where the
+# printed range text stays the same
+GRID_CASES = {
+    # the text says 0 <= n, k <= 40, but the cases start at n = 1: see the
+    # FOUND line on assoc-stirling-recursion in CHANGES.md and ROADMAP item 1b
+    "assoc-stirling-recursion": ((1, 0), (40, 40), 1640),
+    "assoc-stirling-vanishing": ((0, 1), (40, 40), 1240),
+    "assoc-stirling-closed-forms": ((0, 0), (42, 20), 63),
+    "stirling-alternating-lemma": ((0, 0), (12, 12), 91),
+    "stirling-surjection-lemma": ((1, 0, 0), (8, 8, 16), 684),
+    "reciprocal-sum-recursion": ((1, 1), (24, 24), 300),
+    "reciprocal-sum-vs-derangements": ((0, 0), (24, 24), 325),
+    "reciprocal-composition-lemma": ((0, 0), (10, 10), 121),
+    "reciprocal-corollary-corrected": ((0, 0), (10, 10), 121),
+    "series-inverse-palindromy": ((1, 0), (12, 11), 78),
+    "series-inverse-integrality": ((1, 0), (12, 12), 90),
+    "counts-e-route-agreement": ((1, 0), (40, 40), 860),
+    "counts-c-vs-inverse-coefficients": ((2, 0), (30, 30), 493),
+    "counts-c-duality": ((1, 0), (30, 30), 495),
+    "counts-stirling-convolution": ((2, 0), (20, 20), 228),
+    "counts-e-vanishing": ((2, 1), (40, 20), 400),
+}
+
+
+def test_grid_rows_walk_their_pinned_cases(monkeypatch):
+    # rows read _first_failure as a module global when called, so the
+    # recorder sees every grid row; each row's detail names the row first
+    real, current, seen = verify._first_failure, [], {}
+
+    def named(check):
+        def detail(order):
+            current.append(check.name)
+            return check.detail(order)
+        return check._replace(detail=detail)
+
+    def recording(cases, *args, **kwargs):
+        cases = list(cases)
+        assert current[-1] not in seen, current[-1]
+        seen[current[-1]] = (cases[0], cases[-1], len(cases))
+        return real(cases, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "CHECKS", tuple(map(named, CHECKS)))
+    monkeypatch.setattr(verify, "_first_failure", recording)
+    assert run_verify(12).ok
+    assert seen == GRID_CASES
 
 
 def test_surjection_inner_equals_literal_fraction_sum():
@@ -82,7 +130,7 @@ def test_reciprocal_lemma_and_corollary_equal_literal_fraction_sums():
         for k in range(11):
             lemma = tuple(
                 sum(
-                    binomial(k, p) * h_value(l, p) * h_value(m - l, k - p)
+                    comb(k, p) * h_value(l, p) * h_value(m - l, k - p)
                     for p in range(k + 1)
                 )
                 for l in range(m + 1)
@@ -90,7 +138,7 @@ def test_reciprocal_lemma_and_corollary_equal_literal_fraction_sums():
             corollary = tuple(
                 Fraction(factorial(k), factorial(m + k))
                 * sum(
-                    binomial(m + k, l + p)
+                    comb(m + k, l + p)
                     * assoc_stirling1(l + p, p)
                     * assoc_stirling1(m - l + k - p, k - p)
                     for p in range(k + 1)
