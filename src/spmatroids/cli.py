@@ -62,6 +62,9 @@ def render_json(table: TriangularCountTable) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+RENDERERS = {"csv": render_csv, "json": render_json, "bfile": render_bfile}
+
+
 def _check_range(option: str, command: str, name: str, value: int, cap: int) -> None:
     """Raise, naming the user's option, unless 1 <= value <= cap."""
     if value < 1:
@@ -73,14 +76,7 @@ def _check_range(option: str, command: str, name: str, value: int, cap: int) -> 
 def run_table(family: str, max_n: int, fmt: str) -> str:
     """Render one family's triangle in the requested format."""
     _check_range("--max-n", "table", "max_n", max_n, TABLE_MAX_N)
-    table = build_tables(max_n, family)
-    if fmt == "csv":
-        return render_csv(table)
-    if fmt == "json":
-        return render_json(table)
-    if fmt == "bfile":
-        return render_bfile(table)
-    raise ValueError(f"unknown format {fmt!r}")
+    return RENDERERS[fmt](build_tables(max_n, family))
 
 
 def _refuse_fixture_path(option: str, path: Path | None) -> None:
@@ -126,23 +122,18 @@ def run_oeis_compare(sequence_id: str, bfile: Path | None) -> tuple[str, int]:
     if mapping is None:
         raise ValueError(f"--id: no sequence mapping configured for {sequence_id!r}; "
                          f"configured: {', '.join(config.sequence_map)}")
-    path = bfile if bfile is not None else bfile_path(config, sequence_id)
-    if not path.exists():
-        raise ValueError(f"b-file not found: {path}")
+    option, path = (("--bfile", bfile) if bfile is not None
+                    else ("--id", bfile_path(config, sequence_id)))
     try:
         entries = parse_bfile(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ValueError(f"--bfile: cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(
-            f"b-file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
-        ) from None
-    except ValueError as exc:  # BFileParseError, which names the line
-        raise ValueError(f"b-file {path}: {exc}") from None
+        raise ValueError(f"{option}: cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # UnicodeDecodeError, or BFileParseError naming the line
+        raise ValueError(f"{option}: cannot read {path}: {exc}") from None
     last = bfile_last_row(mapping.family, len(entries))  # so every entry is compared
     if last > TABLE_MAX_N:
         raise ValueError(
-            f"b-file {path} runs to row n = {last}, past the table cap of {TABLE_MAX_N}"
+            f"{option}: {path} runs to row n = {last}, past the table cap of {TABLE_MAX_N}"
         )
     table = build_tables(max(last, 1), mapping.family)
     report = compare_with_bfile(mapping, table, entries)
@@ -168,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="emit one family's count triangle")
     p_table.add_argument("--family", required=True, choices=FAMILIES)
     p_table.add_argument("--max-n", type=int, required=True)
-    p_table.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
+    p_table.add_argument("--format", choices=tuple(RENDERERS), default="csv")
     p_table.add_argument("--out", type=Path)
 
     p_verify = sub.add_parser("verify", help="run the identity verification suites")

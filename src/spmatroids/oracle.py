@@ -276,7 +276,7 @@ def count_rows(family: str, max_n: int) -> list[list[int]]:
     over E.  n = 0 gives the empty matroid, counted once at rank 0.
     """
     if family not in FAMILIES:
-        raise ValueError(f"unknown oracle family {family!r}; expected C, E, A or S")
+        raise ValueError(f"unknown oracle family {family!r}; expected one of {FAMILIES}")
     if max_n < 0:
         raise ValueError(f"count_rows needs max_n >= 0, got {max_n}")
     if family in ("A", "S"):

@@ -12,8 +12,8 @@ series_log, the composition, series_reverse_x and lagrange_invert are what
 the verification suites check the integer count rows of spcounts against.
 Series constant in y, such as e^x and e^x - 1, are BivariateSeries too.
 
-Storage and every operation are fraction-free; `rows` and `coeff` read
-the coefficients as Fractions.  An operation brings its input rows to
+Storage and every operation are fraction-free; `rows` reads the
+coefficients as Fractions.  An operation brings its input rows to
 integer numerators over their lcm denominator, runs its recurrence in
 integers with an in-place multiply-accumulate, and reduces each output row
 by one gcd at _fit_row.  exp, log and reversion solve their rows one after
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-
-Poly = tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +122,8 @@ class BivariateSeries:
                         "expected int or Fraction"
                     )
             # reduced entries over their lcm have numerators coprime to it
-            d = lcm(*(c.denominator for c in row))
-            num.append(tuple(c.numerator * (d // c.denominator) for c in row))
+            (nums,), d = _lift([row])
+            num.append(tuple(nums))
             den.append(d)
         self._order = order
         self._num = tuple(num)
@@ -157,7 +155,7 @@ class BivariateSeries:
         return self._order
 
     @property
-    def rows(self) -> tuple[Poly, ...]:
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         # Built on first read; two threads may both build it, to equal values.
         view = self._view
         if view is None:
@@ -165,18 +163,6 @@ class BivariateSeries:
                 tuple(Fraction(v, d) for v in row) for row, d in zip(self._num, self._den)
             )
         return view
-
-    def coeff(self, n: int, k: int) -> Fraction:
-        """Coefficient of y^k x^n.  Reading beyond the stored order is an error."""
-        if n < 0 or n > self._order:
-            raise ValueError(f"x-degree {n} outside stored order {self._order}")
-        if k < 0 or k > n:
-            return Fraction(0)
-        return Fraction(self._num[n][k], self._den[n])
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateSeries":
-        return cls._of(order, [((0,) * (n + 1), 1) for n in range(order + 1)])
 
     @classmethod
     def x(cls, order: int) -> "BivariateSeries":

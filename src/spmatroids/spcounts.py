@@ -181,18 +181,6 @@ def _c_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def g_closed(n: int, l: int) -> int:
-    """Normalized inverse-series coefficient G(n, l).
-
-    The printed sum sum_{j=0}^{l} (-1)^(j+l) D(j+l, j) S2(n+j, j+l+1) is
-    term by term C's sum for C(n+1, l+1), so this reads _c_row(n + 1)[l + 1];
-    zero outside 0 <= l <= n - 1.  Satisfies the palindromy
-    G(n, l) = G(n, n-1-l).  Only verify's gf-inverse-closed-form and
-    gf-integral-identity tie G to the compositional inverse of F.
-    """
-    return _c_row(n + 1)[l + 1] if n >= 1 and 0 <= l < n else 0
-
-
 def e_from_c(max_n: int) -> TriangularCountTable:
     """Recover the E table from c_closed by inverting the parallel-class sum.
 

@@ -330,15 +330,8 @@ def test_oeis_bfile_past_the_table_cap_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "oeis", "--id", "A140945", "--bfile", str(bfile))
     assert code == 2 and out == ""
     assert err == (
-        f"error: b-file {bfile} runs to row n = 151, past the table cap of {TABLE_MAX_N}\n"
+        f"error: --bfile: {bfile} runs to row n = 151, past the table cap of {TABLE_MAX_N}\n"
     )
-
-
-def test_oeis_missing_bfile_is_usage_error(tmp_path, capsys):
-    missing = tmp_path / "absent.txt"
-    code, out, err = run_cli(capsys, "oeis", "--id", "A140945", "--bfile", str(missing))
-    assert code == 2 and out == ""
-    assert err == f"error: b-file not found: {missing}\n"
 
 
 @pytest.mark.parametrize("argv, option, verb, path, reason", [
@@ -346,12 +339,23 @@ def test_oeis_missing_bfile_is_usage_error(tmp_path, capsys):
      "absent/x.csv", "No such file or directory"),
     (["oracle", "--max-n", "3", "--dump"], "--dump", "write", ".", "Is a directory"),
     (["oeis", "--id", "A140945", "--bfile"], "--bfile", "read", ".", "Is a directory"),
+    (["oeis", "--id", "A140945", "--bfile"], "--bfile", "read",
+     "absent.txt", "No such file or directory"),
 ])
 def test_file_errors_name_their_option(tmp_path, capsys, argv, option, verb, path, reason):
     target = tmp_path / path
     code, out, err = run_cli(capsys, *argv, str(target))
     assert code == 2 and out == ""
     assert err == f"error: {option}: cannot {verb} {target}: {reason}\n"
+
+
+def test_fixture_read_error_names_the_id_option(tmp_path, monkeypatch, capsys):
+    # without --bfile the path comes from --id and the fixtures directory
+    monkeypatch.setenv("SPM_FIXTURES", str(tmp_path))
+    code, out, err = run_cli(capsys, "oeis", "--id", "A140945")
+    assert code == 2 and out == ""
+    fixture = tmp_path / "b140945.txt"
+    assert err == f"error: --id: cannot read {fixture}: No such file or directory\n"
 
 
 def test_oeis_unknown_id(capsys):
@@ -369,8 +373,8 @@ def test_oeis_unknown_id_names_the_option_and_the_configured_ids(capsys):
 
 @pytest.mark.parametrize(
     "payload, messages",
-    [(b"1 1\ngarbage\n", ("b-file {path}", "line 2")),
-     (b"\xff\xfe1 2\n", ("b-file {path} is not UTF-8",))],
+    [(b"1 1\ngarbage\n", ("error: --bfile: cannot read {path}: line 2: ",)),
+     (b"\xff\xfe1 2\n", ("error: --bfile: cannot read {path}: ", "can't decode byte 0xff"))],
     ids=["garbage-line", "not-utf8"],
 )
 def test_oeis_parse_error_is_usage_error(tmp_path, capsys, payload, messages):

@@ -379,8 +379,9 @@ def test_enumerate_caps():
 
 
 def test_count_rows_refuses_unknown_family_and_negative_max_n():
-    with pytest.raises(ValueError, match="family 'G'"):
+    with pytest.raises(ValueError, match="family 'G'") as refused:
         count_rows("G", 4)
+    assert str(oracle.FAMILIES) in str(refused.value)
     for family in ("C", "A"):
         with pytest.raises(ValueError, match="max_n >= 0"):
             count_rows(family, -1)

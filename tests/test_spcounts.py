@@ -20,7 +20,6 @@ from spmatroids.spcounts import (
     e_from_c,
     e_special,
     egf_exp,
-    g_closed,
 )
 from spmatroids.verify import count_series
 
@@ -130,7 +129,7 @@ def test_egf_exp_shares_nothing_with_the_series_exp_it_is_checked_against():
 
 def test_printed_g_in_verify_shares_nothing_with_the_c_rows():
     # verify's second side of C(n, l) = G(n-1, l-1) is the printed G sum itself
-    forbidden = {"c_closed", "g_closed", "_c_row", "_count_rows", "count_series", "build_tables"}
+    forbidden = {"c_closed", "_c_row", "_count_rows", "count_series", "build_tables"}
     assert _names_in("_printed_g", verify).isdisjoint(forbidden)
 
 
@@ -151,20 +150,22 @@ def test_c_duality():
 
 
 def test_g_closed_values():
-    assert g_closed(2, 0) == 1 and g_closed(2, 1) == 1
-    assert g_closed(3, 1) == 6
-    assert g_closed(3, 3) == 0
-    assert g_closed(1, 0) == 1
-    assert g_closed(4, -1) == 0
+    # row n of G has n + 1 entries, the last one 0
+    g = spcounts._count_rows("G", 4)
+    assert g[2][0] == 1 and g[2][1] == 1
+    assert g[3][1] == 6
+    assert g[3][3] == 0
+    assert g[1] == (1, 0)
 
 
 def test_g_palindromy_and_c_shift():
+    g = spcounts._count_rows("G", 30)
     for n in range(1, 31):
         for l in range(n):
-            assert g_closed(n, l) == g_closed(n, n - 1 - l)
+            assert g[n][l] == g[n][n - 1 - l]
     for n in range(2, 31):
         for l in range(1, n + 1):
-            assert c_closed(n, l) == g_closed(n - 1, l - 1)
+            assert c_closed(n, l) == g[n - 1][l - 1]
 
 
 def test_e_from_c_rows():
@@ -321,25 +322,23 @@ def test_c_and_g_closed_match_literal_sums(memos, request):
     for n in range(31):
         for l in range(-1, n + 3):
             fresh()
-            c = c_closed(n, l)
-            fresh()
-            g = g_closed(n, l)
-            assert (c, g) == (_c_literal(n, l), _g_literal(n, l)), (n, l)
+            assert c_closed(n, l) == _c_literal(n, l), (n, l)
+        fresh()
+        g_row = spcounts._count_rows("G", n)[n]
+        assert g_row == tuple(_g_literal(n, l) for l in range(n + 1)), n
 
 
 @pytest.mark.parametrize("n", [80, 100, 150])
 def test_c_and_g_rows_match_literal_sums(cold_memos, n):
     assert spcounts._c_row(n) == tuple(_c_literal(n, l) for l in range(n + 1))
     cold_memos()
-    g_row = tuple(g_closed(n, l) for l in range(n + 1))  # read off C's row n + 1
+    g_row = spcounts._count_rows("G", n)[n]  # read off C's row n + 1
     assert g_row == tuple(_g_literal(n, l) for l in range(n + 1))
 
 
 def test_cold_c_and_g_closed_build_only_their_rows(cold_memos):
     assert c_closed(150, 75) == _c_literal(150, 75)
-    assert g_closed(150, 74) == _g_literal(150, 74)
-    # C's row 150 and, for G's row 150, C's row 151
-    assert spcounts._c_row.cache_info().currsize == 2
+    assert spcounts._c_row.cache_info().currsize == 1
 
 
 def test_stirling_convolution_of_e_gives_c():
